@@ -13,6 +13,10 @@ class ZeroElement(TwistParityError):
     """An operation received 0 where a nonzero field element is required."""
 
 
+class InternalInvariantError(TwistParityError):
+    """An internal consistency check failed: a bug in the package, not bad input."""
+
+
 class PrecisionExhausted(TwistParityError):
     """A v-adic computation could not distinguish a value from 0 at working precision."""
 

@@ -1,8 +1,15 @@
 """Exact arithmetic in completions K_v: valuations, square classes, Hilbert symbols.
 
 Local elements are global field elements read v-adically; all decisions are
-finite and exact (Euler criterion at odd residue characteristic, bounded
-Hensel-threshold searches at dyadic places).
+finite and exact. At odd residue characteristic they use Euler's criterion and
+the tame symbol formula. At the places above 2 they use two tables built once
+per completion, on first use. By the local square theorem (O'Meara,
+Introduction to Quadratic Forms, 63:1) a unit is a square iff it is a square
+mod 4*pi, so the class of a unit is read off its coordinates mod 8; and the
+Hilbert symbol is a <= 16x16 matrix over class indices, filled by
+bimultiplicativity from an F_2-basis of the classes. The only search left,
+for a primitive zero of z^2 - x u^2 - y w^2 mod 2^5, fills that matrix: at
+most 10 basis pairs per completion.
 """
 
 from __future__ import annotations
@@ -12,9 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
-from .errors import PrecisionExhausted, ZeroElement
+from .errors import InternalInvariantError, PrecisionExhausted, ZeroElement
 from .numberfield import (
     Field,
     NFElem,
@@ -88,7 +93,8 @@ class ResidueField:
 
     def nonsquare(self):
         """Deterministic quadratic non-residue (odd q only)."""
-        assert self.p != 2
+        if self.p == 2:
+            raise InternalInvariantError("no quadratic non-residue in characteristic 2")
         if self.f == 1:
             for a in range(2, self.p):
                 if not self.is_square(a):
@@ -98,7 +104,7 @@ class ResidueField:
                 for a in range(self.p):
                     if not self.is_square((a, b)):
                         return (a, b)
-        raise AssertionError("no non-residue found")
+        raise InternalInvariantError(f"no non-residue found in F_{self.q}")
 
 
 # ----------------------------------------------------------------------------
@@ -136,8 +142,10 @@ class LocalField:
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
         self._characters: Optional[list] = None
-        self._hilbert_cache: dict = {}
         self._class_index_cache: dict = {}
+        # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
+        self._unit_classes: Optional[dict] = None
+        self._hilbert_matrix: Optional[list] = None
 
     # -- identification -------------------------------------------------------
     @property
@@ -228,6 +236,14 @@ class LocalField:
             self._square_classes = _build_square_classes(self)
         return self._square_classes
 
+    def hilbert_matrix(self) -> list[list[int]]:
+        """(reps[i], reps[j])_v for a place above 2."""
+        if self.p != 2:
+            raise ValueError(f"no Hilbert matrix at {self}: it is built at places above 2")
+        if self._hilbert_matrix is None:
+            self._hilbert_matrix = _build_hilbert_matrix(self)
+        return self._hilbert_matrix
+
     def characters(self) -> list["LocalCharacter"]:
         if self._characters is None:
             self._characters = [LocalCharacter(self, LocalSquareClass(self, d))
@@ -280,7 +296,8 @@ class LocalCharacter:
         return is_unramified_class(self.delta, self.local_field)
 
     def __mul__(self, other: "LocalCharacter") -> "LocalCharacter":
-        assert self.local_field is other.local_field
+        if self.local_field is not other.local_field:
+            raise InternalInvariantError("product of characters of different completions")
         prod = self.delta * other.delta
         v = self.local_field
         if v.place_kind == "finite":
@@ -338,7 +355,8 @@ def valuation(x: NFElem, v: LocalField) -> int:
     spl = v.place.splitting
     nval = _vp_fraction(x.norm(), p)
     if spl == "inert":
-        assert nval % 2 == 0
+        if nval % 2:
+            raise InternalInvariantError("odd norm valuation at an inert place")
         return nval // 2
     if spl == "ramified":
         return nval
@@ -393,50 +411,16 @@ def is_square_local(x: NFElem, v: LocalField) -> bool:
     """Is x a square in K_v?"""
     if x.is_zero():
         raise ZeroElement("is_square_local(0)")
-    if v.place_kind == "complex":
-        return True
-    if v.place_kind == "real":
-        return x.sign_at_real(v.place.index) > 0
-    n, u = unit_part(x, v)
-    if n % 2 != 0:
-        return False
-    if v.p != 2:
-        return v.residue_field().is_square(v.residue(u))
-    return _dyadic_unit_is_square(u, v)
-
-
-def _dyadic_unit_is_square(u: NFElem, v: LocalField) -> bool:
-    """Finite search: u a unit, test y^2 = u mod pi^(2 v(2) + 1)."""
-    e = v.e
-    need = 2 * e + 1
-    K = u.field
-    if v.degree_over_qp == 1:
-        # Q_2: classic criterion u = 1 mod 8
-        return _dyadic_int_image(u, v, 3) % 8 == 1
-    om = K.omega()
-    for y0 in range(8):
-        for y1 in range(8):
-            y = K.elem(y0) + K.elem(y1) * om
-            w = y * y - u
-            if w.is_zero() or _pi_valuation_at_least(w, v, need):
-                return True
-    return False
-
-
-def _pi_valuation_at_least(w: NFElem, v: LocalField, bound: int) -> bool:
-    if w.is_zero():
-        return True
-    return valuation(w, v) >= bound
+    return square_class_index(x, v) == 0
 
 
 def _dyadic_int_image(x: NFElem, v: LocalField, bits: int) -> int:
     """Image of x in Z/2^bits for a place with K_v = Q_2 (x v-integral)."""
     K = x.field
     if K.m is None:
-        fr = x.a
-        num, den = fr.numerator, fr.denominator
-        d = _vp_int(den, 2) if den % 2 == 0 else 0
-        assert d == 0, "non-integral input"
+        num, den = x.a.numerator, x.a.denominator
+        if den % 2 == 0:
+            raise InternalInvariantError("2-adic image of a non-integral element")
         return num * pow(den, -1, 1 << bits) % (1 << bits)
     y = x if v.place.index == 1 else x.conj()
     A, B, D = y.as_integer_triple()
@@ -444,10 +428,98 @@ def _dyadic_int_image(x: NFElem, v: LocalField, bits: int) -> int:
     r = dyadic_root_of_m(K.m, bits + d + 2)
     mod = 1 << (bits + d + 2)
     t = (A + B * r) % mod
-    assert t % (1 << d) == 0 or t == 0
+    if t % (1 << d):
+        raise InternalInvariantError("2-adic image of a non-integral element")
     t >>= d
     Dp = D >> d
     return t * pow(Dp, -1, 1 << bits) % (1 << bits)
+
+
+# ----------------------------------------------------------------------------
+# Places above 2: O_v / 2^bits in coordinates. A v-integral element is the pair
+# of its omega-coordinates when [K_v : Q_2] = 2 (2 has one place, so O_v is
+# Z_2 + Z_2 omega), and (2-adic image, 0) when K_v = Q_2.
+
+
+def _dyadic_coords(x: NFElem, v: LocalField, bits: int) -> tuple[int, int]:
+    if v.degree_over_qp == 1:
+        return _dyadic_int_image(x, v, bits), 0
+    M = 1 << bits
+    return tuple(c.numerator * pow(c.denominator, -1, M) % M for c in x.omega_coords())
+
+
+def _residue_ring(v: LocalField, bits: int):
+    """(elements, product) of O_v / 2^bits, with omega^2 = t omega - n."""
+    t, n = v.field.omega_trace_norm()
+    M = 1 << bits
+
+    def mul(x, y):
+        c = x[1] * y[1]
+        return (x[0] * y[0] - n * c) % M, (x[0] * y[1] + x[1] * y[0] + t * c) % M
+
+    second = range(M) if v.degree_over_qp == 2 else (0,)
+    return [(a, b) for a in range(M) for b in second], mul
+
+
+def _is_unit(c: tuple[int, int], v: LocalField) -> bool:
+    """v(c0 + c1 omega) = 0 iff its norm is odd."""
+    t, n = v.field.omega_trace_norm()
+    return (c[0] * c[0] + t * c[0] * c[1] + n * c[1] * c[1]) % 2 == 1
+
+
+def _hilbert_search(x: NFElem, y: NFElem, v: LocalField) -> int:
+    """(x, y)_v at a place above 2, for class representatives x, y (v(x), v(y) <= 1).
+
+    A primitive zero of z^2 - x u^2 - y w^2 mod pi^(2e+3) lifts by Hensel's
+    lemma: the derivative in a unit coordinate has valuation at most e + 1. For
+    e <= 2, 2^5 O_v lies in pi^(2e+3) O_v, so the search compares residues in
+    O_v / 2^5 exactly. In a primitive zero z is a unit, or z is not and u is
+    (z, u in pi O would give v(y w^2) >= 2 > v(y)); scaling that unit to 1, the
+    two sides of the equation meet in a set.
+    """
+    if max(valuation(x, v), valuation(y, v)) > 1:
+        raise InternalInvariantError("Hilbert search needs arguments of valuation 0 or 1")
+    bits = 5
+    ring, mul = _residue_ring(v, bits)
+    X, Y, P = (_dyadic_coords(z, v, bits) for z in (x, y, v.uniformizer))
+
+    def sub(a, b):
+        return (a[0] - b[0]) % (1 << bits), (a[1] - b[1]) % (1 << bits)
+
+    sq = {mul(r, r) for r in ring}
+    y_sq = {mul(Y, s) for s in sq}
+    if not y_sq.isdisjoint(sub((1, 0), mul(X, s)) for s in sq):
+        return 1  # z = 1: 1 - x u^2 = y w^2
+    pi_sq = {mul(mul(P, P), s) for s in sq}  # squares of elements of pi O_v
+    if not y_sq.isdisjoint(sub(s, X) for s in pi_sq):
+        return 1  # u = 1, z in pi O: z^2 - x = y w^2
+    return -1
+
+
+def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
+    """(reps[i], reps[j])_v by bimultiplicativity from the pairs of an F_2-basis."""
+    reps = v.square_class_reps()
+    coords = {0: 0}  # class index -> its coordinates over the basis, as a bit mask
+    basis = []
+    for i, r in enumerate(reps):
+        if i not in coords:
+            bit = 1 << len(basis)
+            basis.append(r)
+            for j, mask in list(coords.items()):
+                coords[square_class_index(r * reps[j], v)] = mask | bit
+    if len(coords) != len(reps):
+        raise InternalInvariantError(f"square classes at {v} are not closed under products")
+    k = len(basis)
+    odd = [[False] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a, k):
+            odd[a][b] = odd[b][a] = _hilbert_search(basis[a], basis[b], v) == -1
+
+    def symbol(mi, mj):
+        s = sum(odd[a][b] for a in range(k) if mi >> a & 1 for b in range(k) if mj >> b & 1)
+        return -1 if s % 2 else 1
+
+    return [[symbol(coords[i], coords[j]) for j in range(len(reps))] for i in range(len(reps))]
 
 
 # ----------------------------------------------------------------------------
@@ -465,15 +537,7 @@ def hilbert_symbol(x: NFElem, y: NFElem, v: LocalField) -> int:
         return -1 if (x.sign_at_real(i) < 0 and y.sign_at_real(i) < 0) else 1
     if v.p != 2:
         return _hilbert_tame(x, y, v)
-    ix = square_class_index(x, v)
-    iy = square_class_index(y, v)
-    key = (ix, iy) if ix <= iy else (iy, ix)
-    cached = v._hilbert_cache.get(key)
-    if cached is None:
-        reps = v.square_class_reps()
-        cached = _hilbert_dyadic_search(reps[key[0]], reps[key[1]], v)
-        v._hilbert_cache[key] = cached
-    return cached
+    return v.hilbert_matrix()[square_class_index(x, v)][square_class_index(y, v)]
 
 
 def _hilbert_tame(x: NFElem, y: NFElem, v: LocalField) -> int:
@@ -490,208 +554,48 @@ def _hilbert_tame(x: NFElem, y: NFElem, v: LocalField) -> int:
     return sign
 
 
-def _hilbert_dyadic_search(x: NFElem, y: NFElem, v: LocalField) -> int:
-    """Finite search for a primitive zero of z^2 - x u^2 - y w^2 mod pi^(2 v(4) + 1)."""
-    e = v.e
-    need = 4 * e + 1
-    if v.degree_over_qp == 1:
-        return _dyadic_search_q2(x, y, v, need)
-    if v.e == 1:
-        return _dyadic_search_inert(x, y, v, need)
-    return _dyadic_search_ramified(x, y, v, need)
-
-
-def _strip_even_valuation(x: NFElem, v: LocalField) -> NFElem:
-    n = valuation(x, v)
-    k = n - (n % 2)
-    return x / v.uniformizer ** k
-
-
-def _dyadic_search_q2(x: NFElem, y: NFElem, v: LocalField, need: int) -> int:
-    # strip even uniformizer powers, then embed directly: at a split place the
-    # uniformizer's 2-adic image is 2*(odd unit), so images cannot be rebuilt
-    # from the unit part by bit shifts
-    x = _strip_even_valuation(x, v)
-    y = _strip_even_valuation(y, v)
-    mod = 1 << need
-    xi = _dyadic_int_image(x, v, need) % mod
-    yi = _dyadic_int_image(y, v, need) % mod
-    rng = np.arange(mod, dtype=np.int64)
-    u2 = (rng * rng) % mod
-    # case z = 1
-    f = (1 - xi * u2[:, None] - yi * u2[None, :]) % mod
-    if np.any(f == 0):
-        return 1
-    # case u = 1: z = 2 z'
-    zz = (4 * u2) % mod
-    f = (zz[:, None] - xi - yi * u2[None, :]) % mod
-    if np.any(f == 0):
-        return 1
-    # case w = 1: z = 2 z', u = 2 u'
-    f = (zz[:, None] - (xi * zz[None, :]) % mod - yi) % mod
-    if np.any(f == 0):
-        return 1
-    return -1
-
-
-def _coords_mod(x: NFElem, modulus: int) -> tuple[int, int]:
-    c0, c1 = x.omega_coords()
-    r0 = c0.numerator * pow(c0.denominator, -1, modulus) % modulus
-    r1 = c1.numerator * pow(c1.denominator, -1, modulus) % modulus
-    return r0, r1
-
-
-def _dyadic_search_inert(x: NFElem, y: NFElem, v: LocalField, need: int) -> int:
-    """Inert place over 2, f = 2: pi = 2, work in (O/2^need) with omega reduction."""
-    x = _strip_even_valuation(x, v)
-    y = _strip_even_valuation(y, v)
-    K = x.field
-    t, n = K.omega_trace_norm()
-    M = 1 << need
-
-    x0, x1 = _coords_mod(x, M)
-    y0, y1 = _coords_mod(y, M)
-
-    a = np.arange(M, dtype=np.int64)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    # squares (A + B om)^2 = A^2 - n B^2 + (2AB + t B^2) om
-    sq0 = (A * A - n * B * B) % M
-    sq1 = (2 * A * B + t * B * B) % M
-    sq0 = sq0.ravel()
-    sq1 = sq1.ravel()
-
-    def times(c0, c1, d0, d1):
-        e0 = (c0 * d0 - n * c1 * d1) % M
-        e1 = (c0 * d1 + c1 * d0 + t * c1 * d1) % M
-        return e0, e1
-
-    xu0, xu1 = times(x0, x1, sq0, sq1)
-    yw0, yw1 = times(y0, y1, sq0, sq1)
-
-    # case z = 1
-    f0 = (1 - xu0[:, None] - yw0[None, :]) % M
-    f1 = (-xu1[:, None] - yw1[None, :]) % M
-    if np.any((f0 == 0) & (f1 == 0)):
-        return 1
-    # case u = 1: z = 2 z'
-    z0 = (4 * sq0) % M
-    z1 = (4 * sq1) % M
-    f0 = (z0[:, None] - x0 - yw0[None, :]) % M
-    f1 = (z1[:, None] - x1 - yw1[None, :]) % M
-    if np.any((f0 == 0) & (f1 == 0)):
-        return 1
-    # case w = 1: z = 2 z', u = 2 u'
-    xz0, xz1 = times(x0, x1, (4 * sq0) % M, (4 * sq1) % M)
-    f0 = (z0[:, None] - xz0[None, :] - y0) % M
-    f1 = (z1[:, None] - xz1[None, :] - y1) % M
-    if np.any((f0 == 0) & (f1 == 0)):
-        return 1
-    return -1
-
-
-def _dyadic_search_ramified(x: NFElem, y: NFElem, v: LocalField, need: int) -> int:
-    """Ramified place over 2 (e = 2): coords mod 2^5 cover O/pi^need, test via norms."""
-    x = _strip_even_valuation(x, v)
-    y = _strip_even_valuation(y, v)
-    K = x.field
-    m = K.m
-    C = 5  # 2^5 = pi^10 covers pi^9
-    M = 1 << C
-    mask = (1 << need) - 1
-
-    x0, x1 = _coords_mod(x, M)
-    y0, y1 = _coords_mod(y, M)
-
-    a = np.arange(M, dtype=np.int64)
-    A, B = np.meshgrid(a, a, indexing="ij")
-    sq0 = (A * A + m * B * B) % M  # omega = sqrt(m): (A + B w)^2 = A^2 + m B^2 + 2AB w
-    sq1 = (2 * A * B) % M
-    sq0 = sq0.ravel()
-    sq1 = sq1.ravel()
-
-    def times(c0, c1, d0, d1):
-        e0 = (c0 * d0 + m * c1 * d1) % M
-        e1 = (c0 * d1 + c1 * d0) % M
-        return e0, e1
-
-    def any_zero(f0, f1):
-        # v_pi(f) >= need  <=>  2^need | N(f) = f0^2 - m f1^2, computed exactly
-        N = f0 * f0 - m * f1 * f1
-        return np.any(N & mask == 0)
-
-    xu0, xu1 = times(x0, x1, sq0, sq1)
-    yw0, yw1 = times(y0, y1, sq0, sq1)
-
-    f0 = (1 - xu0[:, None] - yw0[None, :]) % M
-    f1 = (-xu1[:, None] - yw1[None, :]) % M
-    if any_zero(f0, f1):
-        return 1
-    # u = 1 case: z ranges over pi * box; pi * (A + B w) coords via times with pi coords
-    p0, p1 = _coords_mod(v.uniformizer, M)
-    piA0, piA1 = times(p0, p1, A.ravel() % M, B.ravel() % M)
-    zsq0, zsq1 = times(piA0, piA1, piA0, piA1)  # (pi t)^2
-    f0 = (zsq0[:, None] - x0 - yw0[None, :]) % M
-    f1 = (zsq1[:, None] - x1 - yw1[None, :]) % M
-    if any_zero(f0, f1):
-        return 1
-    # w = 1 case: z = pi t, u = pi s
-    xz0, xz1 = times(x0, x1, zsq0, zsq1)
-    f0 = (zsq0[:, None] - xz0[None, :] - y0) % M
-    f1 = (zsq1[:, None] - xz1[None, :] - y1) % M
-    if any_zero(f0, f1):
-        return 1
-    return -1
-
-
 # ----------------------------------------------------------------------------
 # Square classes and character groups
 
 
-def _unit_candidates(K: Field, bound: int = 6):
-    """Deterministic stream of small nonzero elements of O_K."""
-    om = K.omega()
-    seen = []
-    for radius in range(1, bound + 1):
-        for c0 in range(-radius, radius + 1):
-            for c1 in range(-radius, radius + 1):
-                if max(abs(c0), abs(c1)) != radius:
-                    continue
-                if c1 == 0 and c0 == 0:
-                    continue
-                el = K.elem(c0) + K.elem(c1) * om
-                if not el.is_zero():
-                    seen.append(el)
-    return seen
-
-
 def _build_square_classes(v: LocalField) -> list[NFElem]:
+    """Class representatives, units first; above 2 this also fills v._unit_classes."""
     K = v.field
     if v.place_kind == "complex":
         return [K.one()]
     if v.place_kind == "real":
         return [K.one(), K.elem(-1)]
-    p = v.p
     pi = v.uniformizer
-    if p != 2:
-        rf = v.residue_field()
-        ns = rf.nonsquare()
-        u = v.lift(ns)
+    if v.p != 2:
+        u = v.lift(v.residue_field().nonsquare())
         return [K.one(), u, pi, u * pi]
+    # Above 2 a unit is a square iff it is one mod 4 pi (O'Meara 63:1), and
+    # 8 O_v lies in 4 pi O_v. So small candidate units c0 + c1 omega are walked
+    # in a fixed order; one whose residue mod 8 is new opens a class and
+    # claims the residues of its coset in the unit-class table.
+    ring, mul = _residue_ring(v, 3)
+    squares = {mul(y, y) for y in ring if _is_unit(y, v)}
     if v.degree_over_qp == 1:
-        units = [K.one(), K.elem(-1), K.elem(5), K.elem(-5)]
-        return units + [r * pi for r in units]
-    # quadratic extension of Q_2: greedy unit classes, then times pi
+        cands = [(1, 0), (-1, 0), (5, 0), (-5, 0)]
+    else:
+        cands = [(1, 0)] + [(c0, c1) for r in range(1, 7) for c0 in range(-r, r + 1)
+                            for c1 in range(-r, r + 1) if max(abs(c0), abs(c1)) == r]
     target = v.num_quadratic_characters // 2
-    unit_reps = [K.one()]
-    for cand in _unit_candidates(K):
-        if len(unit_reps) >= target:
+    table: dict = {}
+    units = []
+    for c in cands:
+        if len(units) == target:
             break
-        if valuation(cand, v) != 0:
-            continue
-        if any(is_square_local(cand / r, v) for r in unit_reps):
-            continue
-        unit_reps.append(cand)
-    assert len(unit_reps) == target, f"found only {len(unit_reps)} unit classes at {v}"
+        key = (c[0] % 8, c[1] % 8)
+        if _is_unit(c, v) and key not in table:
+            for s in squares:
+                table[mul(key, s)] = len(units)
+            units.append(c)
+    if len(units) != target:
+        raise InternalInvariantError(f"found only {len(units)} unit classes at {v}")
+    v._unit_classes = table
+    om = K.omega()
+    unit_reps = [K.elem(c0) + K.elem(c1) * om for c0, c1 in units]
     return unit_reps + [r * pi for r in unit_reps]
 
 
@@ -712,18 +616,9 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
         res_sq = v.residue_field().is_square(v.residue(u))
         idx = (0 if res_sq else 1) + (0 if n % 2 == 0 else 2)
     else:
-        reps = v.square_class_reps()
-        idx = None
-        n = valuation(x, v)
-        parity = n % 2
-        half = len(reps) // 2
-        rng = range(half) if parity == 0 else range(half, len(reps))
-        xs = x / v.uniformizer ** (n - parity)
-        for i in rng:
-            if is_square_local(xs / reps[i], v):
-                idx = i
-                break
-        assert idx is not None, "element matched no square class"
+        half = len(v.square_class_reps()) // 2
+        n, u = unit_part(x, v)
+        idx = v._unit_classes[_dyadic_coords(u, v, 3)] + (half if n % 2 else 0)
     v._class_index_cache[key] = idx
     return idx
 
@@ -747,9 +642,5 @@ def is_unramified_class(delta: NFElem, v: LocalField) -> bool:
         return delta.sign_at_real(v.place.index) > 0
     if v.p != 2:
         return valuation(delta, v) % 2 == 0
-    reps = v.square_class_reps()
-    half = len(reps) // 2
-    for i in range(1, half):
-        if hilbert_symbol(reps[i], delta, v) != 1:
-            return False
-    return True
+    row = v.hilbert_matrix()[square_class_index(delta, v)]
+    return all(s == 1 for s in row[:len(row) // 2])

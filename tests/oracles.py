@@ -2,7 +2,9 @@
 
 Nothing here touches the package's decision procedures: squares mod 2^k by
 enumeration, Legendre symbols by squaring residues, the classical epsilon/omega
-formula for Hilbert symbols over Q_2, and Q_p symbols through Legendre symbols.
+formula for Hilbert symbols over Q_2, Q_p symbols through Legendre symbols, and
+square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
+in pure integer arithmetic (``DyadicOracle``).
 """
 
 from fractions import Fraction
@@ -105,3 +107,109 @@ def rational_char_norm(delta: int) -> int:
     if delta % 4 != 1:  # delta = 1 mod 4 <-> unramified at 2 (includes odd deltas only)
         ram.add(2)
     return max(ram, default=1)
+
+
+def omega_coordinates(m, a, b) -> tuple[int, int]:
+    """Integer coordinates (c0, c1) of the integral a + b*sqrt(m) in the basis {1, omega}."""
+    a, b = Fraction(a), Fraction(b)
+    c = (a - b, 2 * b) if m is not None and m % 4 == 1 else (a, b)
+    if any(x.denominator != 1 for x in c):
+        raise ValueError("not an algebraic integer")
+    return int(c[0]), int(c[1])
+
+
+class DyadicOracle:
+    """The place above 2 of Q(sqrt m) (m None: Q) at which ``pi`` has positive valuation.
+
+    Elements are integer omega-coordinates (c0, c1), omega^2 = t omega - n. When
+    2 is ramified or inert it has one place, and v_pi(c) = v_2(N c) / f; when it
+    splits (or over Q) elements are read through their image in Z_2, omega
+    going to the root of X^2 - tX + n at which pi is even.
+    """
+
+    BITS = 16  # precision of the 2-adic images at a split place
+
+    def __init__(self, m, pi):
+        if m is None:
+            self.t, self.n = 0, 0
+        elif m % 4 == 1:
+            self.t, self.n = 1, (1 - m) // 4
+        else:
+            self.t, self.n = 0, -m
+        roots = [r for r in range(2) if (r * r - self.t * r + self.n) % 2 == 0]
+        self.degree = 1 if m is None or len(roots) == 2 else 2
+        self.e = 2 if self.degree == 2 and len(roots) == 1 else 1
+        self.f = 2 if self.degree == 2 and not roots else 1
+        self.rho = 0
+        if m is not None and self.degree == 1:
+            mod = 1 << self.BITS
+            lifts = [r for r in range(mod) if (r * r - self.t * r + self.n) % mod == 0]
+            self.rho = next(r for r in lifts if (pi[0] + pi[1] * r) % 2 == 0)
+
+    # -- exact arithmetic ------------------------------------------------------
+    def embed(self, c):
+        """The element as the oracle computes with it: its 2-adic image when degree 1."""
+        if self.degree == 1:
+            return ((c[0] + c[1] * self.rho) % (1 << self.BITS), 0)
+        return c
+
+    def mul(self, c, d):
+        t, n = (0, 0) if self.degree == 1 else (self.t, self.n)
+        return (c[0] * d[0] - n * c[1] * d[1], c[0] * d[1] + c[1] * d[0] + t * c[1] * d[1])
+
+    def norm(self, c) -> int:
+        return c[0] * c[0] + self.t * c[0] * c[1] + self.n * c[1] * c[1]
+
+    def val(self, c) -> int:
+        """v_pi of an embedded element (capped at the precision of a 2-adic image)."""
+        if self.degree == 1:
+            return v2(c[0]) if c[0] % (1 << self.BITS) else self.BITS
+        if c == (0, 0):
+            return 10 ** 9
+        return v2(self.norm(c)) // self.f
+
+    def is_unit(self, c) -> bool:
+        return self.val(self.embed(c)) == 0
+
+    def box(self, M):
+        """Coordinates of O_v / M (M a power of 2)."""
+        return [(a, b) for a in range(M) for b in (range(M) if self.degree == 2 else (0,))]
+
+    # -- square classes ----------------------------------------------------------
+    def is_square_unit(self, u) -> bool:
+        """y^2 = u mod pi^(2e+1) for some y with coordinates in [0, 8)."""
+        u = self.embed(u)
+        return any(self.val(_sub(self.mul(y, y), u)) >= 2 * self.e + 1 for y in self.box(8))
+
+    # -- Hilbert symbols -----------------------------------------------------------
+    def hilbert(self, x, y) -> int:
+        """+1 iff z^2 = x u^2 + y w^2 has a primitive zero; v(x), v(y) must be 0 or 1.
+
+        A primitive zero mod pi^(2e+3) lifts by Hensel's lemma; 2^k O_v with
+        k = ceil((2e+3)/e) lies in pi^(2e+3) O_v, so residues mod 2^k are
+        compared. In a primitive zero u or w is a unit (were both in pi O, z
+        would be a unit with z^2 in pi^2 O), so u = 1 or w = 1 after scaling.
+        """
+        x, y = self.embed(x), self.embed(y)
+        if max(self.val(x), self.val(y)) > 1:
+            raise ValueError("strip even powers of pi first")
+        M = 1 << -(-(2 * self.e + 3) // self.e)
+
+        def red(c):
+            return (c[0] % M, c[1] % M)
+
+        box = self.box(M)
+        squares = {red(self.mul(z, z)) for z in box}
+        if squares & {red(_add(x, self.mul(y, self.mul(w, w)))) for w in box}:
+            return 1  # u = 1: z^2 = x + y w^2
+        if squares & {red(_add(self.mul(x, self.mul(u, u)), y)) for u in box}:
+            return 1  # w = 1: z^2 = x u^2 + y
+        return -1
+
+
+def _add(c, d):
+    return (c[0] + d[0], c[1] + d[1])
+
+
+def _sub(c, d):
+    return (c[0] - d[0], c[1] - d[1])

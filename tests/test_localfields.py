@@ -19,11 +19,13 @@ from twistparity.numberfield import archimedean_places, places_above
 
 from .conftest import place
 from .oracles import (
+    DyadicOracle,
     brute_legendre,
     brute_square_2adic,
     hilbert_q2_formula,
     hilbert_qp_formula,
     hilbert_real,
+    omega_coordinates,
     support_primes,
 )
 
@@ -365,3 +367,116 @@ def test_hilbert_reciprocity_over_quadratic_fields():
                 for v in places_above(K, p):
                     prod *= hilbert_symbol(x, y, completion(K, v))
             assert prod == 1, (m, str(x), str(y))
+
+
+# ----------------------------------------------------------------------------
+# dyadic tables against the brute-force oracle
+
+# one field for each shape of completion above 2: ramified (e = 2), inert
+# (f = 2), split (two copies of Q_2), and Q itself
+DYADIC_FIELDS = {"Q": None, "Qi": -1, "Q(sqrt2)": 2, "Q(sqrt5)": 5, "Q(sqrt-3)": -3,
+                 "Q(sqrt-7)": -7, "Q(sqrt17)": 17}
+
+
+def _dyadic_completions(m):
+    from twistparity.numberfield import quadratic_field, rational_field
+
+    K = rational_field() if m is None else quadratic_field(m)
+    return [completion(K, w) for w in places_above(K, 2)]
+
+
+def _oracle_for(v):
+    m = v.field.m
+    coords = [omega_coordinates(m, r.a, r.b) for r in v.square_class_reps()]
+    return DyadicOracle(m, omega_coordinates(m, v.uniformizer.a, v.uniformizer.b)), coords
+
+
+@pytest.mark.parametrize("name", list(DYADIC_FIELDS))
+def test_dyadic_unit_classes_match_brute_force(name):
+    m = DYADIC_FIELDS[name]
+    for v in _dyadic_completions(m):
+        K = v.field
+        oracle, reps = _oracle_for(v)
+        half = len(reps) // 2
+        assert all(oracle.is_unit(r) for r in reps[:half])
+        assert all(not oracle.is_unit(r) for r in reps[half:])
+        seen = set()
+        for c in oracle.box(8):
+            if not oracle.is_unit(c):
+                continue
+            # u lies in the class of the unit r iff u r is a square
+            cls = [i for i in range(half)
+                   if oracle.is_square_unit(oracle.mul(oracle.embed(c), oracle.embed(reps[i])))]
+            assert len(cls) == 1, (name, c, cls)
+            x = K.elem(c[0]) + K.elem(c[1]) * K.omega()
+            assert square_class_index(x, v) == cls[0], (name, c)
+            seen.add(cls[0])
+        assert seen == set(range(half))
+
+
+@pytest.mark.parametrize("name", list(DYADIC_FIELDS))
+def test_dyadic_hilbert_matrix_matches_brute_force(name):
+    m = DYADIC_FIELDS[name]
+    for v in _dyadic_completions(m):
+        oracle, coords = _oracle_for(v)
+        reps = v.square_class_reps()
+        n = len(reps)
+        H = [[hilbert_symbol(x, y, v) for y in reps] for x in reps]
+        for i in range(n):
+            for j in range(i, n):
+                assert H[i][j] == H[j][i] == oracle.hilbert(coords[i], coords[j]), (name, i, j)
+        # non-degenerate: only the trivial class pairs to +1 with every class
+        assert [i for i in range(n) if all(s == 1 for s in H[i])] == [0]
+        for x in reps:
+            assert hilbert_symbol(x, -x, v) == 1
+            assert oracle.hilbert(omega_coordinates(m, x.a, x.b),
+                                  omega_coordinates(m, -x.a, -x.b)) == 1
+
+
+def test_dyadic_tables_take_at_most_ten_pair_searches(Qi, K5, monkeypatch):
+    # the Hilbert matrix is filled from the pairs of an F_2-basis of the (at
+    # most 16) square classes: at most 4 * 5 / 2 searches, not 16 * 17 / 2
+    from twistparity import localfields
+
+    searches = []
+    search = localfields._hilbert_search
+
+    def counted(x, y, v):
+        searches.append((x, y))
+        return search(x, y, v)
+
+    monkeypatch.setattr(localfields, "_hilbert_search", counted)
+    for K in (Qi, K5):
+        searches.clear()
+        v = localfields.LocalField(K, places_above(K, 2)[0])
+        assert v._unit_classes is None and v._hilbert_matrix is None  # built on first use
+        reps = v.square_class_reps()
+        for x in reps:
+            for y in reps:
+                hilbert_symbol(x, y, v)
+            is_unramified_class(x, v)
+        assert len(searches) <= 10, (str(K), len(searches))
+
+
+# Class indices feed the scan profiles and the report bytes, so the dyadic
+# representatives and their order are pinned (unit classes first, then times pi).
+DYADIC_REPS = {
+    ("Q", 1): "1 -1 5 -5 2 -2 10 -10",
+    ("Qi", 1): "1 -w -2-w -2+w -1-2*w -1+2*w -3 -3*w 1+w 1-w -1-3*w -3-w 1-3*w -3+w -3-3*w 3-3*w",
+    ("Q(sqrt2)", 1): ("1 -1-w -1 -1+w -1-2*w 1-2*w -3-3*w -3-w "
+                      "w -2-w -w 2-w -4-w -4+w -6-3*w -2-3*w"),
+    ("Q(sqrt5)", 1): ("1 -3/2-1/2*w -1/2+1/2*w -1/2-1/2*w -5/2-1/2*w w -w 5/2+1/2*w "
+                      "2 -3-w -1+w -1-w -5-w 2*w -2*w 5+w"),
+    ("Q(sqrt-3)", 1): ("1 -3/2-1/2*w -1 3/2+1/2*w -5/2-1/2*w 2+w -7/2-1/2*w -5/2-3/2*w "
+                       "2 -3-w -2 3+w -5-w 4+2*w -7-w -5-3*w"),
+    ("Q(sqrt-7)", 1): "1 -1 5 -5 1/2-1/2*w -1/2+1/2*w 5/2-5/2*w -5/2+5/2*w",
+    ("Q(sqrt-7)", 2): "1 -1 5 -5 1/2+1/2*w -1/2-1/2*w 5/2+5/2*w -5/2-5/2*w",
+    ("Q(sqrt17)", 1): "1 -1 5 -5 3/2+1/2*w -3/2-1/2*w 15/2+5/2*w -15/2-5/2*w",
+    ("Q(sqrt17)", 2): "1 -1 5 -5 3/2-1/2*w -3/2+1/2*w 15/2-5/2*w -15/2+5/2*w",
+}
+
+
+def test_dyadic_square_class_reps_are_pinned():
+    for (name, idx), reps in DYADIC_REPS.items():
+        v = _dyadic_completions(DYADIC_FIELDS[name])[idx - 1]
+        assert " ".join(str(r) for r in v.square_class_reps()) == reps, (name, idx)
