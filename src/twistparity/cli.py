@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--tolerance", type=float, default=None,
                    help="allowed |fraction - predicted| (default 0.02 over Q, 0.05 else)")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify", help="twisted-parity oracle cross-check")
     common(p)

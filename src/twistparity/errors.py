@@ -59,10 +59,6 @@ class UnsupportedRepresentation(TwistParityError):
         super().__init__(f"unsupported (supercuspidal or unknown) local representation{where}. {detail}".rstrip())
 
 
-class SupercuspidalOrUnknown(UnsupportedRepresentation):
-    """Alias kept for the classification layer."""
-
-
 class WrongRepClass(TwistParityError):
     """m_v asked for a representation outside the multiplicative / potentially multiplicative classes."""
 

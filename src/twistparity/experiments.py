@@ -1,11 +1,14 @@
 """Desk-scale verification: density scans over C(K, X), the reduction-theoretic
 twist oracle, and machine-readable reports.
 
-Density scans are exact. For small X the family is enumerated character by
-character; beyond that the scan counts fibers of the localization homomorphism
-C(K, X) -> prod c_v over the finitely many places that can change the root
-number. Both paths return the same exact rationals (the map is a group
-homomorphism with equal fibers), so reports stay deterministic at any X.
+Density scans are exact and take one path. The generators of C(K, X) are built
+once and localized at the finitely many places that can change the root number;
+the image of the localization homomorphism C(K, b) -> prod c_v grows as the
+buckets b pass, and each bucket's even count is |C(K, b)| / |image| times the
+even classes in the image (the homomorphism has equal fibers). Buckets below 4
+enumerate C(K, b), which their generators need not span. The report's
+``method`` is "exhaustive" when |C(K, X)| <= EXHAUSTIVE_CAP and "fibers"
+otherwise: a size label kept from the two paths this one replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .curves import (
 from .errors import UnsupportedRepresentation
 from .heckechars import (
     character_group_generators,
-    count_characters,
     enumerate_characters,
     localization_profile,
     make_char,
@@ -190,10 +192,9 @@ def _class_mult_table(lv) -> list[list[int]]:
     return table
 
 
-def _subgroup_closure(gens_profiles, mult_tables):
-    """Closure of the identity under the generator tuples (componentwise class products)."""
-    identity = tuple(0 for _ in mult_tables)
-    group = {identity}
+def _grow_subgroup(group: set, gens_profiles, mult_tables) -> set:
+    """Enlarge the subgroup ``group`` of class-index tuples, in place, by the
+    generator tuples (componentwise class products); returns it."""
     for g in gens_profiles:
         if g in group:
             continue
@@ -204,8 +205,6 @@ def _subgroup_closure(gens_profiles, mult_tables):
 
 def scan_density(E: EllipticCurve, X: int,
                  parity_override: Optional[str] = None,
-                 method: str = "auto",
-                 exhaustive_cap: int = EXHAUSTIVE_CAP,
                  assume_principal_series: bool = False,
                  oracle_sample: int = 0) -> DensityReport:
     """Exact even-rank fraction among twists ordered by Nchi, with convergence buckets."""
@@ -223,78 +222,52 @@ def scan_density(E: EllipticCurve, X: int,
     tables = _parity_factor_tables(E, assume_principal_series)
     places = [t[0] for t in tables]
     values = [t[2] for t in tables]
+    mult_tables = [_class_mult_table(t[1]) for t in tables]
+    identity = tuple(0 for _ in tables)
 
-    thresholds = sorted({max(1, (k * X) // 10) for k in range(1, 11)})
-
-    def even_of_sign(p_sign: int) -> bool:
-        # rk(E^chi) even  <=>  (w = +1) xor (parity flips)
-        return (w == 1) == (p_sign == 1)
-
-    chosen = method
-    if method == "auto":
-        chosen = "exhaustive" if count_characters(K, X) <= exhaustive_cap else "fibers"
-    if chosen not in ("exhaustive", "fibers"):
-        raise ValueError(f"unknown scan method {method!r}")
-
+    # character_group_generators(K, b) is the subset of these with norm <= b:
+    # a prime's character has norm at least the prime's residue norm
+    gens = [(chi.norm, localization_profile(chi, places))
+            for chi in character_group_generators(K, X)]
+    image = {identity}
     buckets = []
-    if chosen == "exhaustive":
-        chars = enumerate_characters(K, X)
-        profiles = [localization_profile(chi, places) for chi in chars]
-        norms = [chi.norm for chi in chars]
-        for b in thresholds:
-            total = even = 0
-            for chi_norm, prof in zip(norms, profiles):
-                if chi_norm > b:
-                    continue
-                total += 1
-                sign = 1
-                for vals, idx in zip(values, prof):
-                    sign *= vals[idx]
-                if even_of_sign(sign):
-                    even += 1
-            if total:
-                buckets.append(BucketRow(b, total, even, Fraction(even, total), predicted))
-    else:
-        mult_tables = [_class_mult_table(t[1]) for t in tables]
-        for b in thresholds:
-            if b < 4:
-                # small norms: the generator description may not cover C(K, b)
-                chars = enumerate_characters(K, b)
-                total = len(chars)
-                even = 0
-                for chi in chars:
-                    prof = localization_profile(chi, places)
-                    sign = 1
-                    for vals, idx in zip(values, prof):
-                        sign *= vals[idx]
-                    if even_of_sign(sign):
-                        even += 1
-            else:
-                gens = character_group_generators(K, b)
-                gprofiles = [localization_profile(chi, places) for chi in gens]
-                group = _subgroup_closure(gprofiles, mult_tables)
-                plus = 0
-                for h in group:
-                    sign = 1
-                    for vals, idx in zip(values, h):
-                        sign *= vals[idx]
-                    if even_of_sign(sign):
-                        plus += 1
-                total = 1 << len(gens)
-                even = total // len(group) * plus
-            if total:
-                buckets.append(BucketRow(b, total, even, Fraction(even, total), predicted))
+    for b in sorted({max(1, (k * X) // 10) for k in range(1, 11)}):
+        if b < 4:
+            # below 4, the largest norm of a place above 2, the generators need
+            # not span C(K, b) (|C(K, 3)| = 4 over Q(sqrt 13), with one generator)
+            chars = enumerate_characters(K, b)
+            total = len(chars)
+            counted = _grow_subgroup({identity},
+                                     [localization_profile(chi, places) for chi in chars],
+                                     mult_tables)
+        else:
+            fed = [prof for norm, prof in gens if norm <= b]
+            total = 1 << len(fed)
+            counted = _grow_subgroup(image, fed, mult_tables)
+        plus = 0
+        for h in counted:
+            sign = 1
+            for vals, idx in zip(values, h):
+                sign *= vals[idx]
+            # rk(E^chi) even  <=>  (w = +1) xor (parity flips)
+            if (w == 1) == (sign == 1):
+                plus += 1
+        # localization is a homomorphism: each image tuple has total/|image| preimages
+        even = total // len(counted) * plus
+        buckets.append(BucketRow(b, total, even, Fraction(even, total), predicted))
 
-    last = buckets[-1] if buckets else BucketRow(X, 0, 0, Fraction(0), predicted)
+    last = buckets[-1]
+    # The label of the exhaustive and fiber paths this scan replaced, kept so
+    # reports stay byte-identical: "exhaustive" meant |C(K, X)| <= EXHAUSTIVE_CAP.
+    method = "exhaustive" if last.total <= EXHAUSTIVE_CAP else "fibers"
     mismatches = None
     if oracle_sample > 0:
         sample_chars = enumerate_characters(K, min(X, 20))[:oracle_sample]
         mismatches = len(oracle_crosscheck(E, deltas=[c.delta for c in sample_chars]).mismatches)
     return DensityReport(
         curve=str(E), field=str(K), X=X, parity=parity, kappa=krep.kappa,
-        predicted=predicted, total=last.total, even=last.even,
-        fraction=last.fraction if last.total else Fraction(0),
-        buckets=tuple(buckets), method=chosen, oracle_mismatches=mismatches,
+        predicted=predicted, total=last.total, even=last.even, fraction=last.fraction,
+        buckets=tuple(buckets), method=method, oracle_mismatches=mismatches,
     )
 
 
@@ -386,54 +359,30 @@ def oracle_crosscheck(E: EllipticCurve,
     else:
         deltas = list(deltas)
 
-    wE = root_number(E)
-    oracle = TwistRootNumberOracle(E)
-    mismatches = []
-    unsupported = 0
-    tested = 0
-
-    def check_one(delta):
-        nonlocal unsupported, tested
-        chi = make_char(K, delta)
-        try:
-            a = parity_change(E, chi) * wE
-            b = oracle.root_number_of_twist(delta)
-        except UnsupportedRepresentation:
-            unsupported += 1
-            return
-        tested += 1
-        if a != b:
-            mismatches.append(MismatchRecord(str(delta), a, b))
-
     if workers <= 1:
-        for d in deltas:
-            check_one(d)
+        tested, unsupported, mismatches = _check_deltas(E, deltas)
     else:
         chunks = [deltas[i::workers] for i in range(workers)]
         args = [(str(K), str(E), [str(d) for d in ch]) for ch in chunks if ch]
+        tested = unsupported = 0
+        mismatches = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
                 tested += sub_tested
                 unsupported += sub_unsup
-                mismatches.extend(MismatchRecord(*m) for m in sub_mm)
+                mismatches.extend(sub_mm)
         mismatches.sort(key=lambda m: m.delta)
-
     return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 
-def _oracle_worker(args):
-    from .curves import parse_curve
-    from .numberfield import parse_element
-
-    field_spec, curve_text, delta_texts = args
-    K = parse_field(field_spec)
-    E = parse_curve(K, curve_text)
+def _check_deltas(E: EllipticCurve, deltas) -> tuple[int, int, list]:
+    """The oracle loop over the twists by ``deltas``: (tested, unsupported, mismatches)."""
+    K = E.field
     wE = root_number(E)
     oracle = TwistRootNumberOracle(E)
     tested = unsupported = 0
     mismatches = []
-    for dt in delta_texts:
-        delta = parse_element(K, dt)
+    for delta in deltas:
         chi = make_char(K, delta)
         try:
             a = parity_change(E, chi) * wE
@@ -443,8 +392,17 @@ def _oracle_worker(args):
             continue
         tested += 1
         if a != b:
-            mismatches.append((dt, a, b))
+            mismatches.append(MismatchRecord(str(delta), a, b))
     return tested, unsupported, mismatches
+
+
+def _oracle_worker(args):
+    from .curves import parse_curve
+    from .numberfield import parse_element
+
+    field_spec, curve_text, delta_texts = args
+    K = parse_field(field_spec)
+    return _check_deltas(parse_curve(K, curve_text), [parse_element(K, dt) for dt in delta_texts])
 
 
 # ----------------------------------------------------------------------------
@@ -454,7 +412,8 @@ def _oracle_worker(args):
 def find_demo_curve(K: Field, target: str = SPLIT_MULT, coeff_bound: int = 3) -> EllipticCurve:
     """Smallest integer-coefficient curve over K whose only bad place is a
     single finite place of odd residue norm with the requested multiplicative type."""
-    assert target in (SPLIT_MULT, NONSPLIT_MULT)
+    if target not in (SPLIT_MULT, NONSPLIT_MULT):
+        raise ValueError(f"target must be {SPLIT_MULT!r} or {NONSPLIT_MULT!r}, not {target!r}")
     for bound in range(1, coeff_bound + 1):
         rng = range(-bound, bound + 1)
         for a1 in (0, 1):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from sympy import factorint
 
-from .errors import ExplosionGuard, ZeroElement
+from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     LocalCharacter,
     LocalSquareClass,
@@ -92,7 +92,7 @@ def _unit_class_rep(u: NFElem) -> NFElem:
     for c in K.unit_square_classes:
         if global_sqrt(u / c) is not None:
             return c
-    raise AssertionError(f"unit {u} matched no transversal class")
+    raise InternalInvariantError(f"unit {u} matched no transversal class")
 
 
 def make_char(K: Field, delta: NFElem) -> QuadChar:
@@ -110,7 +110,8 @@ def make_char(K: Field, delta: NFElem) -> QuadChar:
     # t has even valuation everywhere: strip its square part to a unit
     g = K.one()
     for v, n in _support_places(t):
-        assert n % 2 == 0, "square part with odd valuation"
+        if n % 2 != 0:
+            raise InternalInvariantError(f"square part {t} has odd valuation at {v}")
         g = g * v.generator ** (n // 2)
     u = t / (g * g)
     canonical = _unit_class_rep(u) * sqfree
@@ -137,10 +138,6 @@ def make_char(K: Field, delta: NFElem) -> QuadChar:
 
 def trivial_char(K: Field) -> QuadChar:
     return make_char(K, K.one())
-
-
-def localize(chi: QuadChar, v: Place) -> LocalCharacter:
-    return chi.localize(v)
 
 
 # ----------------------------------------------------------------------------
@@ -219,14 +216,6 @@ def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> li
 def _subsets(seq):
     for r in range(len(seq) + 1):
         yield from itertools.combinations(seq, r)
-
-
-def count_characters(K: Field, X: int) -> int:
-    """|C(K, X)| without enumeration (exact; exponential-size group)."""
-    if X < 4:
-        return len(enumerate_characters(K, X))
-    n = len(character_group_generators(K, X))
-    return 1 << n
 
 
 # ----------------------------------------------------------------------------

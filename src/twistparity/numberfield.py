@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from sympy import divisors, isprime, primerange
 
@@ -676,13 +676,6 @@ def _places_above(K: Field, p: int) -> list[Place]:
         Place(kind="finite", index=1, p=p, splitting="split", generator=g1, residue_norm=p),
         Place(kind="finite", index=2, p=p, splitting="split", generator=g2, residue_norm=p),
     ]
-
-
-def all_finite_places(K: Field, primes: Iterable[int]) -> list[Place]:
-    out = []
-    for p in primes:
-        out.extend(places_above(K, p))
-    return out
 
 
 def places_of_norm_up_to(K: Field, X: int) -> list[Place]:

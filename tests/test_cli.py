@@ -129,6 +129,10 @@ def test_input_error_exit_codes(capsys):
 def test_unknown_flag_is_error(capsys):
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[1,0]", "--bogus")
     assert rc == 2
+    # scans run in one process; --workers belongs to verify only
+    rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                   "--x", "10", "--workers", "2")
+    assert rc == 2
 
 
 def test_help_lists_flags(capsys):
@@ -136,7 +140,7 @@ def test_help_lists_flags(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     for flag in ("--field", "--curve", "--x", "--out", "--format", "--parity",
-                 "--workers", "--assume-principal-series"):
+                 "--assume-principal-series"):
         assert flag in out
     rc = main(["lemmas", "--help"])
     assert rc == 0

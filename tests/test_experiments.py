@@ -31,13 +31,26 @@ def test_scan_trivial_family(Q, e11a1):
     assert r.total == 1 and r.even == 1 and r.fraction == 1
 
 
-def test_scan_exhaustive_equals_fibers(Q, e11a1, e37a1):
-    for E in (e11a1, e37a1):
-        r1 = scan_density(E, 25, method="exhaustive")
-        r2 = scan_density(E, 25, method="fibers")
-        assert [(b.x_bucket, b.total, b.even) for b in r1.buckets] == \
-               [(b.x_bucket, b.total, b.even) for b in r2.buckets]
-        assert r1.fraction == r2.fraction == Fraction(1, 2)
+def test_scan_matches_brute_force(Q, e11a1, e37a1):
+    from twistparity.numberfield import quadratic_field
+    from twistparity.parity import parity_change
+
+    cases = [(e11a1, 25), (e37a1, 25)]
+    # over Q(sqrt -11), Q(sqrt 13) and Q(sqrt 6) the buckets below 4 need the enumeration
+    cases += [(curve(quadratic_field(m), [0, -1, 1, 0, 0]), 12) for m in (-11, 13, 6)]
+    for E, X in cases:
+        chars = enumerate_characters(E.field, X)
+        signs = [(chi.norm, parity_change(E, chi)) for chi in chars]
+        for parity, w in (("even", 1), ("odd", -1)):
+            r = scan_density(E, X, parity_override=parity)
+            brute = []
+            for b in sorted({max(1, k * X // 10) for k in range(1, 11)}):
+                family = [s for norm, s in signs if norm <= b]
+                brute.append((b, len(family), sum(1 for s in family if w * s == 1)))
+            assert [(row.x_bucket, row.total, row.even) for row in r.buckets] == brute, \
+                (str(E.field), parity)
+        if E.field.m is None:
+            assert r.fraction == Fraction(1, 2)
 
 
 def test_scan_deterministic_serialization(Q, e11a1):
@@ -67,8 +80,6 @@ def test_scan_parity_override(Qi):
 def test_scan_rejects_bad_input(Q, e11a1):
     with pytest.raises(ValueError):
         scan_density(e11a1, 0)
-    with pytest.raises(ValueError):
-        scan_density(e11a1, 10, method="bogus")
 
 
 # ----------------------------------------------------------------------------
@@ -167,6 +178,8 @@ def test_find_demo_curve_gaussian(Qi):
     v = bads[0]
     assert v.residue_norm % 2 == 1
     assert reduction_type(E, v).red_type == SPLIT_MULT
+    with pytest.raises(ValueError):
+        find_demo_curve(Qi, target="additive")
 
 
 def test_find_demo_curve_eisenstein():

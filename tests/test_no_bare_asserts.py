@@ -10,7 +10,7 @@ import pytest
 
 import twistparity
 
-CHECKED = ("localfields",)
+CHECKED = ("localfields", "heckechars", "experiments")
 
 
 @pytest.mark.parametrize("module", CHECKED)
