@@ -15,6 +15,7 @@ from typing import Optional
 from sympy import factorint
 
 from .errors import (
+    InternalInvariantError,
     SingularCurve,
     UnsupportedRepresentation,
     ZeroElement,
@@ -284,7 +285,8 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
                     break
             if sing:
                 break
-        assert sing is not None, "no singular point despite v(disc) > 0"
+        if sing is None:
+            raise InternalInvariantError("no singular point despite v(disc) > 0")
         E = E.transform(r=lv.lift(sing[0]), t=lv.lift(sing[1]))
 
         if _val0(E.c4, lv) == 0:
@@ -324,7 +326,8 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
         if c is None:  # I0* or In*
             return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
         E = E.transform(r=pi * lv.lift(c))
-        assert _val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4
+        if not (_val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4):
+            raise InternalInvariantError("triple-root translation left a2, a4, a6 too small")
 
         # quadratic Y^2 + (a3/pi^2) Y - a6/pi^4 over k: continue past a double root
         A3 = lv.residue(E.a3 / pi ** 2)
@@ -337,7 +340,8 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
         if y0 is None:  # IV*
             return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
         E = E.transform(t=pi * pi * lv.lift(y0))
-        assert _val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5
+        if not (_val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5):
+            raise InternalInvariantError("double-root translation left a3, a6 too small")
 
         if _val0(E.a4, lv) < 4:  # III*
             return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
@@ -359,7 +363,8 @@ def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem, lifts) -> Elli
     """Find (s, t) with pi | a1', a2'; pi^2 | a3', a4'; pi^3 | a6'."""
     if lv.p != 2:
         cand = E.transform(s=-E.a1 / 2, t=-E.a3 / 2)
-        assert _tate_normalized(cand, lv)
+        if not _tate_normalized(cand, lv):
+            raise InternalInvariantError("completing the square did not normalize the model")
         return cand
     t_digits = [l0 + pi * l1 for l0 in lifts for l1 in lifts]
     for sb in lifts:
@@ -367,7 +372,7 @@ def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem, lifts) -> Elli
             cand = E.transform(s=sb, t=pi * td)
             if _tate_normalized(cand, lv):
                 return cand
-    raise AssertionError("tate normalization search failed")
+    raise InternalInvariantError("tate normalization search failed")
 
 
 def _tate_normalized(E: EllipticCurve, lv: LocalField) -> bool:
@@ -418,8 +423,9 @@ def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:
                 split_tw = eta
             elif rde.red_type == NONSPLIT_MULT:
                 nonsplit_tw = eta
-        assert split_tw is not None and nonsplit_tw is not None, \
-            "potentially multiplicative place without its two multiplicative twists"
+        if split_tw is None or nonsplit_tw is None:
+            raise InternalInvariantError(
+                "potentially multiplicative place without its two multiplicative twists")
         return LocalRepType(SPECIAL_RAMIFIED_QUAD, v,
                             split_twist=split_tw, nonsplit_twist=nonsplit_tw)
     # additive, potentially good: certified only when a quadratic twist is good

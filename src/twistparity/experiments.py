@@ -33,6 +33,7 @@ from .curves import (
 )
 from .errors import UnsupportedRepresentation
 from .heckechars import (
+    QuadChar,
     character_group_generators,
     enumerate_characters,
     localization_profile,
@@ -303,18 +304,18 @@ class TwistRootNumberOracle:
             self.memo[key] = hit
         return hit
 
-    def root_number_of_twist(self, delta: NFElem) -> int:
+    def root_number_of_twist(self, chi: QuadChar) -> int:
+        """w(E^delta) for delta = chi.delta, from the places of E and of chi."""
         w = 1
         for _ in self.arch:
             w *= -1
         places = dict(self.base_places)
-        chi = make_char(self.K, delta)
         for v in chi.support:
             places.setdefault(v.key(), v)
         for v in chi.ramified_finite():
             places.setdefault(v.key(), v)
         for v in places.values():
-            w *= self.local_w(v, delta)
+            w *= self.local_w(v, chi.delta)
         return w
 
 
@@ -386,7 +387,7 @@ def _check_deltas(E: EllipticCurve, deltas) -> tuple[int, int, list]:
         chi = make_char(K, delta)
         try:
             a = parity_change(E, chi) * wE
-            b = oracle.root_number_of_twist(delta)
+            b = oracle.root_number_of_twist(chi)
         except UnsupportedRepresentation:
             unsupported += 1
             continue

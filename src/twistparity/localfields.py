@@ -1,32 +1,29 @@
 """Exact arithmetic in completions K_v: valuations, square classes, Hilbert symbols.
 
-Local elements are global field elements read v-adically; all decisions are
-finite and exact. At odd residue characteristic they use Euler's criterion and
-the tame symbol formula. At the places above 2 they use two tables built once
-per completion, on first use. By the local square theorem (O'Meara,
-Introduction to Quadratic Forms, 63:1) a unit is a square iff it is a square
-mod 4*pi, so the class of a unit is read off its coordinates mod 8; and the
-Hilbert symbol is a <= 16x16 matrix over class indices, filled by
-bimultiplicativity from an F_2-basis of the classes. The only search left,
-for a primitive zero of z^2 - x u^2 - y w^2 mod 2^5, fills that matrix: at
-most 10 basis pairs per completion.
+Local elements are global field elements read v-adically, through one
+reduction: _reduce_coords maps a v-integral element to O_v / p^k, as its image
+in Z/p^k when K_v = Q_p and as its omega-coordinates mod p^k when
+[K_v : Q_p] = 2. Residues are its k = 1 case. At a place with K_v = Q_p
+(K = Q, or p splits) the valuation and the image read sqrt(m) as the canonical
+p-adic root of m from numberfield, and all decisions are finite and exact. At
+odd residue characteristic they use Euler's criterion and the tame symbol
+formula. At the places above 2 they use two tables built once per completion,
+on first use. By the local square theorem (O'Meara, Introduction to Quadratic
+Forms, 63:1) a unit is a square iff it is a square mod 4*pi, so the class of a
+unit is read off its coordinates mod 8; and the Hilbert symbol is a <= 16x16
+matrix over class indices, filled by bimultiplicativity from an F_2-basis of
+the classes. The only search left, for a primitive zero of z^2 - x u^2 - y w^2
+mod 2^5, fills that matrix: at most 10 basis pairs per completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InternalInvariantError, PrecisionExhausted, ZeroElement
-from .numberfield import (
-    Field,
-    NFElem,
-    Place,
-    dyadic_root_of_m,
-    odd_root_of_m,
-)
+from .errors import InternalInvariantError, ZeroElement
+from .numberfield import Field, NFElem, Place, _qp_image, _qp_valuation, _vp_fraction
 
 
 # ----------------------------------------------------------------------------
@@ -198,37 +195,10 @@ class LocalField:
         """Residue of a v-integral x."""
         if self.place_kind != "finite":
             raise ValueError("residue at an archimedean place")
-        K = self.field
-        p = self.p
-        if K.m is None:
-            fr = x.a
-            return fr.numerator * pow(fr.denominator, -1, p) % p
-        if self.place.splitting == "split":
-            y = x if self.place.index == 1 else x.conj()
-            A, B, D = y.as_integer_triple()
-            d = 0
-            while D % p == 0:
-                D //= p
-                d += 1
-            bits = d + 2
-            if p == 2:
-                r = dyadic_root_of_m(K.m, bits + 2)
-                mod = 1 << (bits + 2)
-            else:
-                r = odd_root_of_m(K.m, p, bits)
-                mod = p ** bits
-            t = (A + B * r) % mod
-            if t % (p ** d) != 0:
-                raise PrecisionExhausted("residue of non-integral element")
-            t //= p ** d
-            return t * pow(D, -1, p) % p
-        c0, c1 = x.omega_coords()
-        r0 = c0.numerator * pow(c0.denominator, -1, p) % p
-        r1 = c1.numerator * pow(c1.denominator, -1, p) % p
-        if self.place.splitting == "inert":
-            return (r0, r1)
-        # ramified: f = 1
-        return (r0 + r1 * self._omega_bar()) % p
+        c0, c1 = _reduce_coords(x, self, 1)
+        if self.f == 2:
+            return (c0, c1)
+        return (c0 + c1 * self._omega_bar()) % self.p if c1 else c0
 
     # -- square classes / characters -------------------------------------------
     def square_class_reps(self) -> list[NFElem]:
@@ -348,58 +318,14 @@ def valuation(x: NFElem, v: LocalField) -> int:
         raise ZeroElement("valuation of 0")
     if v.place_kind != "finite":
         raise ValueError("valuation at an archimedean place")
-    p = v.p
-    K = x.field
-    if K.m is None:
-        return _vp_fraction(x.a, p)
-    spl = v.place.splitting
-    nval = _vp_fraction(x.norm(), p)
-    if spl == "inert":
-        if nval % 2:
-            raise InternalInvariantError("odd norm valuation at an inert place")
-        return nval // 2
-    if spl == "ramified":
+    if v.degree_over_qp == 1:
+        return _qp_valuation(x, v.p, v.place.index)
+    nval = _vp_fraction(x.norm(), v.p)
+    if v.e == 2:
         return nval
-    # split
-    y = x if v.place.index == 1 else x.conj()
-    A, B, D = y.as_integer_triple()
-    num = A * A - K.m * B * B
-    vn = 0
-    while num % p == 0:
-        num //= p
-        vn += 1
-    bits = vn + 4
-    if p == 2:
-        r = dyadic_root_of_m(K.m, bits)
-        mod = 1 << bits
-    else:
-        r = odd_root_of_m(K.m, p, bits)
-        mod = p ** bits
-    t = (A + B * r) % mod
-    vt = 0
-    while vt <= vn and t % p == 0:
-        t //= p
-        vt += 1
-    if vt > vn:
-        raise PrecisionExhausted("split valuation did not resolve")
-    vd = _vp_int(D, p)
-    return vt - vd
-
-
-def _vp_int(n: int, p: int) -> int:
-    if n == 0:
-        raise ZeroElement("valuation of integer 0")
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
-
-
-def _vp_fraction(fr: Fraction, p: int) -> int:
-    if fr == 0:
-        raise ZeroElement("valuation of 0")
-    return _vp_int(fr.numerator, p) - _vp_int(fr.denominator, p)
+    if nval % 2:
+        raise InternalInvariantError("odd norm valuation at an inert place")
+    return nval // 2
 
 
 def unit_part(x: NFElem, v: LocalField) -> tuple[int, NFElem]:
@@ -414,37 +340,19 @@ def is_square_local(x: NFElem, v: LocalField) -> bool:
     return square_class_index(x, v) == 0
 
 
-def _dyadic_int_image(x: NFElem, v: LocalField, bits: int) -> int:
-    """Image of x in Z/2^bits for a place with K_v = Q_2 (x v-integral)."""
-    K = x.field
-    if K.m is None:
-        num, den = x.a.numerator, x.a.denominator
-        if den % 2 == 0:
-            raise InternalInvariantError("2-adic image of a non-integral element")
-        return num * pow(den, -1, 1 << bits) % (1 << bits)
-    y = x if v.place.index == 1 else x.conj()
-    A, B, D = y.as_integer_triple()
-    d = _vp_int(D, 2) if D % 2 == 0 else 0
-    r = dyadic_root_of_m(K.m, bits + d + 2)
-    mod = 1 << (bits + d + 2)
-    t = (A + B * r) % mod
-    if t % (1 << d):
-        raise InternalInvariantError("2-adic image of a non-integral element")
-    t >>= d
-    Dp = D >> d
-    return t * pow(Dp, -1, 1 << bits) % (1 << bits)
-
-
 # ----------------------------------------------------------------------------
-# Places above 2: O_v / 2^bits in coordinates. A v-integral element is the pair
-# of its omega-coordinates when [K_v : Q_2] = 2 (2 has one place, so O_v is
-# Z_2 + Z_2 omega), and (2-adic image, 0) when K_v = Q_2.
+# O_v / p^k in coordinates. A v-integral element is its image in Z/p^k, paired
+# with 0, when K_v = Q_p (K = Q, or p splits); it is the pair of its
+# omega-coordinates when [K_v : Q_p] = 2 (p has one place, so O_v is
+# Z_p + Z_p omega). Above 2 the unit-class table and the Hilbert search read
+# these pairs mod 2^3 and mod 2^5.
 
 
-def _dyadic_coords(x: NFElem, v: LocalField, bits: int) -> tuple[int, int]:
+def _reduce_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, int]:
+    """The image of a v-integral x in O_v / p^k."""
     if v.degree_over_qp == 1:
-        return _dyadic_int_image(x, v, bits), 0
-    M = 1 << bits
+        return _qp_image(x, v.p, v.place.index, k), 0
+    M = v.p ** k
     return tuple(c.numerator * pow(c.denominator, -1, M) % M for c in x.omega_coords())
 
 
@@ -481,7 +389,7 @@ def _hilbert_search(x: NFElem, y: NFElem, v: LocalField) -> int:
         raise InternalInvariantError("Hilbert search needs arguments of valuation 0 or 1")
     bits = 5
     ring, mul = _residue_ring(v, bits)
-    X, Y, P = (_dyadic_coords(z, v, bits) for z in (x, y, v.uniformizer))
+    X, Y, P = (_reduce_coords(z, v, bits) for z in (x, y, v.uniformizer))
 
     def sub(a, b):
         return (a[0] - b[0]) % (1 << bits), (a[1] - b[1]) % (1 << bits)
@@ -618,7 +526,7 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
     else:
         half = len(v.square_class_reps()) // 2
         n, u = unit_part(x, v)
-        idx = v._unit_classes[_dyadic_coords(u, v, 3)] + (half if n % 2 else 0)
+        idx = v._unit_classes[_reduce_coords(u, v, 3)] + (half if n % 2 else 0)
     v._class_index_cache[key] = idx
     return idx
 

@@ -2,7 +2,9 @@
 
 Elements are kept as exact global objects a + b*sqrt(m) with Fraction
 coordinates; places carry their splitting data and a principal generator
-(class number 1 makes one exist).
+(class number 1 makes one exist). At a place with K_v = Q_p (K = Q, or p
+splits) an element is read through the canonical p-adic root of m: index 1
+sends sqrt(m) to that root, index 2 to its negative.
 """
 
 from __future__ import annotations
@@ -14,20 +16,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from sympy import divisors, isprime, primerange
+from sympy import divisors, isprime, primerange, sqrt_mod
 
 from .errors import (
     ClassNumberNotOne,
     GeneratorSearchExhausted,
+    InternalInvariantError,
     Malformed,
     NotSquarefree,
+    PrecisionExhausted,
     ZeroElement,
 )
 
 # Imaginary quadratic fields with class number one (Baker-Heegner-Stark list).
 IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-UNIT_SEARCH_BOUND = 10 ** 6
 GENERATOR_SEARCH_BOUND = 10 ** 6
 
 
@@ -92,32 +95,77 @@ def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def dyadic_root_of_m(m: int, bits: int) -> int:
-    """The 2-adic square root r of m (m = 1 mod 8) with r = 1 mod 4, modulo 2^bits."""
-    assert m % 8 == 1
-    r = 1
-    for k in range(3, bits):
-        if (r * r - m) % (1 << (k + 1)) != 0:
-            r += 1 << (k - 1)
-    return r % (1 << bits)
+def _vp_int(n: int, p: int) -> int:
+    if n == 0:
+        raise ZeroElement("valuation of integer 0")
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
-def odd_root_of_m(m: int, p: int, bits: int) -> int:
-    """Hensel-lifted root of x^2 = m mod p^bits for odd p with the smaller residue mod p."""
-    r = None
-    for t in range(p):
-        if (t * t - m) % p == 0:
-            r = t
-            break
-    assert r is not None, "no root mod p (non-split prime?)"
-    r = min(r, (p - r) % p) if r != 0 else 0
+def _vp_fraction(fr: Fraction, p: int) -> int:
+    if fr == 0:
+        raise ZeroElement("valuation of 0")
+    return _vp_int(fr.numerator, p) - _vp_int(fr.denominator, p)
+
+
+@lru_cache(maxsize=4096)
+def _root_of_m(m: int, p: int, k: int) -> int:
+    """The canonical p-adic square root r of m, mod p^k, at a prime p that splits.
+
+    At p = 2 (m = 1 mod 8) r = 1 mod 4; at odd p, r lifts the smaller root mod p.
+    """
+    if p == 2:
+        if m % 8 != 1:
+            raise InternalInvariantError(f"2 does not split in Q(sqrt {m})")
+        r = 1
+        for j in range(3, k + 1):  # r = root mod 2^(j-1) -> root mod 2^j
+            if (r * r - m) % (1 << (j + 1)):
+                r += 1 << (j - 1)
+        return r % (1 << k)
+    r = sqrt_mod(m, p)
+    if r is None or m % p == 0:
+        raise InternalInvariantError(f"{p} does not split in Q(sqrt {m})")
     mod = p
-    for _ in range(bits - 1):
-        mod *= p
-        # Newton step: r <- r - (r^2 - m)/(2r)
-        inv = pow(2 * r % mod, -1, mod)
-        r = (r - (r * r - m) * inv) % mod
+    while mod < p ** k:  # Newton's step doubles the p-adic precision
+        mod = min(mod * mod, p ** k)
+        r = (r - (r * r - m) * pow(2 * r, -1, mod)) % mod
     return r
+
+
+def _qp_valuation(x: NFElem, p: int, index: int = 1) -> int:
+    """v(x) at a place with K_v = Q_p: K = Q, or the place of a split p where
+    sqrt(m) maps to the canonical root (index 1) or to its negative (index 2)."""
+    if not x.b:  # rational x: no integer triple, and no root of m
+        return _vp_int(x.a.numerator, p) - _vp_int(x.a.denominator, p)
+    m = x.field.m
+    A, B, D = x.as_integer_triple()
+    vn = _vp_int(A * A - m * B * B, p)  # v_1 + v_2 of A + B sqrt(m), both >= 0
+    mod = p ** (vn + 1)
+    r = _root_of_m(m, p, vn + 1)
+    t = (A + B * r if index == 1 else A - B * r) % mod
+    if t == 0:
+        raise PrecisionExhausted("split valuation did not resolve")
+    return _vp_int(t, p) - _vp_int(D, p)
+
+
+def _qp_image(x: NFElem, p: int, index: int, k: int) -> int:
+    """Image in Z/p^k of an x that is integral at a place with K_v = Q_p (see _qp_valuation)."""
+    mod = p ** k
+    if not x.b:
+        num, den = x.a.numerator, x.a.denominator
+        if den % p == 0:
+            raise InternalInvariantError("p-adic image of a non-integral element")
+        return num * pow(den, -1, mod) % mod
+    A, B, D = x.as_integer_triple()
+    d = _vp_int(D, p)
+    r = _root_of_m(x.field.m, p, k + d)
+    t = (A + B * r if index == 1 else A - B * r) % (mod * p ** d)
+    if t % p ** d:
+        raise InternalInvariantError("p-adic image of a non-integral element")
+    return t // p ** d * pow(D // p ** d, -1, mod) % mod
 
 
 # ----------------------------------------------------------------------------
@@ -400,27 +448,26 @@ class Field:
 
 
 def pell_fundamental_unit(m: int) -> tuple[int, int, bool]:
-    """Smallest unit > 1 of O_K for real quadratic K as (x, y, half)."""
-    for y in range(1, UNIT_SEARCH_BOUND):
-        my2 = m * y * y
-        if m % 4 == 1:
-            xs = []
-            for target in (my2 + 4, my2 - 4):
-                if target >= 0:
-                    x = math.isqrt(target)
-                    if x * x == target and (x - y) % 2 == 0:
-                        xs.append(x)
-            if xs:
-                return (min(xs), y, True)
-        xs = []
-        for target in (my2 + 1, my2 - 1):
-            if target >= 0:
-                x = math.isqrt(target)
-                if x * x == target:
-                    xs.append(x)
-        if xs:
-            return (min(xs), y, False)
-    raise GeneratorSearchExhausted(f"fundamental unit of Q(sqrt {m})", UNIT_SEARCH_BOUND)
+    """Smallest unit > 1 of O_K for real quadratic K as (x, y, half).
+
+    The unit is (x + y sqrt m)/2 when half, else x + y sqrt m. It is h - k conj(omega)
+    for the first convergent h/k of the continued fraction of omega at which that
+    element has norm +-1 (Cohen, GTM 138, 5.7); the expansion is periodic, so the
+    loop ends within one period.
+    """
+    t, n = (1, (1 - m) // 4) if m % 4 == 1 else (0, -m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)  # omega = (P + sqrt m) / Q
+    s = math.isqrt(m)
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        if h * h - t * h * k + n * k * k in (1, -1):
+            x, y = (2 * h - k, k) if m % 4 == 1 else (2 * h, 2 * k)  # 2 * unit = x + y sqrt m
+            return (x // 2, y // 2, False) if x % 2 == 0 and y % 2 == 0 else (x, y, True)
+        P = a * Q - P
+        Q = (m - P * P) // Q
 
 
 def _reduced_indefinite_forms(D: int) -> set:
@@ -474,7 +521,8 @@ def narrow_class_number(D: int) -> int:
         while g not in seen:
             seen.add(g)
             g = _rho(g, D, sq)
-            assert g in forms, f"rho left the reduced set: {g}"
+            if g not in forms:
+                raise InternalInvariantError(f"rho left the reduced set: {g}")
     return cycles
 
 
@@ -497,7 +545,8 @@ def _make_field(kind: str, m: Optional[int]) -> Field:
         K = Field(kind="rational", m=None, disc=1)
         object.__setattr__(K, "unit_square_classes", (K.one(), K.elem(-1)))
         return K
-    assert m is not None
+    if m is None:
+        raise InternalInvariantError("quadratic field without m")
     if m in (0, 1):
         raise NotSquarefree(f"m = {m} is not allowed")
     if not is_squarefree(m):
@@ -548,8 +597,9 @@ def parse_field(spec: str) -> Field:
 
 
 _RAT = r"-?\d+(?:/\d+)?"
+# the rational part ends at a sign or at the end, so "29*w" is not read as 2 + 9*w
 _ELEM_RE = re.compile(
-    rf"^\s*(?:(?P<a>{_RAT})\s*)?(?:(?P<sign>[+-])?\s*(?:(?P<b>{_RAT})\s*\*\s*)?(?P<w>w))?\s*$"
+    rf"^\s*(?:(?P<a>{_RAT})\s*(?=[+-]|$))?(?:(?P<sign>[+-])?\s*(?:(?P<b>{_RAT})\s*\*\s*)?(?P<w>w))?\s*$"
 )
 
 
@@ -564,8 +614,6 @@ def parse_element(K: Field, text: str) -> NFElem:
         b = Fraction(mt.group("b")) if mt.group("b") else Fraction(1)
         if mt.group("sign") == "-":
             b = -b
-        if mt.group("a") is not None and mt.group("sign") is None:
-            raise Malformed(f"missing sign between terms in {text!r}")
     if b != 0 and K.m is None:
         raise Malformed("element mentions w but the field is Q")
     return NFElem(K, a, b)
@@ -586,7 +634,8 @@ def archimedean_places(K: Field) -> list[Place]:
 def _find_prime_generator(K: Field, p: int) -> NFElem:
     """Element of norm +-p by bounded search (half coords allowed for m = 1 mod 4)."""
     m = K.m
-    assert m is not None
+    if m is None:
+        raise InternalInvariantError("prime generator search over Q")
     for b in range(GENERATOR_SEARCH_BOUND):
         mb2 = m * b * b
         candidates = []
@@ -605,37 +654,6 @@ def _find_prime_generator(K: Field, p: int) -> NFElem:
             a, bb = sorted(candidates)[0]
             return NFElem(K, a, bb)
     raise GeneratorSearchExhausted(f"generator of a prime above {p} in {K}", GENERATOR_SEARCH_BOUND)
-
-
-def split_embedding_valuation(x: NFElem, p: int) -> int:
-    """v(x) at the index-1 place of a split prime, via the canonical root of m."""
-    if x.is_zero():
-        raise ZeroElement("valuation of 0")
-    m = x.field.m
-    A, B, D = x.as_integer_triple()
-    n = A * A - m * B * B
-    vn = 0
-    while n % p == 0:
-        n //= p
-        vn += 1
-    bits = vn + 4
-    if p == 2:
-        r = dyadic_root_of_m(m, bits)
-        mod = 1 << bits
-    else:
-        r = odd_root_of_m(m, p, bits)
-        mod = p ** bits
-    t = (A + B * r) % mod
-    vt = 0
-    while t % p == 0 and vt < vn + 1:
-        t //= p
-        vt += 1
-    vd = 0
-    d = D
-    while d % p == 0:
-        d //= p
-        vd += 1
-    return vt - vd
 
 
 @lru_cache(maxsize=None)
@@ -670,7 +688,7 @@ def _places_above(K: Field, p: int) -> list[Place]:
                   generator=gen, residue_norm=p)
         ]
     gen = _find_prime_generator(K, p)
-    first = split_embedding_valuation(gen, p) == 1
+    first = _qp_valuation(gen, p) == 1
     g1, g2 = (gen, gen.conj()) if first else (gen.conj(), gen)
     return [
         Place(kind="finite", index=1, p=p, splitting="split", generator=g1, residue_norm=p),

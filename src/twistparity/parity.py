@@ -28,6 +28,7 @@ from .curves import (
 )
 from .errors import (
     ExplosionGuard,
+    InternalInvariantError,
     ParityUnavailable,
     UnsupportedRepresentation,
     WrongRepClass,
@@ -307,7 +308,8 @@ class Scenario:
         """(parity-factor value, multiplicity) over the local character group."""
         c = self.c_size
         if self.kind == REAL:
-            assert c == 2
+            if c != 2:
+                raise InternalInvariantError(f"real place with {c} local characters")
             return [(1, 1), (-1, 1)]
         if self.kind == SPLIT:
             return [(1, 1), (-1, 1), (-1, c - 2)]
@@ -357,11 +359,13 @@ def counting_check(config: GammaConfig, guard: int = COUNTING_GUARD) -> Counting
         dist = sc.factor_distribution()
         p = sum(mult for val, mult in dist if val == 1)
         q = sum(mult for val, mult in dist if val == -1)
-        assert p + q == sc.c_size
+        if p + q != sc.c_size:
+            raise InternalInvariantError(f"{sc.kind} multiplicities do not sum to {sc.c_size}")
         plus, minus = plus * p + minus * q, plus * q + minus * p
         kprod *= sc.kappa_v()
     total = plus + minus
-    assert total == config.gamma_size
+    if total != config.gamma_size:
+        raise InternalInvariantError(f"counted {total} of {config.gamma_size} characters")
     fraction = Fraction(plus, total)
     predicted = (1 + kprod) / 2
     return CountingReport(total, plus, fraction, predicted, fraction == predicted)

@@ -100,6 +100,14 @@ def test_verify_clean(capsys):
     assert "PASS: 0 mismatches" in out
 
 
+def test_verify_sharded_over_gaussian_field(capsys):
+    # workers receive the deltas as text, among them ones with no rational part
+    rc, out, _ = run(capsys, "verify", "--field", "Q(sqrt -1)", "--curve", "[0,-1,1,0,0]",
+                     "--x", "30", "--workers", "2")
+    assert rc == 0
+    assert "PASS: 0 mismatches" in out
+
+
 def test_lemmas(capsys):
     rc, out, _ = run(capsys, "lemmas", "--seed", "1", "--trials", "25", "--x", "17")
     assert rc == 0

@@ -15,7 +15,7 @@ from twistparity.experiments import (
     report_to_json,
     scan_density,
 )
-from twistparity.heckechars import enumerate_characters
+from twistparity.heckechars import enumerate_characters, make_char
 from twistparity.parity import TABLE_SIGN_HOOKS
 
 from .conftest import place
@@ -132,7 +132,7 @@ def test_oracle_matches_direct_root_number(Q, e11a1):
     oracle = TwistRootNumberOracle(e11a1)
     for d in (1, -1, 2, 3, 5, -5, 6, 7, 10, -11, 13, 15, -30):
         delta = Q.elem(d)
-        assert oracle.root_number_of_twist(delta) == \
+        assert oracle.root_number_of_twist(make_char(Q, delta)) == \
             root_number(quadratic_twist(e11a1, delta)), d
 
 

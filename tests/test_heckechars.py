@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -49,6 +50,18 @@ def test_make_char_minus_three(Q):
 def test_make_char_zero_rejected(Q):
     with pytest.raises(ZeroElement):
         make_char(Q, Q.elem(0))
+
+
+@pytest.mark.parametrize("a,b", [(9986, 529), (82908, 55913)])
+def test_make_char_at_large_split_primes(Qi, a, b):
+    # a + b*i has prime norm 100000037 or 10000000033; reading it at the split
+    # places needs a root of -1 modulo that prime
+    p = a * a + b * b
+    t0 = time.perf_counter()
+    chi = make_char(Qi, Qi.elem(a, b))
+    assert time.perf_counter() - t0 < 2.0
+    assert [v.residue_norm for v in chi.support] == [p]
+    assert chi.norm == p
 
 
 def test_canonicalization_mod_squares(Q, Qi):

@@ -6,6 +6,7 @@ import pytest
 
 from twistparity.errors import ZeroElement
 from twistparity.localfields import (
+    _reduce_coords,
     completion,
     eval_local_char,
     hilbert_symbol,
@@ -15,7 +16,12 @@ from twistparity.localfields import (
     square_class_index,
     valuation,
 )
-from twistparity.numberfield import archimedean_places, places_above
+from twistparity.numberfield import (
+    archimedean_places,
+    places_above,
+    quadratic_field,
+    rational_field,
+)
 
 from .conftest import place
 from .oracles import (
@@ -86,6 +92,64 @@ def test_valuation_additive(Q, Qi):
             if x.is_zero() or y.is_zero():
                 continue
             assert valuation(x * y, v) == valuation(x, v) + valuation(y, v)
+
+
+@pytest.mark.parametrize("m,p", [(-1, 5), (-1, 13), (5, 11), (5, 31), (-7, 2), (17, 2)])
+def test_split_valuations_sum_to_norm_valuation(m, p):
+    K = quadratic_field(m)
+    v1, v2 = (completion(K, v) for v in places_above(K, p))
+    rng = random.Random(7 * p + m)
+    for _ in range(300):
+        x = K.elem(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)),
+                   Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
+        x = x * v1.uniformizer ** rng.randint(0, 4) * v2.uniformizer ** rng.randint(0, 2)
+        if x.is_zero():
+            continue
+        n = x.norm()
+        vp = 0
+        num, den = n.numerator, n.denominator
+        while num % p == 0:
+            num, vp = num // p, vp + 1
+        while den % p == 0:
+            den, vp = den // p, vp - 1
+        assert valuation(x, v1) + valuation(x, v2) == vp, str(x)
+
+
+def _coords_mul(v, x, y, M):
+    t, n = v.field.omega_trace_norm()
+    c = x[1] * y[1]
+    return (x[0] * y[0] - n * c) % M, (x[0] * y[1] + x[1] * y[0] + t * c) % M
+
+
+# (m or None for Q, p, place index): split, Q_2 (over Q and at a split 2), odd Q_p,
+# inert, ramified
+REDUCTION_PLACES = [(-1, 5, 1), (-1, 5, 2), (5, 11, 2), (None, 2, 1), (None, 7, 1),
+                    (-7, 2, 1), (-7, 2, 2), (-1, 3, 1), (5, 2, 1), (-1, 2, 1), (5, 5, 1)]
+
+
+@pytest.mark.parametrize("m,p,idx", REDUCTION_PLACES)
+def test_reduce_coords_is_a_ring_map(m, p, idx):
+    K = rational_field() if m is None else quadratic_field(m)
+    v = lf(K, p, idx)
+    rng = random.Random(repr((m, p, idx)))
+
+    def integral():
+        # a unit at v times pi^j / p^i with v(p^i) <= j: integral, often with p | denominator
+        den = rng.choice([d for d in range(1, 40) if d % p])
+        z = K.elem(rng.randint(-500, 500), rng.randint(-500, 500) if K.m else 0) / den
+        i = rng.randint(0, 2)
+        return z * v.uniformizer ** (v.e * i + rng.randint(0, 2)) / p ** i
+
+    for k in range(1, 7):
+        M = p ** k
+        for _ in range(40):
+            x, y = integral(), integral()
+            X, Y = _reduce_coords(x, v, k), _reduce_coords(y, v, k)
+            assert _reduce_coords(x + y, v, k) == ((X[0] + Y[0]) % M, (X[1] + Y[1]) % M)
+            if v.degree_over_qp == 1:
+                assert _reduce_coords(x * y, v, k) == (X[0] * Y[0] % M, 0)
+            else:
+                assert _reduce_coords(x * y, v, k) == _coords_mul(v, X, Y, M)
 
 
 # ----------------------------------------------------------------------------

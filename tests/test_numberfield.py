@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistparity.errors import ClassNumberNotOne, Malformed, NotSquarefree
+from twistparity.heckechars import enumerate_characters, squarefree_deltas
 from twistparity.numberfield import (
     NFElem,
+    _root_of_m,
     archimedean_places,
     global_sqrt,
     is_global_square,
@@ -82,6 +84,28 @@ def test_fundamental_units():
     assert half and x == 3 and y == 1  # (3 + sqrt 13)/2, norm -1
 
 
+# Units read off the continued fraction of omega; for m = 139, 151, 199 and 211,
+# y exceeds 10^6.
+PINNED_UNITS = {
+    2: (1, 1, False), 3: (2, 1, False), 5: (1, 1, True), 13: (3, 1, True),
+    17: (4, 1, False), 21: (5, 1, True), 46: (24335, 3588, False),
+    94: (2143295, 221064, False), 139: (77563250, 6578829, False),
+    151: (1728148040, 140634693, False), 199: (16266196520, 1153080099, False),
+    211: (278354373650, 19162705353, False),
+}
+
+
+def test_fundamental_units_by_continued_fraction():
+    for m, unit in PINNED_UNITS.items():
+        assert pell_fundamental_unit(m) == unit, m
+        x, y, half = unit
+        d = 4 if half else 1
+        assert x * x - m * y * y in (d, -d), m
+    K = quadratic_field(151)  # class number 1
+    assert K.fundamental_unit == K.elem(1728148040, 140634693)
+    assert [v.residue_norm for v in places_of_norm_up_to(K, 60)][:3] == [2, 3, 3]
+
+
 # ----------------------------------------------------------------------------
 # element arithmetic
 
@@ -96,6 +120,17 @@ def test_element_parsing_roundtrip():
         parse_element(rational_field(), "1+2*w")
     with pytest.raises(Malformed):
         parse_element(K, "1 2")
+    assert parse_element(K, "29*w") == K.elem(0, 29)
+    assert parse_element(K, "-115*w") == K.elem(0, -115)
+
+
+@pytest.mark.parametrize("m", [-1, 5, -7])
+def test_element_str_round_trip(m):
+    # the oracle sends deltas to its worker processes as text
+    K = quadratic_field(m)
+    deltas = [chi.delta for chi in enumerate_characters(K, 30)] + list(squarefree_deltas(K, 50))
+    for d in deltas:
+        assert parse_element(K, str(d)) == d, str(d)
 
 
 @given(a=st.integers(-30, 30), b=st.integers(-30, 30),
@@ -204,6 +239,26 @@ def test_generator_norms_exact():
         for v in places_above(K, p):
             if v.splitting in ("split", "ramified"):
                 assert abs(v.generator.norm()) == p
+
+
+# (m, p): 2 splits in Q(sqrt 17) and Q(sqrt -7); odd primes that split in Q(i), Q(sqrt 5)
+ROOT_CASES = [(17, 2), (-7, 2)] + [(-1, p) for p in (5, 13, 17, 29, 10009)] \
+    + [(5, p) for p in (11, 19, 29, 31, 10009)]
+
+
+@pytest.mark.parametrize("m,p", ROOT_CASES)
+def test_canonical_root_of_m(m, p):
+    prev = None
+    for k in range(1, 9):
+        r = _root_of_m(m, p, k)
+        assert 0 <= r < p ** k and (r * r - m) % p ** k == 0, k
+        if p == 2:
+            assert r % min(4, 2 ** k) == 1 % min(4, 2 ** k), k
+        else:
+            assert r % p <= (p - 1) // 2, k
+        if prev is not None:
+            assert r % p ** (k - 1) == prev, k  # one p-adic root, read to more digits
+        prev = r
 
 
 def test_places_of_norm_up_to():
