@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: classify, predict, scan, verify, lemmas.
-Exit codes: 0 pass, 1 math-check failure, 2 input error, 3 unsupported curve.
+Exit codes: 0 pass, 1 math-check failure, 2 input error, 3 unsupported curve,
+4 internal error (a failed invariant: a bug in the package, not bad input).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from sympy import primerange
 from .curves import parse_curve, local_root_number
 from .errors import (
     ClassNumberNotOne,
+    InternalInvariantError,
     Malformed,
     NotSquarefree,
     ParityUnavailable,
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,6 +257,9 @@ def main(argv=None) -> int:
         if args.command == "lemmas":
             return cmd_lemmas(args)
         return EXIT_INPUT
+    except InternalInvariantError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (Malformed, NotSquarefree, ClassNumberNotOne, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -3,13 +3,23 @@
 Only the coarse local data the twist calculus consumes is computed: minimal
 v(Delta), v(c4), v(j), and node splitness. Kodaira symbols and conductor
 exponents are deliberately out of scope.
+
+Local data of a twist depends only on the square class of the twist parameter
+at the place, so it is memoized per (curve, place, class index c): entry c
+describes E twisted by ``completion(K, v).square_class_reps()[c]``, and c = 0
+is E itself. The reduction data, the LocalRepType and the local root number of
+E^c are each computed once; the rep type reads its certifying twists
+(E^c)^eta from the entries at the class of c * eta, which is exact because the
+two models are isomorphic over K_v. Reduction data is also memoized per
+literal model, so Tate's algorithm or the fast path runs once per model and
+place. The four memos (``_MEMOS``) are LRU caches of MEMO_BOUND entries each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from sympy import factorint
@@ -26,11 +36,16 @@ from .localfields import (
     completion,
     hilbert_symbol,
     is_unramified_class,
+    square_class_index,
     valuation,
 )
 from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
 
 INF = math.inf
+
+# entries in each memo below (per model and place, or per curve, place and
+# class); the least recently used entry goes first
+MEMO_BOUND = 1024
 
 # reduction types
 GOOD = "good"
@@ -96,7 +111,15 @@ class EllipticCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):
         return (self.field.key,) + tuple((z.a, z.b) for z in self.ainvs())
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
 
     def transform(self, u=1, r=0, s=0, t=0) -> "EllipticCurve":
         """Coordinate change (x, y) -> (u^2 x + r, u^3 y + s u^2 x + t)."""
@@ -117,7 +140,7 @@ class EllipticCurve:
         return isinstance(other, EllipticCurve) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __str__(self):
         return "[" + ",".join(str(a) for a in self.ainvs()) + "]"
@@ -186,25 +209,28 @@ class ReductionData:
         return self.red_type in (ADDITIVE_POT_MULT, ADDITIVE_POT_GOOD)
 
 
-_REDUCTION_CACHE: dict = {}
-
-
 def _val0(z: NFElem, lv: LocalField):
     return INF if z.is_zero() else valuation(z, lv)
 
 
 def reduction_type(E: EllipticCurve, v: Place) -> ReductionData:
+    return _reduction(E, v)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _reduction(E: EllipticCurve, v: Place) -> ReductionData:
     lv = completion(E.field, v)
-    key = (E.field.key, v.key(), E.key())
-    hit = _REDUCTION_CACHE.get(key)
-    if hit is not None:
-        return hit
     if lv.p in (2, 3):
-        rd = _tate_reduction(E, v, lv)
-    else:
-        rd = _fast_reduction(E, v, lv)
-    _REDUCTION_CACHE[key] = rd
-    return rd
+        return _tate_reduction(E, v, lv)
+    return _fast_reduction(E, v, lv)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
+    """Reduction data at v of E twisted by square class c of K_v (c = 0: E)."""
+    if c == 0:
+        return reduction_type(E, v)
+    return reduction_type(quadratic_twist(E, completion(E.field, v).square_class_reps()[c]), v)
 
 
 def _pot_kind(E: EllipticCurve, lv: LocalField) -> str:
@@ -404,21 +430,27 @@ class LocalRepType:
         return self.kind != UNSUPPORTED
 
 
-def _ramified_classes(lv: LocalField) -> list[NFElem]:
-    return [d for d in lv.square_class_reps() if not is_unramified_class(d, lv)]
-
-
 def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:
-    rd = reduction_type(E, v)
-    lv = completion(E.field, v)
+    return _twist_rep_type(E, v, 0)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
+    """LocalRepType at v of E twisted by square class c of K_v (c = 0: E)."""
+    rd = _twist_reduction(E, v, c)
     if rd.red_type == GOOD:
         return LocalRepType(PRINCIPAL_UNRAMIFIED, v)
     if rd.is_multiplicative():
         return LocalRepType(SPECIAL_UNRAMIFIED, v, split_sign=rd.split_sign)
+    lv = completion(E.field, v)
+    reps = lv.square_class_reps()
+    # (eta, reduction of (E^c)^eta) over the ramified classes eta; (E^c)^eta is
+    # isomorphic over K_v to E twisted by the class of c * eta
+    twists = [(eta, _twist_reduction(E, v, square_class_index(reps[c] * eta, lv)))
+              for eta in reps if not is_unramified_class(eta, lv)]
     if rd.red_type == ADDITIVE_POT_MULT:
         split_tw = nonsplit_tw = None
-        for eta in _ramified_classes(lv):
-            rde = reduction_type(quadratic_twist(E, eta), v)
+        for eta, rde in twists:
             if rde.red_type == SPLIT_MULT:
                 split_tw = eta
             elif rde.red_type == NONSPLIT_MULT:
@@ -429,18 +461,24 @@ def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:
         return LocalRepType(SPECIAL_RAMIFIED_QUAD, v,
                             split_twist=split_tw, nonsplit_twist=nonsplit_tw)
     # additive, potentially good: certified only when a quadratic twist is good
-    for eta in _ramified_classes(lv):
-        if reduction_type(quadratic_twist(E, eta), v).red_type == GOOD:
+    for eta, rde in twists:
+        if rde.red_type == GOOD:
             return LocalRepType(PRINCIPAL_RAMIFIED_QUAD, v, good_twist=eta)
     return LocalRepType(UNSUPPORTED, v,
                         detail="no ramified quadratic twist with good reduction")
 
 
-def local_root_number(E: EllipticCurve, v: Place) -> int:
-    """w_v(E); archimedean places contribute -1 (weight-2 convention)."""
+def local_root_number(E: EllipticCurve, v: Place, twist_class: int = 0) -> int:
+    """w_v(E^eta) for eta = completion(K, v).square_class_reps()[twist_class],
+    so w_v(E) by default; archimedean places contribute -1 (weight-2 convention)."""
     if v.kind in ("real", "complex"):
         return -1
-    rep = local_rep_type(E, v)
+    return _twist_root_number(E, v, twist_class)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _twist_root_number(E: EllipticCurve, v: Place, c: int) -> int:
+    rep = _twist_rep_type(E, v, c)
     lv = completion(E.field, v)
     if rep.kind == PRINCIPAL_UNRAMIFIED:
         return 1
@@ -451,6 +489,9 @@ def local_root_number(E: EllipticCurve, v: Place) -> int:
     if rep.kind == PRINCIPAL_RAMIFIED_QUAD:
         return hilbert_symbol(E.field.elem(-1), rep.good_twist, lv)
     raise UnsupportedRepresentation(v, rep.detail)
+
+
+_MEMOS = (_reduction, _twist_reduction, _twist_rep_type, _twist_root_number)
 
 
 def bad_place_candidates(E: EllipticCurve) -> list[Place]:

@@ -25,7 +25,6 @@ from .curves import (
     bad_places,
     curve,
     local_root_number,
-    quadratic_twist,
     reduction_type,
     root_number,
     SPLIT_MULT,
@@ -279,9 +278,14 @@ def scan_density(E: EllipticCurve, X: int,
 class TwistRootNumberOracle:
     """w(E^delta) by reduction classification of the twisted curve.
 
-    Local root numbers of E^delta depend only on the square class of delta at
-    each place, so we classify once per (place, class) using the small class
-    representative; the result equals classifying the literal twisted model.
+    The local root number of E^delta at v depends only on the class c of delta
+    in K_v^x/K_v^x2, so each factor is ``curves.local_root_number(E, v, c)``:
+    Tate's algorithm (residue characteristic 2 or 3) or the valuation fast path
+    run on a model of E twisted by the class representative. ``curves``
+    memoizes the result per (curve, place, class), so while its memos hold
+    (``curves.MEMO_BOUND``) Tate runs at most once per (curve, place, class).
+    The parity tables of ``parity`` (``n_v``, ``TABLE_SIGN_HOOKS``) are never
+    consulted.
     """
 
     def __init__(self, E: EllipticCurve):
@@ -291,18 +295,9 @@ class TwistRootNumberOracle:
         self.base_places = {v.key(): v for v in bad_place_candidates(E)}
         for v in places_above(self.K, 2):
             self.base_places.setdefault(v.key(), v)
-        self.memo: dict = {}
 
     def local_w(self, v, delta: NFElem) -> int:
-        lv = completion(self.K, v)
-        idx = square_class_index(delta, lv)
-        key = (v.key(), idx)
-        hit = self.memo.get(key)
-        if hit is None:
-            rep_delta = lv.square_class_reps()[idx]
-            hit = local_root_number(quadratic_twist(self.E, rep_delta), v)
-            self.memo[key] = hit
-        return hit
+        return local_root_number(self.E, v, square_class_index(delta, completion(self.K, v)))
 
     def root_number_of_twist(self, chi: QuadChar) -> int:
         """w(E^delta) for delta = chi.delta, from the places of E and of chi."""

@@ -8,7 +8,6 @@ places (1 when none).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,25 +114,23 @@ def make_char(K: Field, delta: NFElem) -> QuadChar:
         g = g * v.generator ** (n // 2)
     u = t / (g * g)
     canonical = _unit_class_rep(u) * sqfree
-    support = tuple(v for v, n in sup if n % 2 != 0)
+    return _char_of(K, canonical, tuple(v for v, n in sup if n % 2 != 0))
 
-    ram = []
-    seen = set()
-    for v in support:
-        ram.append(v)
-        seen.add(v.key())
+
+def _char_of(K: Field, delta: NFElem, support: tuple) -> QuadChar:
+    """The character of a canonical delta whose odd-valuation places are
+    ``support``: adds the places above 2 and the real places where it ramifies."""
+    ram = list(support)
+    seen = {v.key() for v in support}
     for v in places_above(K, 2):
-        if v.key() in seen:
-            continue
-        lv = completion(K, v)
-        if not is_unramified_class(canonical, lv):
+        if v.key() not in seen and not is_unramified_class(delta, completion(K, v)):
             ram.append(v)
     for v in archimedean_places(K):
-        if v.kind == "real" and canonical.sign_at_real(v.index) < 0:
+        if v.kind == "real" and delta.sign_at_real(v.index) < 0:
             ram.append(v)
     ram.sort(key=lambda v: v.sort_key())
     norm = max((v.residue_norm for v in ram if v.is_finite()), default=1)
-    return QuadChar(K, canonical, support, tuple(ram), norm)
+    return QuadChar(K, delta, support, tuple(ram), norm)
 
 
 def trivial_char(K: Field) -> QuadChar:
@@ -172,50 +169,36 @@ def character_group_generators(K: Field, X: int) -> list[QuadChar]:
     return gens
 
 
-def _enum_key(chi: QuadChar):
-    K = chi.field
-    u_index = 0
-    for i, u in enumerate(K.unit_square_classes):
-        if global_sqrt(chi.delta / (u * _prime_part(chi))) is not None:
-            u_index = i
-            break
-    norms = tuple(sorted(v.residue_norm for v in chi.support))
-    gens = tuple(str(v.generator) for v in sorted(chi.support, key=lambda v: v.sort_key()))
-    return (u_index, norms, gens)
-
-
-def _prime_part(chi: QuadChar) -> NFElem:
-    g = chi.field.one()
-    for v in chi.support:
-        g = g * v.generator
-    return g
-
-
 def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> list[QuadChar]:
-    """All characters with Nchi <= X, each once, in deterministic order."""
+    """All characters with Nchi <= X, each once, in deterministic order.
+
+    Each character is u * (product of the generators of a set S of primes)
+    for a unit class u: that product is already canonical, with support S, so
+    only the places above 2 and the real places are examined. The order is by
+    (index of u, sorted residue norms of S, generators of S as text)."""
     if X < 1:
         raise ValueError("X must be >= 1")
     units = K.unit_square_classes
-    primes = places_of_norm_up_to(K, X)
+    primes = places_of_norm_up_to(K, X)  # in residue-norm order
     total = len(units) * (1 << len(primes))
     if guard is not None and total > guard:
         raise ExplosionGuard(total, guard)
-    out = []
-    for u in units:
-        for rset in _subsets(primes):
-            delta = u
-            for v in rset:
-                delta = delta * v.generator
-            chi = make_char(K, delta)
+    gen_text = {v.key(): str(v.generator) for v in primes}
+    products = [(K.one(), ())]  # (product of the generators of S, S in norm order)
+    for v in primes:
+        products += [(g * v.generator, rset + (v,)) for g, rset in products]
+    keyed = []
+    for u_index, u in enumerate(units):
+        for g, rset in products:
+            delta = u * g
+            support = tuple(sorted(rset, key=Place.sort_key))
+            chi = _char_of(K, delta, support)
             if chi.norm <= X:
-                out.append(chi)
-    out.sort(key=_enum_key)
-    return out
-
-
-def _subsets(seq):
-    for r in range(len(seq) + 1):
-        yield from itertools.combinations(seq, r)
+                key = (u_index, tuple(v.residue_norm for v in rset),
+                       tuple(gen_text[v.key()] for v in support))
+                keyed.append((key, chi))
+    keyed.sort(key=lambda kc: kc[0])
+    return [chi for _, chi in keyed]
 
 
 # ----------------------------------------------------------------------------

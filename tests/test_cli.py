@@ -134,6 +134,19 @@ def test_input_error_exit_codes(capsys):
     assert rc == 2
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import twistparity.cli as cli
+    from twistparity.errors import InternalInvariantError
+
+    def broken(args):
+        raise InternalInvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, "cmd_predict", broken)
+    rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[0,-1,1,-10,-20]")
+    assert rc == cli.EXIT_INTERNAL == 4
+    assert err.startswith("internal error: broken invariant")
+
+
 def test_unknown_flag_is_error(capsys):
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[1,0]", "--bogus")
     assert rc == 2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twistparity import curves
 from twistparity.curves import (
     ADDITIVE_POT_GOOD,
     ADDITIVE_POT_MULT,
@@ -26,8 +27,14 @@ from twistparity.curves import (
     root_number,
 )
 from twistparity.errors import SingularCurve, UnsupportedRepresentation, ZeroTwistParameter
-from twistparity.localfields import completion, hilbert_symbol, is_unramified_class, valuation
-from twistparity.numberfield import places_above
+from twistparity.localfields import (
+    completion,
+    hilbert_symbol,
+    is_unramified_class,
+    square_class_index,
+    valuation,
+)
+from twistparity.numberfield import places_above, quadratic_field, rational_field
 
 from .conftest import place
 
@@ -306,3 +313,84 @@ def test_two_split_mult_places_over_gaussian_is_odd(Qi):
     types = {v.p: reduction_type(E, v).red_type for v in bad_places(E)}
     assert types == {3: SPLIT_MULT, 7: SPLIT_MULT}
     assert root_number(E) == -1 and rank_parity(E) == "odd"
+
+
+# ----------------------------------------------------------------------------
+# per-class memo
+
+
+def _clear_curve_memos():
+    for memo in curves._MEMOS:
+        memo.cache_clear()
+
+
+def _rep_summary(rep, lv, w):
+    index = lambda eta: None if eta is None else square_class_index(eta, lv)
+    return (rep.kind, rep.split_sign, index(rep.split_twist), index(rep.nonsplit_twist),
+            index(rep.good_twist), w)
+
+
+def _w_or_error(E, v, c=0):
+    try:
+        return local_root_number(E, v, c)
+    except UnsupportedRepresentation:
+        return "unsupported"
+
+
+def _equivalence_cases():
+    Q, Qi, K5, K3 = (rational_field(), quadratic_field(-1), quadratic_field(5),
+                     quadratic_field(-3))
+    e11a1 = curve(Q, [0, -1, 1, -10, -20])
+    return [
+        e11a1,
+        quadratic_twist(e11a1, Q.elem(11)),
+        quadratic_twist(curve(Q, [1, 0, 0, -1, 1]), Q.elem(-1)),
+        curve(Q, [0, 0, 1, -1, 0]),
+        curve(Qi, [0, -1, 1, 0, 0]),
+        curve(K5, [0, -1, 1, 0, 0]),
+        curve(K3, [0, -1, 1, 0, 0]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_per_class_rep_type_matches_literal_twist(case):
+    # the (curve, place, class) memo against classifying the literal twisted model
+    E = _equivalence_cases()[case]
+    K = E.field
+    places = {v.key(): v for v in bad_places(E) + places_above(K, 2) + places_above(K, 3)}
+    triples = [(v, c) for v in places.values()
+               for c in range(len(completion(K, v).square_class_reps()))]
+    _clear_curve_memos()
+    literal = []
+    for v, c in triples:
+        lv = completion(K, v)
+        T = quadratic_twist(E, lv.square_class_reps()[c])
+        literal.append(_rep_summary(local_rep_type(T, v), lv, _w_or_error(T, v)))
+    _clear_curve_memos()
+    for (v, c), want in zip(triples, literal):
+        lv = completion(K, v)
+        got = _rep_summary(curves._twist_rep_type(E, v, c), lv, _w_or_error(E, v, c))
+        assert got == want, (str(E), str(v), c)
+
+
+def test_curve_memos_stay_bounded(Q, e11a1):
+    # MEMO_BOUND twisted models at two places fill each memo twice over: LRU
+    # eviction keeps it at its bound, and evicted entries recompute equal
+    _clear_curve_memos()
+    places = [place(Q, 5), place(Q, 7)]
+    models = [quadratic_twist(e11a1, Q.elem(d)) for d in range(1, curves.MEMO_BOUND + 1)]
+    first = {}
+    for i, T in enumerate(models):
+        for v in places:
+            first[i, v.p] = (reduction_type(T, v).red_type, local_rep_type(T, v).kind,
+                             local_root_number(T, v))
+    for memo in curves._MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == curves.MEMO_BOUND
+        assert info.currsize <= curves.MEMO_BOUND
+    for i in range(0, len(models), 37):  # long evicted
+        for v in places:
+            T = models[i]
+            again = (reduction_type(T, v).red_type, local_rep_type(T, v).kind,
+                     local_root_number(T, v))
+            assert again == first[i, v.p]

@@ -143,6 +143,29 @@ def test_oracle_crosscheck_clean_small(Q, e11a1, e37a1, e_mult2):
         assert rep.tested == 74  # 2 * #squarefree <= 60
 
 
+def test_oracle_runs_tate_once_per_place_and_class(Q, e11a1, monkeypatch):
+    from twistparity import curves
+    from twistparity.localfields import completion
+
+    for memo in curves._MEMOS:
+        memo.cache_clear()
+    runs = []
+    tate = curves._tate_reduction
+
+    def counted(E, v, lv):
+        runs.append((v.p, E.key()))
+        return tate(E, v, lv)
+
+    monkeypatch.setattr(curves, "_tate_reduction", counted)
+    rep = oracle_crosscheck(e11a1, delta_bound=200)
+    assert rep.clean and rep.tested == 244
+    assert len(runs) == len(set(runs))
+    for p in (2, 3):
+        classes = len(completion(Q, place(Q, p)).square_class_reps())
+        assert sum(1 for q, _ in runs if q == p) <= classes
+    assert len(runs) <= 12
+
+
 def test_oracle_crosscheck_norm_family(Qi):
     E = curve(Qi, [0, -1, 1, 0, 0])
     rep = oracle_crosscheck(E, X=5)

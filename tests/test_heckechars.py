@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -13,7 +14,14 @@ from twistparity.heckechars import (
     trivial_char,
 )
 from twistparity.localfields import completion, eval_local_char, hilbert_symbol
-from twistparity.numberfield import archimedean_places, is_squarefree, places_above
+from twistparity.numberfield import (
+    archimedean_places,
+    is_squarefree,
+    places_above,
+    places_of_norm_up_to,
+    quadratic_field,
+    rational_field,
+)
 
 from .conftest import place
 from .oracles import rational_char_norm
@@ -168,6 +176,42 @@ def test_enumerate_gaussian_x2(Qi):
     assert len(chars) == 4
     assert sum(c.is_trivial() for c in chars) == 1
     assert {c.norm for c in chars} == {1, 2}
+
+
+def _enumerate_with_make_char(K, X):
+    """C(K, X) the long way: make_char of every unit times prime-subset product,
+    sorted by (unit-class index, sorted norms, generators as text)."""
+    primes = places_of_norm_up_to(K, X)
+    keyed = []
+    for u_index, u in enumerate(K.unit_square_classes):
+        for r in range(len(primes) + 1):
+            for rset in itertools.combinations(primes, r):
+                delta = u
+                for v in rset:
+                    delta = delta * v.generator
+                chi = make_char(K, delta)
+                # the product is canonical, so u and rset are chi's unit class
+                # and support, which the sort key reads
+                assert chi.delta == delta
+                if chi.norm <= X:
+                    support = sorted(chi.support, key=lambda v: v.sort_key())
+                    key = (u_index, tuple(sorted(v.residue_norm for v in chi.support)),
+                           tuple(str(v.generator) for v in support))
+                    keyed.append((key, chi))
+    return [chi for _, chi in sorted(keyed, key=lambda kc: kc[0])]
+
+
+@pytest.mark.parametrize("m,X", [(None, 13), (-1, 30), (5, 30), (-7, 30), (13, 30)])
+def test_enumerate_matches_make_char_path(m, X):
+    K = rational_field() if m is None else quadratic_field(m)
+    got = enumerate_characters(K, X)
+    want = _enumerate_with_make_char(K, X)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.delta == b.delta
+        assert [v.key() for v in a.support] == [v.key() for v in b.support]
+        assert [v.key() for v in a.ramified] == [v.key() for v in b.ramified]
+        assert a.norm == b.norm
 
 
 def test_enumeration_guard(Q):
