@@ -60,6 +60,7 @@ from .parity import (
     n_v,
     parity_change,
     predicted_even_density,
+    sign_table,
 )
 
 __all__ = [
@@ -75,6 +76,7 @@ __all__ = [
     "parse_field", "places_above", "quadratic_field", "rational_field",
     "GammaConfig", "KappaReport", "Scenario", "counting_check", "gauss_sum_check",
     "kappa", "kappa_v_at", "m_v", "n_v", "parity_change", "predicted_even_density",
+    "sign_table",
 ]
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .errors import (
     ZeroTwistParameter,
 )
 from .localfields import (
+    MEMO_BOUND,
     LocalField,
     completion,
     hilbert_symbol,
@@ -42,10 +43,6 @@ from .localfields import (
 from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
 
 INF = math.inf
-
-# entries in each memo below (per model and place, or per curve, place and
-# class); the least recently used entry goes first
-MEMO_BOUND = 1024
 
 # reduction types
 GOOD = "good"
@@ -204,9 +201,6 @@ class ReductionData:
 
     def is_multiplicative(self):
         return self.red_type in (SPLIT_MULT, NONSPLIT_MULT)
-
-    def is_additive(self):
-        return self.red_type in (ADDITIVE_POT_MULT, ADDITIVE_POT_GOOD)
 
 
 def _val0(z: NFElem, lv: LocalField):
@@ -425,9 +419,6 @@ class LocalRepType:
     nonsplit_twist: Optional[NFElem] = None
     good_twist: Optional[NFElem] = None       # principal ramified: eta with E^eta good
     detail: str = ""
-
-    def is_supported(self):
-        return self.kind != UNSUPPORTED
 
 
 def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:

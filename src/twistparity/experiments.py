@@ -2,13 +2,15 @@
 twist oracle, and machine-readable reports.
 
 Density scans are exact and take one path. The generators of C(K, X) are built
-once and localized at the finitely many places that can change the root number;
-the image of the localization homomorphism C(K, b) -> prod c_v grows as the
-buckets b pass, and each bucket's even count is |C(K, b)| / |image| times the
-even classes in the image (the homomorphism has equal fibers). Buckets below 4
-enumerate C(K, b), which their generators need not span. The report's
-``method`` is "exhaustive" when |C(K, X)| <= EXHAUSTIVE_CAP and "fibers"
-otherwise: a size label kept from the two paths this one replaced.
+once and localized at the places of the reduced product (real, then special:
+``PlacePartition.reduced_places``), whose signs per class are read from
+``parity.reduced_sign_table``; the image of the localization homomorphism
+C(K, b) -> prod c_v grows as the buckets b pass, and each bucket's even count
+is |C(K, b)| / |image| times the even classes in the image (the homomorphism
+has equal fibers). Buckets below 4 enumerate C(K, b), which their generators
+need not span. The report's ``method`` is "exhaustive" when |C(K, X)| <=
+EXHAUSTIVE_CAP and "fibers" otherwise: a size label kept from the two paths
+this one replaced.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ from .heckechars import (
     make_char,
     squarefree_deltas,
 )
-from .localfields import completion, LocalCharacter, LocalSquareClass, square_class_index
+from .localfields import completion, square_class_index
 from .numberfield import Field, NFElem, archimedean_places, parse_field, places_above
 from .parity import (
     kappa,
-    m_v,
     parity_change,
     place_partition,
     rank_parity,
+    reduced_sign_table,
 )
 
 EXHAUSTIVE_CAP = 4096
@@ -79,9 +81,6 @@ class DensityReport:
     buckets: tuple
     method: str
     oracle_mismatches: Optional[int] = None
-
-    def final_bucket(self) -> Optional[BucketRow]:
-        return self.buckets[-1] if self.buckets else None
 
 
 def _frac_json(fr: Fraction):
@@ -164,23 +163,6 @@ def emit_report(report: DensityReport, fmt: str, path: str) -> str:
 # Exact density scan
 
 
-def _parity_factor_tables(E: EllipticCurve, assume_principal_series=False):
-    """Per relevant place: (place, class-index -> parity factor, multiplication table)."""
-    part = place_partition(E, assume_principal_series)
-    tables = []
-    for v in part.real_places:
-        lv = completion(E.field, v)
-        reps = lv.square_class_reps()
-        values = [1 if r.sign_at_real(v.index) > 0 else -1 for r in reps]
-        tables.append((v, lv, values))
-    for v, rep in part.sigma1 + part.sigma2:
-        lv = completion(E.field, v)
-        reps = lv.square_class_reps()
-        values = [m_v(rep, LocalCharacter(lv, LocalSquareClass(lv, r))) for r in reps]
-        tables.append((v, lv, values))
-    return tables
-
-
 def _class_mult_table(lv) -> list[list[int]]:
     reps = lv.square_class_reps()
     n = len(reps)
@@ -219,11 +201,10 @@ def scan_density(E: EllipticCurve, X: int,
     krep = kappa(E, assume_principal_series)
     predicted = (1 + w * krep.kappa) / 2
 
-    tables = _parity_factor_tables(E, assume_principal_series)
-    places = [t[0] for t in tables]
-    values = [t[2] for t in tables]
-    mult_tables = [_class_mult_table(t[1]) for t in tables]
-    identity = tuple(0 for _ in tables)
+    places = place_partition(E, assume_principal_series).reduced_places()
+    values = [reduced_sign_table(E, v) for v in places]
+    mult_tables = [_class_mult_table(completion(K, v)) for v in places]
+    identity = tuple(0 for _ in places)
 
     # character_group_generators(K, b) is the subset of these with norm <= b:
     # a prime's character has norm at least the prime's residue norm
@@ -284,8 +265,8 @@ class TwistRootNumberOracle:
     run on a model of E twisted by the class representative. ``curves``
     memoizes the result per (curve, place, class), so while its memos hold
     (``curves.MEMO_BOUND``) Tate runs at most once per (curve, place, class).
-    The parity tables of ``parity`` (``n_v``, ``TABLE_SIGN_HOOKS``) are never
-    consulted.
+    The sign tables of ``parity`` (``sign_table``, ``n_v``, ``TABLE_SIGN_HOOKS``)
+    are never consulted.
     """
 
     def __init__(self, E: EllipticCurve):

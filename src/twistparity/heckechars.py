@@ -16,7 +16,6 @@ from sympy import factorint
 from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     LocalCharacter,
-    LocalSquareClass,
     completion,
     is_unramified_class,
     valuation,
@@ -50,7 +49,7 @@ class QuadChar:
 
     def localize(self, v: Place) -> LocalCharacter:
         lv = completion(self.field, v)
-        return LocalCharacter(lv, LocalSquareClass(lv, self.delta))
+        return LocalCharacter(lv, self.delta)
 
     def __mul__(self, other: "QuadChar") -> "QuadChar":
         return make_char(self.field, self.delta * other.delta)

@@ -25,6 +25,10 @@ from typing import Optional
 from .errors import InternalInvariantError, ZeroElement
 from .numberfield import Field, NFElem, Place, _qp_image, _qp_valuation, _vp_fraction
 
+# entries in each per-completion class-index cache, and in each memo of
+# ``curves`` and ``parity``
+MEMO_BOUND = 1024
+
 
 # ----------------------------------------------------------------------------
 # Residue fields F_q, q = p^f with f <= 2; elements are ints (f=1) or pairs (f=2)
@@ -139,7 +143,7 @@ class LocalField:
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
         self._characters: Optional[list] = None
-        self._class_index_cache: dict = {}
+        self._class_index_cache: dict = {}  # (a, b) -> class index, <= MEMO_BOUND entries
         # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
         self._unit_classes: Optional[dict] = None
         self._hilbert_matrix: Optional[list] = None
@@ -216,40 +220,22 @@ class LocalField:
 
     def characters(self) -> list["LocalCharacter"]:
         if self._characters is None:
-            self._characters = [LocalCharacter(self, LocalSquareClass(self, d))
-                                for d in self.square_class_reps()]
+            self._characters = [LocalCharacter(self, d) for d in self.square_class_reps()]
         return self._characters
 
 
 @dataclass(frozen=True, eq=False)
-class LocalSquareClass:
-    """A class of K_v^x modulo squares, named by a global representative."""
+class LocalCharacter:
+    """Quadratic character x -> (x, delta)_v of K_v^x, named by a global delta.
+
+    Two characters are equal when they share the completion (by identity) and
+    the square class of delta."""
 
     local_field: LocalField
-    rep: NFElem
+    delta: NFElem
 
     def index(self) -> int:
-        return square_class_index(self.rep, self.local_field)
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalSquareClass):
-            return NotImplemented
-        return self.local_field is other.local_field and self.index() == other.index()
-
-    def __hash__(self):
-        return hash((id(self.local_field), self.index()))
-
-
-@dataclass(frozen=True, eq=False)
-class LocalCharacter:
-    """Quadratic character x -> (x, delta)_v of K_v^x."""
-
-    local_field: LocalField
-    cls: LocalSquareClass
-
-    @property
-    def delta(self) -> NFElem:
-        return self.cls.rep
+        return square_class_index(self.delta, self.local_field)
 
     def __call__(self, x: NFElem) -> int:
         return eval_local_char(self, x)
@@ -260,7 +246,7 @@ class LocalCharacter:
             return True
         if v.place_kind == "real":
             return self.delta.sign_at_real(v.place.index) > 0
-        return self.cls.index() == 0
+        return self.index() == 0
 
     def is_unramified(self) -> bool:
         return is_unramified_class(self.delta, self.local_field)
@@ -273,15 +259,15 @@ class LocalCharacter:
         if v.place_kind == "finite":
             reps = v.square_class_reps()
             prod = reps[square_class_index(prod, v)]
-        return LocalCharacter(v, LocalSquareClass(v, prod))
+        return LocalCharacter(v, prod)
 
     def __eq__(self, other):
         if not isinstance(other, LocalCharacter):
             return NotImplemented
-        return self.cls == other.cls
+        return self.local_field is other.local_field and self.index() == other.index()
 
     def __hash__(self):
-        return hash(self.cls)
+        return hash((id(self.local_field), self.index()))
 
     def __str__(self):
         return f"chi[{self.delta}]@{self.local_field}"
@@ -527,7 +513,10 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
         half = len(v.square_class_reps()) // 2
         n, u = unit_part(x, v)
         idx = v._unit_classes[_reduce_coords(u, v, 3)] + (half if n % 2 else 0)
-    v._class_index_cache[key] = idx
+    cache = v._class_index_cache
+    if len(cache) >= MEMO_BOUND:
+        del cache[next(iter(cache))]  # the oldest insertion
+    cache[key] = idx
     return idx
 
 

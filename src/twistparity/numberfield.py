@@ -436,12 +436,6 @@ class Field:
             return (1, (1 - self.m) // 4)
         return (0, -self.m)
 
-    def is_totally_real(self) -> bool:
-        return self.m is None or self.m > 0
-
-    def is_imaginary(self) -> bool:
-        return self.m is not None and self.m < 0
-
 
 # ----------------------------------------------------------------------------
 # Class number machinery (desk scale, exact)

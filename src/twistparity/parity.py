@@ -1,9 +1,20 @@
 """Root-number change under quadratic twist: the local sign table, parity
 products, local averages kappa_v, and the predicted even-rank density.
 
-Signs live in {+1, -1} as plain ints. The table rows are multiplied by
-entries of TABLE_SIGN_HOOKS so a test harness can flip a single row and
-watch the twisted-parity oracle break (all hooks are +1 in production).
+Signs live in {+1, -1} as plain ints. The sign n_v(chi_v) depends only on the
+square class of chi_v in K_v^x/K_v^x2, so each (curve, place) has one finite
+table: ``sign_table(E, v)[c]`` is n_v of the character of class c, in the
+class-index order of ``completion(K, v).characters()``. Every consumer reads
+it by ``square_class_index``: ``parity_change`` over the bad places and the
+ramified places of chi, and, through ``reduced_sign_table`` (chi_v(-1) * n_v
+at the special places, chi_v(-1) at the real ones), ``parity_change_simplified``,
+``kappa_v_average`` and the exact scan of ``experiments``. The tables sit in
+one LRU memo of MEMO_BOUND entries.
+
+The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
+can flip a single row and watch the twisted-parity oracle break (all hooks are
++1 in production). The hook values are part of the memo key, so a flipped row
+builds a fresh table instead of reading one built before the flip.
 """
 
 from __future__ import annotations
@@ -12,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .curves import (
@@ -35,11 +47,11 @@ from .errors import (
 )
 from .heckechars import QuadChar
 from .localfields import (
+    MEMO_BOUND,
     LocalCharacter,
     completion,
     eval_local_char,
     is_unramified_class,
-    local_quadratic_characters,
     square_class_index,
 )
 from .numberfield import NFElem, Place, archimedean_places, legendre
@@ -105,7 +117,29 @@ def m_v(rep: LocalRepType, chi: LocalCharacter) -> int:
 
 
 # ----------------------------------------------------------------------------
-# Place partition and parity change
+# Sign tables, place partition and parity change
+
+
+def sign_table(E: EllipticCurve, v: Place) -> tuple:
+    """n_v(chi_c) over the square classes c of K_v, in class-index order."""
+    return _sign_table(E, v, *TABLE_SIGN_HOOKS.values())
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _sign_table(E: EllipticCurve, v: Place, *hooks: int) -> tuple:
+    rep = local_rep_type(E, v)
+    return tuple(n_v(rep, chi) for chi in completion(E.field, v).characters())
+
+
+def reduced_sign_table(E: EllipticCurve, v: Place) -> tuple:
+    """chi_c(-1) * n_v(chi_c) (= m_v) at a special place, chi_c(-1) at a real one."""
+    chars = completion(E.field, v).characters()
+    if v.kind == "real":
+        return tuple(_chi_minus_one(chi) for chi in chars)
+    kind = local_rep_type(E, v).kind
+    if kind not in (SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD):
+        raise WrongRepClass(f"m_v undefined for {kind}")
+    return tuple(_chi_minus_one(chi) * s for chi, s in zip(chars, sign_table(E, v)))
 
 
 @dataclass
@@ -114,6 +148,10 @@ class PlacePartition:
     sigma1: tuple          # (place, LocalRepType) multiplicative
     sigma2: tuple          # (place, LocalRepType) potentially multiplicative
     other_bad: tuple       # principal places (kappa_v = 1)
+
+    def reduced_places(self) -> tuple:
+        """The places of the reduced product: real, then sigma1, then sigma2."""
+        return self.real_places + tuple(v for v, _ in self.sigma1 + self.sigma2)
 
 
 def place_partition(E: EllipticCurve, assume_principal_series: bool = False) -> PlacePartition:
@@ -134,8 +172,7 @@ def place_partition(E: EllipticCurve, assume_principal_series: bool = False) -> 
     return PlacePartition(real, tuple(s1), tuple(s2), tuple(other))
 
 
-def parity_change(E: EllipticCurve, chi: QuadChar,
-                  assume_principal_series: bool = False) -> int:
+def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
     """n(chi) = prod over finite places of n_v(chi_v): +1 iff parity preserved."""
     K = E.field
     places = {v.key(): v for v in bad_places(E)}
@@ -143,25 +180,15 @@ def parity_change(E: EllipticCurve, chi: QuadChar,
         places.setdefault(v.key(), v)
     sign = 1
     for v in places.values():
-        rep = local_rep_type(E, v)
-        lv = completion(K, v)
-        chi_v = chi.localize(v)
-        if rep.kind == UNSUPPORTED and assume_principal_series:
-            sign *= _chi_minus_one(chi_v) if not chi_v.is_unramified() else 1
-            continue
-        sign *= n_v(rep, chi_v)
+        sign *= sign_table(E, v)[square_class_index(chi.delta, completion(K, v))]
     return sign
 
 
-def parity_change_simplified(E: EllipticCurve, chi: QuadChar,
-                             assume_principal_series: bool = False) -> int:
+def parity_change_simplified(E: EllipticCurve, chi: QuadChar) -> int:
     """The reduced product: real chi_v(-1) times m_v over special places only."""
-    part = place_partition(E, assume_principal_series)
     sign = 1
-    for v in part.real_places:
-        sign *= 1 if chi.delta.sign_at_real(v.index) > 0 else -1
-    for v, rep in part.sigma1 + part.sigma2:
-        sign *= m_v(rep, chi.localize(v))
+    for v in place_partition(E).reduced_places():
+        sign *= reduced_sign_table(E, v)[square_class_index(chi.delta, completion(E.field, v))]
     return sign
 
 
@@ -219,20 +246,14 @@ def kappa_v_at(E: EllipticCurve, v: Place) -> Fraction:
 
 
 def kappa_v_average(E: EllipticCurve, v: Place) -> Fraction:
-    """Direct averaging of m_v over the full local character group."""
-    if v.kind == "real":
-        lv = completion(E.field, v)
-        vals = [_chi_minus_one(chi) for chi in local_quadratic_characters(lv)]
-        return Fraction(sum(vals), len(vals))
+    """Direct averaging of the reduced sign table over the local character group."""
     if v.kind == "complex":
         return Fraction(1)
-    rep = local_rep_type(E, v)
-    lv = completion(E.field, v)
-    chars = local_quadratic_characters(lv)
-    if rep.kind in (SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD):
-        vals = [m_v(rep, chi) for chi in chars]
-        return Fraction(sum(vals), len(vals))
-    return Fraction(1)
+    if v.kind == "finite" and local_rep_type(E, v).kind not in (SPECIAL_UNRAMIFIED,
+                                                                 SPECIAL_RAMIFIED_QUAD):
+        return Fraction(1)
+    vals = reduced_sign_table(E, v)
+    return Fraction(sum(vals), len(vals))
 
 
 @dataclass

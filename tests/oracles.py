@@ -4,7 +4,10 @@ Nothing here touches the package's decision procedures: squares mod 2^k by
 enumeration, Legendre symbols by squaring residues, the classical epsilon/omega
 formula for Hilbert symbols over Q_2, Q_p symbols through Legendre symbols, and
 square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
-in pure integer arithmetic (``DyadicOracle``).
+in pure integer arithmetic (``DyadicOracle``). The one exception is
+``per_character_parity_change``: the product of ``n_v`` over localized
+characters that ``parity_change`` computed before the sign tables, kept as
+their reference.
 """
 
 from fractions import Fraction
@@ -213,3 +216,18 @@ def _add(c, d):
 
 def _sub(c, d):
     return (c[0] - d[0], c[1] - d[1])
+
+
+def per_character_parity_change(E, chi) -> int:
+    """prod of n_v(local_rep_type(E, v), chi.localize(v)) over the bad places of
+    E and the ramified places of chi, one n_v call per place."""
+    from twistparity.curves import bad_places, local_rep_type
+    from twistparity.parity import n_v
+
+    places = {v.key(): v for v in bad_places(E)}
+    for v in chi.ramified_finite():
+        places.setdefault(v.key(), v)
+    sign = 1
+    for v in places.values():
+        sign *= n_v(local_rep_type(E, v), chi.localize(v))
+    return sign

@@ -283,14 +283,14 @@ def test_rank_parity_over_gaussian(Qi):
 def test_local_root_number_twist_consistency(Q, e11a1):
     # w_v(E^delta) = n_v(chi_delta) * w_v(E) place by place (via parity module)
     from twistparity.parity import n_v
-    from twistparity.localfields import LocalCharacter, LocalSquareClass
+    from twistparity.localfields import LocalCharacter
 
     for p in (2, 3, 5, 11):
         v = place(Q, p)
         lv = completion(Q, v)
         rep = local_rep_type(e11a1, v)
         for delta in lv.square_class_reps():
-            chi = LocalCharacter(lv, LocalSquareClass(lv, delta))
+            chi = LocalCharacter(lv, delta)
             lhs = local_root_number(quadratic_twist(e11a1, delta), v)
             rhs = n_v(rep, chi) * local_root_number(e11a1, v)
             assert lhs == rhs, (p, str(delta))

@@ -6,6 +6,7 @@ import pytest
 
 from twistparity.errors import ZeroElement
 from twistparity.localfields import (
+    MEMO_BOUND,
     _reduce_coords,
     completion,
     eval_local_char,
@@ -346,12 +347,12 @@ def test_eval_local_char_examples(Q):
     triv = chars[0]
     assert all(eval_local_char(triv, Q.elem(x)) == 1 for x in (2, 3, 11, -1))
     # 11 = 3 mod 4: (11, -1)_11 = (-1/11) = -1
-    from twistparity.localfields import LocalCharacter, LocalSquareClass
+    from twistparity.localfields import LocalCharacter
 
-    chi_m1 = LocalCharacter(v11, LocalSquareClass(v11, Q.elem(-1)))
+    chi_m1 = LocalCharacter(v11, Q.elem(-1))
     assert eval_local_char(chi_m1, Q.elem(11)) == -1
     v5 = lf(Q, 5)
-    chi_ram = LocalCharacter(v5, LocalSquareClass(v5, Q.elem(10)))
+    chi_ram = LocalCharacter(v5, Q.elem(10))
     assert eval_local_char(chi_ram, Q.elem(-1)) == brute_legendre(-1, 5)
 
 
@@ -544,3 +545,20 @@ def test_dyadic_square_class_reps_are_pinned():
     for (name, idx), reps in DYADIC_REPS.items():
         v = _dyadic_completions(DYADIC_FIELDS[name])[idx - 1]
         assert " ".join(str(r) for r in v.square_class_reps()) == reps, (name, idx)
+
+
+def test_class_index_cache_stays_bounded(Q):
+    # 3000 distinct elements overflow each cache: the oldest insertion goes
+    # first, the newest are read back as hits, and no index changes
+    xs = [Q.elem(Fraction(n if n % 3 else -n, 1 + n % 4)) for n in range(1, 3001)]
+    assert len(set(xs)) == 3000
+    for v in (lf(Q, 2), lf(Q, 7)):
+        cache = v._class_index_cache
+        first = []
+        for x in xs:
+            first.append(square_class_index(x, v))
+            assert len(cache) <= MEMO_BOUND
+        again = [square_class_index(x, v) for x in reversed(xs)][::-1]
+        assert len(cache) <= MEMO_BOUND
+        cache.clear()
+        assert [square_class_index(x, v) for x in xs] == first == again

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistparity import parity
 from twistparity.curves import (
     curve,
     local_rep_type,
@@ -10,11 +11,13 @@ from twistparity.curves import (
     root_number,
 )
 from twistparity.errors import ExplosionGuard, ParityUnavailable, WrongRepClass
+from twistparity.experiments import oracle_crosscheck
 from twistparity.heckechars import enumerate_characters, make_char
-from twistparity.localfields import LocalCharacter, LocalSquareClass, completion
+from twistparity.localfields import LocalCharacter, completion
 from twistparity.numberfield import places_above
 from twistparity.parity import (
     COMPLEX,
+    TABLE_SIGN_HOOKS,
     GammaConfig,
     NONSPLIT,
     POT_MULT_NONQUADRATIC,
@@ -38,12 +41,13 @@ from twistparity.parity import (
 )
 
 from .conftest import place
-from .oracles import brute_legendre
+from .oracles import brute_legendre, per_character_parity_change
+from .test_acceptance import _mutation_corpus
 
 
 def local_char(Q, p, delta):
     lv = completion(Q, place(Q, p))
-    return LocalCharacter(lv, LocalSquareClass(lv, Q.elem(delta)))
+    return LocalCharacter(lv, Q.elem(delta))
 
 
 # ----------------------------------------------------------------------------
@@ -111,7 +115,7 @@ def test_row8_dyadic_pot_mult(Q, e_mult2):
     for d in lv.square_class_reps():
         if is_unramified_class(d, lv):
             continue
-        chi = LocalCharacter(lv, LocalSquareClass(lv, d))
+        chi = LocalCharacter(lv, d)
         if is_unramified_class(d * rep.split_twist, lv):
             row9 += 1
         else:
@@ -187,6 +191,49 @@ def test_parity_change_equals_simplified(Q, e11a1, e37a1, e_mult2):
         for chi in enumerate_characters(Q, 15):
             assert parity_change(E, chi) == parity_change_simplified(E, chi), \
                 (str(E), str(chi))
+
+
+def test_parity_change_matches_per_character_product(Q, Qi, K5, e11a1, e37a1, e_mult2):
+    # the sign-table lookups equal the per-twist n_v product they replaced
+    cases = [(E, enumerate_characters(Q, 15))
+             for E in (e11a1, e37a1, e_mult2, quadratic_twist(e11a1, Q.elem(11)))]
+    cases += [(curve(K, [0, -1, 1, 0, 0]), enumerate_characters(K, 12)) for K in (Qi, K5)]
+    for E, chars in cases:
+        for chi in chars:
+            assert parity_change(E, chi) == per_character_parity_change(E, chi), \
+                (str(E), str(chi))
+
+
+def test_sign_tables_follow_hook_flips(Q, e11a1, e_mult2, monkeypatch):
+    # tables built before a flip must not be read after it: the hook values
+    # are part of the memo key
+    corpus = _mutation_corpus(Q, e11a1, e_mult2)
+
+    def signs(row):
+        return [parity_change(E, make_char(Q, Q.elem(d)))
+                for E, deltas in corpus[row] for d in deltas]
+
+    for row in TABLE_SIGN_HOOKS:
+        before = signs(row)
+        monkeypatch.setitem(TABLE_SIGN_HOOKS, row, -1)
+        assert signs(row) != before, row
+        monkeypatch.setitem(TABLE_SIGN_HOOKS, row, 1)
+        assert signs(row) == before, row
+
+
+def test_n_v_runs_once_per_place_and_class(Q, e11a1, monkeypatch):
+    parity._sign_table.cache_clear()
+    seen = []
+    n_v_real = parity.n_v
+
+    def counting_n_v(rep, chi):
+        seen.append((rep.place.key(), chi.index()))
+        return n_v_real(rep, chi)
+
+    monkeypatch.setattr(parity, "n_v", counting_n_v)
+    report = oracle_crosscheck(e11a1, delta_bound=200)
+    assert report.clean and report.tested > 0
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_parity_oracle_small(Q, e37a1):
