@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: classify, predict, scan, verify, lemmas.
-Exit codes: 0 pass, 1 math-check failure, 2 input error, 3 unsupported curve,
-4 internal error (a failed invariant: a bug in the package, not bad input).
+Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
+field or singular curve), 3 unsupported curve, 4 internal error (a failed
+invariant or any exception that is not a named package error: a bug in the
+package, not bad input).
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from fractions import Fraction
 
 from sympy import primerange
 
-from .curves import parse_curve, local_root_number
+from .curves import local_root_number, parse_curve, reduction_type
 from .errors import (
     ClassNumberNotOne,
     InternalInvariantError,
     Malformed,
     NotSquarefree,
     ParityUnavailable,
+    SingularCurve,
     TwistParityError,
     UnsupportedRepresentation,
+    ZeroTwistParameter,
 )
 from .experiments import (
     emit_report,
@@ -52,6 +56,16 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
+def _int_at_least(lo: int):
+    """argparse type: an int >= lo; anything else exits 2 with a usage message."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse reports "invalid int value" when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="twistparity",
@@ -78,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="exact density scan over characters of norm <= X")
     common(p)
-    p.add_argument("--x", type=int, required=True, help="norm bound X")
+    p.add_argument("--x", type=_int_at_least(1), required=True, help="norm bound X")
     p.add_argument("--parity", choices=("even", "odd"), default=None)
     p.add_argument("--out", default=None, help="report file path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -87,14 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="twisted-parity oracle cross-check")
     common(p)
-    p.add_argument("--x", type=int, required=True,
+    p.add_argument("--x", type=_int_at_least(1), required=True,
                    help="|delta| bound over Q; character norm bound otherwise")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("lemmas", help="counting lemma, surjectivity, Gauss sums")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--x", type=int, default=20, help="norm bound for the surjectivity scan")
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--x", type=_int_at_least(1), default=20,
+                   help="norm bound for the surjectivity scan")
     return ap
 
 
@@ -111,8 +126,6 @@ def cmd_classify(args) -> int:
     unsupported = []
     for v, rep in part.sigma1 + part.sigma2 + part.other_bad:
         lv = completion(K, v)
-        from .curves import reduction_type
-
         rd = reduction_type(E, v)
         if rep.kind == UNSUPPORTED:
             unsupported.append(v)
@@ -245,22 +258,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on bad flags; keep that contract
         return int(e.code) if e.code else 0
+    commands = {"classify": cmd_classify, "predict": cmd_predict, "scan": cmd_scan,
+                "verify": cmd_verify, "lemmas": cmd_lemmas}
     try:
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "lemmas":
-            return cmd_lemmas(args)
-        return EXIT_INPUT
+        return commands[args.command](args)
     except InternalInvariantError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (Malformed, NotSquarefree, ClassNumberNotOne, ValueError) as e:
+    except (Malformed, NotSquarefree, ClassNumberNotOne, SingularCurve,
+            ZeroTwistParameter) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (UnsupportedRepresentation, ParityUnavailable) as e:
@@ -269,6 +275,9 @@ def main(argv=None) -> int:
     except TwistParityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MATH_FAIL
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ this one replaced.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -91,6 +93,21 @@ def _frac_from_json(obj) -> Fraction:
     return Fraction(obj["num"], obj["den"])
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int-string digit limit (0 when absent) for one
+    conversion: |C(K, X)| = 2^(generators) passes it near X = 1.5*10^5 over Q."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@_any_int_digits()
 def report_to_json(report: DensityReport) -> str:
     doc = {
         "curve": report.curve,
@@ -118,6 +135,7 @@ def report_to_json(report: DensityReport) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@_any_int_digits()
 def report_from_json(text: str) -> DensityReport:
     doc = json.loads(text)
     buckets = tuple(
@@ -137,6 +155,7 @@ def report_from_json(text: str) -> DensityReport:
 CSV_HEADER = "X_bucket,total,even,fraction_num,fraction_den,predicted_num,predicted_den"
 
 
+@_any_int_digits()
 def report_to_csv(report: DensityReport) -> str:
     lines = [CSV_HEADER]
     for b in report.buckets:
@@ -193,10 +212,8 @@ def scan_density(E: EllipticCurve, X: int,
     if X < 1:
         raise ValueError("X must be >= 1")
     K = E.field
-    if parity_override is not None:
-        parity = parity_override
-    else:
-        parity = rank_parity(E)  # raises UnsupportedRepresentation when uncertifiable
+    # rank_parity raises UnsupportedRepresentation when uncertifiable
+    parity = parity_override or rank_parity(E)
     w = 1 if parity == "even" else -1
     krep = kappa(E, assume_principal_series)
     predicted = (1 + w * krep.kappa) / 2

@@ -4,6 +4,10 @@ A character is stored by its canonical squarefree representative
 (unit-transversal element times distinct prime generators), its ramified
 places, and the ordering norm Nchi = max residue norm over ramified finite
 places (1 when none).
+
+``make_char`` canonicalizes an arbitrary delta and factors it once. Characters
+known canonical with known support (the generators of C(K, X) and their
+products) are built by ``_char_of`` with no factorization.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .localfields import (
     LocalCharacter,
     completion,
     is_unramified_class,
+    square_class_index,
     valuation,
 )
 from .numberfield import (
@@ -26,6 +31,7 @@ from .numberfield import (
     Place,
     archimedean_places,
     global_sqrt,
+    is_squarefree,
     places_above,
     places_of_norm_up_to,
 )
@@ -51,9 +57,6 @@ class QuadChar:
         lv = completion(self.field, v)
         return LocalCharacter(lv, self.delta)
 
-    def __mul__(self, other: "QuadChar") -> "QuadChar":
-        return make_char(self.field, self.delta * other.delta)
-
     def __eq__(self, other):
         return isinstance(other, QuadChar) and self.delta == other.delta \
             and self.field.key == other.field.key
@@ -68,12 +71,12 @@ class QuadChar:
 
 
 def _support_places(delta: NFElem) -> list[tuple[Place, int]]:
-    """(place, valuation) over primes dividing the norm of delta."""
+    """(place, valuation) over the primes dividing the norm of delta or the
+    denominator D of its integer triple. D is needed: at a split p with
+    valuations n and -n, p divides neither side of the norm."""
     K = delta.field
-    nd = delta.norm() if K.m is not None else delta.a
-    primes = set()
-    for n in (nd.numerator, nd.denominator):
-        primes.update(factorint(abs(n)).keys())
+    _, _, D = delta.as_integer_triple()
+    primes = set(factorint(abs(delta.norm().numerator))) | set(factorint(D))
     out = []
     for p in sorted(primes):
         for v in places_above(K, p):
@@ -100,18 +103,14 @@ def make_char(K: Field, delta: NFElem) -> QuadChar:
     if delta.is_zero():
         raise ZeroElement("character of delta = 0")
     sup = _support_places(delta)
-    sqfree = K.one()
+    # delta = u * sqfree * g^2: sqfree the generators of odd valuation,
+    # g = prod pi_v^(n // 2), and u a unit
+    sqfree = g = K.one()
     for v, n in sup:
         if n % 2 != 0:
             sqfree = sqfree * v.generator
-    t = delta / sqfree
-    # t has even valuation everywhere: strip its square part to a unit
-    g = K.one()
-    for v, n in _support_places(t):
-        if n % 2 != 0:
-            raise InternalInvariantError(f"square part {t} has odd valuation at {v}")
         g = g * v.generator ** (n // 2)
-    u = t / (g * g)
+    u = delta / (sqfree * g * g)
     canonical = _unit_class_rep(u) * sqfree
     return _char_of(K, canonical, tuple(v for v, n in sup if n % 2 != 0))
 
@@ -140,32 +139,13 @@ def trivial_char(K: Field) -> QuadChar:
 # Enumeration of C(K, X)
 
 
-def _independent_unit_classes(K: Field) -> list[NFElem]:
-    """Greedy F_2-basis of the unit square classes (the transversal is a full
-    group: for real quadratic fields -eps = (-1)*eps is dependent)."""
-    basis = []
-    span = [K.one()]
-    for u in K.unit_square_classes[1:]:
-        if any(global_sqrt(u / s) is not None for s in span):
-            continue
-        basis.append(u)
-        span = span + [u * s for s in span]
-    return basis
-
-
 def character_group_generators(K: Field, X: int) -> list[QuadChar]:
-    """Independent generators of C(K, X): a unit-class basis and primes of
-    norm <= X, each filtered by its own norm."""
-    gens = []
-    for u in _independent_unit_classes(K):
-        chi = make_char(K, u)
-        if chi.norm <= X:
-            gens.append(chi)
-    for v in places_of_norm_up_to(K, X):
-        chi = make_char(K, v.generator)
-        if chi.norm <= X:
-            gens.append(chi)
-    return gens
+    """Independent generators of C(K, X): an F_2-basis of the unit classes and
+    the primes of norm <= X, each filtered by its own norm. Each generator is
+    canonical with known support, so nothing is factored."""
+    gens = [_char_of(K, u, ()) for u in K.unit_square_classes[1:3]]
+    gens += [_char_of(K, v.generator, (v,)) for v in places_of_norm_up_to(K, X)]
+    return [chi for chi in gens if chi.norm <= X]
 
 
 def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> list[QuadChar]:
@@ -221,8 +201,6 @@ class SurjectivityReport:
 
 def localization_profile(chi: QuadChar, places) -> tuple:
     """Tuple of local square-class indices of delta at the given places."""
-    from .localfields import square_class_index
-
     out = []
     for v in places:
         lv = completion(chi.field, v)
@@ -252,8 +230,6 @@ def surjectivity_check(K: Field, places, X: int, guard: int = ENUMERATION_GUARD)
 
 def squarefree_deltas(K: Field, bound: int):
     """Rational squarefree twist parameters delta with 1 <= |delta| <= bound."""
-    from .numberfield import is_squarefree
-
     for n in range(1, bound + 1):
         if is_squarefree(n):
             yield K.elem(n)

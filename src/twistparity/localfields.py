@@ -124,7 +124,6 @@ class LocalField:
             self.e = self.f = 0
             self.q = None
             self.uniformizer = None
-            self.working_precision = 0
         else:
             self.p = place.p
             if place.splitting == "inert":
@@ -138,8 +137,6 @@ class LocalField:
                 self.uniformizer = K.elem(self.p)
             else:
                 self.uniformizer = place.generator if place.generator is not None else K.elem(self.p)
-            v2 = self.e if self.p == 2 else 0
-            self.working_precision = 2 * self.e * v2 + 5
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
         self._characters: Optional[list] = None

@@ -262,9 +262,6 @@ class NFElem:
             return self.a
         return self.a * self.a - self.field.m * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     # -- comparisons / hashing --------------------------------------------
     def __eq__(self, other):
         try:
@@ -535,6 +532,9 @@ def real_quadratic_class_number(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _make_field(kind: str, m: Optional[int]) -> Field:
+    # unit_square_classes is built as a group, (1, u) or (1, -1, eps, -eps), so
+    # its entries 1 and 2 form an F_2-basis: character_group_generators reads
+    # them as the basis of the unit classes
     if kind == "rational":
         K = Field(kind="rational", m=None, disc=1)
         object.__setattr__(K, "unit_square_classes", (K.one(), K.elem(-1)))
@@ -590,7 +590,7 @@ def parse_field(spec: str) -> Field:
     return quadratic_field(int(mt.group(1)))
 
 
-_RAT = r"-?\d+(?:/\d+)?"
+_RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # a denominator is nonzero
 # the rational part ends at a sign or at the end, so "29*w" is not read as 2 + 9*w
 _ELEM_RE = re.compile(
     rf"^\s*(?:(?P<a>{_RAT})\s*(?=[+-]|$))?(?:(?P<sign>[+-])?\s*(?:(?P<b>{_RAT})\s*\*\s*)?(?P<w>w))?\s*$"

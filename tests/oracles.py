@@ -7,7 +7,8 @@ square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
 in pure integer arithmetic (``DyadicOracle``). The one exception is
 ``per_character_parity_change``: the product of ``n_v`` over localized
 characters that ``parity_change`` computed before the sign tables, kept as
-their reference.
+their reference. Likewise ``generators_via_make_char`` is the generator path
+``character_group_generators`` took before it built its characters directly.
 """
 
 from fractions import Fraction
@@ -231,3 +232,18 @@ def per_character_parity_change(E, chi) -> int:
     for v in places.values():
         sign *= n_v(local_rep_type(E, v), chi.localize(v))
     return sign
+
+
+def generators_via_make_char(K, X):
+    """C(K, X)'s generators the old way: a greedy F_2-basis of the unit classes
+    by square search, then ``make_char`` of each unit and prime generator."""
+    from twistparity.heckechars import make_char
+    from twistparity.numberfield import global_sqrt, places_of_norm_up_to
+
+    basis, span = [], [K.one()]
+    for u in K.unit_square_classes[1:]:
+        if all(global_sqrt(u / s) is None for s in span):
+            basis.append(u)
+            span += [u * s for s in span]
+    chars = [make_char(K, d) for d in basis + [v.generator for v in places_of_norm_up_to(K, X)]]
+    return [chi for chi in chars if chi.norm <= X]

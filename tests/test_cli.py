@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twistparity.cli import main
+from twistparity.errors import ZeroTwistParameter
 from twistparity.experiments import report_from_json
 
 
@@ -84,6 +85,16 @@ def test_scan_csv(tmp_path, capsys):
     assert head == "X_bucket,total,even,fraction_num,fraction_den,predicted_num,predicted_den"
 
 
+def test_scan_report_with_thousands_of_digits(tmp_path, capsys):
+    # |C(Q, 2*10^5)| = 2^17985 (-1 and 17984 primes) has 5415 decimal digits,
+    # past the interpreter's default int-string limit
+    path = tmp_path / "scan.json"
+    rc, out, err = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                       "--x", "200000", "--out", str(path))
+    assert rc == 0, err
+    assert report_from_json(path.read_text()).total == 2 ** 17985
+
+
 def test_scan_below_convergence_fails_tolerance(tmp_path, capsys):
     # the place above 11 is inert in Q(i) (norm 121): below X = 121 no character
     # ramifies there and the even fraction sits at 1/2, far from the limit 1/4
@@ -132,6 +143,50 @@ def test_input_error_exit_codes(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[oops")
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "0"),
+    ("scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "-5"),
+    ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "10", "--workers", "0"),
+    ("lemmas", "--trials", "-1"),
+    ("lemmas", "--x", "0"),
+    ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "ten"),
+])
+def test_out_of_range_flags_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and "PASS" not in out
+    assert "must be >=" in err or "invalid int value" in err
+
+
+def test_zero_denominator_is_input_error(capsys):
+    rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[1/0,1]")
+    assert rc == 2
+    assert err.startswith("input error: cannot parse element '1/0'")
+
+
+def test_singular_curve_is_input_error(capsys):
+    rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[0,0]")
+    assert rc == 2
+    assert err.startswith("input error: discriminant 0")
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (ZeroTwistParameter("delta = 0"), 2, "input error: delta = 0"),
+    (ValueError("bad value"), 4, "internal error: ValueError: bad value"),
+    (ZeroDivisionError("x / 0"), 4, "internal error: ZeroDivisionError"),
+    (KeyError("missing"), 4, "internal error: KeyError"),
+])
+def test_exit_code_by_exception(capsys, monkeypatch, exc, code, prefix):
+    import twistparity.cli as cli
+
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_predict", broken)
+    rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[0,-1,1,-10,-20]")
+    assert rc == code
+    assert err.startswith(prefix)
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

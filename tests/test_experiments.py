@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +109,22 @@ def test_report_headers_only_when_empty(tmp_path, Q, e11a1):
     emit_report(empty, "csv", str(path))
     assert path.read_text().strip() == \
         "X_bucket,total,even,fraction_num,fraction_den,predicted_num,predicted_den"
+
+
+def test_report_with_a_count_past_the_digit_limit():
+    # 2^17986 has 5415 decimal digits: |C(Q, X)| passes the default limit of
+    # 4300 near X = 1.5*10^5
+    total = 2 ** 17986
+    row = BucketRow(200000, total, total // 2, Fraction(1, 2), Fraction(1, 2))
+    r = DensityReport(curve="[0,-1,1,-10,-20]", field="Q", X=200000, parity="even",
+                      kappa=Fraction(0), predicted=Fraction(1, 2), total=total,
+                      even=total // 2, fraction=Fraction(1, 2), buckets=(row,),
+                      method="fibers")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert report_from_json(report_to_json(r)) == r
+    cell = report_to_csv(r).split("\n")[1].split(",")[1]
+    assert len(cell) == 5415 and cell[-9:] == f"{total % 10 ** 9:09d}"
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_emit_report_files(tmp_path, Q, e11a1):

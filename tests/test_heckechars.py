@@ -3,7 +3,9 @@ import random
 import time
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+import twistparity.heckechars as heckechars
 from twistparity.errors import ExplosionGuard, ZeroElement
 from twistparity.heckechars import (
     character_group_generators,
@@ -16,6 +18,7 @@ from twistparity.heckechars import (
 from twistparity.localfields import completion, eval_local_char, hilbert_symbol
 from twistparity.numberfield import (
     archimedean_places,
+    global_sqrt,
     is_squarefree,
     places_above,
     places_of_norm_up_to,
@@ -24,7 +27,7 @@ from twistparity.numberfield import (
 )
 
 from .conftest import place
-from .oracles import rational_char_norm
+from .oracles import generators_via_make_char, rational_char_norm
 
 
 # ----------------------------------------------------------------------------
@@ -70,6 +73,44 @@ def test_make_char_at_large_split_primes(Qi, a, b):
     assert time.perf_counter() - t0 < 2.0
     assert [v.residue_norm for v in chi.support] == [p]
     assert chi.norm == p
+
+
+def test_make_char_split_valuations_cancel_in_the_norm(Qi):
+    # (3+4i)/5 = (2+i)/(2-i): valuations 1 and -1 at the places above 5, whose
+    # norm 1 has no prime factor; only the denominator 5 shows them
+    delta = Qi.elem(3, 4) / 5
+    chi = make_char(Qi, delta)
+    assert sorted(v.residue_norm for v in chi.support) == [5, 5]
+    assert global_sqrt(delta / chi.delta) is not None
+
+
+@seed(20141)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_make_char_of_unit_times_prime_powers(data):
+    m = data.draw(st.sampled_from([None, -1, -3, -7, -11, 2, 5, 13]), label="m")
+    K = rational_field() if m is None else quadratic_field(m)
+    delta = data.draw(st.sampled_from(K.unit_square_classes), label="u")
+    odd = set()
+    for v in places_of_norm_up_to(K, 30):
+        e = data.draw(st.integers(-3, 3), label=str(v))
+        delta = delta * v.generator ** e
+        if e % 2:
+            odd.add(v.key())
+    chi = make_char(K, delta)
+    assert {v.key() for v in chi.support} == odd
+    assert global_sqrt(delta / chi.delta) is not None
+
+
+def test_make_char_runs_one_support_pass(monkeypatch, Q, Qi, K5):
+    calls = []
+    support_places = heckechars._support_places
+    monkeypatch.setattr(heckechars, "_support_places",
+                        lambda d: calls.append(d) or support_places(d))
+    deltas = [Q.elem(-360), Q.elem(7) / 12, Qi.elem(3, 4) / 5, Qi.elem(-8, 6), K5.elem(11, 3)]
+    for d in deltas:
+        make_char(d.field, d)
+    assert calls == deltas
 
 
 def test_canonicalization_mod_squares(Q, Qi):
@@ -222,6 +263,31 @@ def test_enumeration_guard(Q):
 def test_generators_span_enumeration(Q, Qi):
     for K, X in ((Q, 5), (Q, 13), (Qi, 9), (Qi, 25)):
         assert 2 ** len(character_group_generators(K, X)) == len(enumerate_characters(K, X))
+
+
+@pytest.mark.parametrize("m", [None, -1, 5, -7, 13, 2, -3])
+def test_generators_match_make_char_path(m):
+    K = rational_field() if m is None else quadratic_field(m)
+    for X in (1, 2, 3, 4, 5, 13, 60):
+        got = character_group_generators(K, X)
+        want = generators_via_make_char(K, X)
+        assert len(got) == len(want), X
+        for a, b in zip(got, want):
+            assert a.delta == b.delta
+            assert [v.key() for v in a.support] == [v.key() for v in b.support]
+            assert [v.key() for v in a.ramified] == [v.key() for v in b.ramified]
+            assert a.norm == b.norm
+
+
+def test_generators_factor_nothing(monkeypatch, Q, Qi, K5):
+    calls = []
+    factorint = heckechars.factorint
+    monkeypatch.setattr(heckechars, "factorint", lambda n: calls.append(n) or factorint(n))
+    for K in (Q, Qi, K5):
+        character_group_generators(K, 200)
+    assert calls == []
+    make_char(Q, Q.elem(-360))
+    assert calls
 
 
 def test_generators_independent(Q):

@@ -371,12 +371,6 @@ def test_unramified_classification(Q, Qi):
     assert len(unram) == 2  # trivial and the unramified-quadratic unit class
 
 
-def test_working_precision_invariant(Q, Qi):
-    assert lf(Q, 2).working_precision >= 2 * 1 * 1 + 5
-    assert lf(Qi, 2).working_precision >= 2 * 2 * 2 + 5
-    assert lf(Q, 7).working_precision >= 5
-
-
 def test_completion_data(Q, Qi):
     v7 = lf(Q, 7)
     assert (v7.e, v7.f, v7.q) == (1, 1, 7) and v7.uniformizer == Q.elem(7)
