@@ -2,9 +2,9 @@
 
 Subcommands: classify, predict, scan, verify, lemmas.
 Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
-field or singular curve), 3 unsupported curve, 4 internal error (a failed
-invariant or any exception that is not a named package error: a bug in the
-package, not bad input).
+field or singular curve, or an integer past the factoring budget), 3
+unsupported curve, 4 internal error (a failed invariant or any exception that
+is not a named package error: a bug in the package, not bad input).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import random
 import sys
 from fractions import Fraction
 
-from sympy import primerange
-
+from .arith import primes_up_to
 from .curves import local_root_number, parse_curve, reduction_type
 from .errors import (
     ClassNumberNotOne,
+    FactorizationBudgetExceeded,
     InternalInvariantError,
     Malformed,
     NotSquarefree,
@@ -243,7 +243,7 @@ def cmd_lemmas(args) -> int:
           f"{rep.hit_count}/{rep.gamma_size} classes hit, min fiber {rep.min_fiber}")
     ok &= rep.surjective
 
-    gbad = [p for p in primerange(3, 500) if not gauss_sum_check(p)]
+    gbad = [p for p in primes_up_to(499)[1:] if not gauss_sum_check(p)]
     print(f"gauss-sum identity for odd p < 500: {'all pass' if not gbad else gbad}")
     ok &= not gbad
 
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (Malformed, NotSquarefree, ClassNumberNotOne, SingularCurve,
-            ZeroTwistParameter) as e:
+            ZeroTwistParameter, FactorizationBudgetExceeded) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (UnsupportedRepresentation, ParityUnavailable) as e:

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from sympy import factorint
-
+from .arith import factorint
 from .errors import (
     InternalInvariantError,
     SingularCurve,
@@ -179,8 +178,12 @@ def quadratic_twist(E: EllipticCurve, delta: NFElem) -> EllipticCurve:
     if delta.is_zero():
         raise ZeroTwistParameter("twist by 0")
     c4, c6 = E.c4, E.c6
-    return EllipticCurve(E.field, 0, 0, 0, -27 * c4 * delta * delta,
-                         -54 * c6 * delta ** 3)
+    Et = EllipticCurve(E.field, 0, 0, 0, -27 * c4 * delta * delta,
+                       -54 * c6 * delta ** 3, check=False)
+    # -16 (4 A^3 + 27 B^2) with A = -27 c4 delta^2, B = -54 c6 delta^3 and
+    # c4^3 - c6^2 = 1728 disc(E): nonzero, as delta and disc(E) are
+    Et.disc = 6 ** 12 * delta ** 6 * E.disc
+    return Et
 
 
 # ----------------------------------------------------------------------------

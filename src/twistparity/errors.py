@@ -42,6 +42,16 @@ class GeneratorSearchExhausted(TwistParityError):
         super().__init__(f"search for {what} exhausted at bound {bound}")
 
 
+class FactorizationBudgetExceeded(TwistParityError):
+    """Pollard-Brent rho spent its work budget without splitting an integer."""
+
+    def __init__(self, n, budget):
+        self.n = n
+        self.budget = budget
+        super().__init__(f"factoring a {n.bit_length()}-bit integer exceeded "
+                         f"the budget of {budget} rho steps")
+
+
 class SingularCurve(TwistParityError):
     """Weierstrass equation with discriminant 0."""
 

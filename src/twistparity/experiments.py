@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -356,6 +355,8 @@ def oracle_crosscheck(E: EllipticCurve,
     if workers <= 1:
         tested, unsupported, mismatches = _check_deltas(E, deltas)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
+
         chunks = [deltas[i::workers] for i in range(workers)]
         args = [(str(K), str(E), [str(d) for d in ch]) for ch in chunks if ch]
         tested = unsupported = 0

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint
-
+from .arith import factorint
 from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     LocalCharacter,

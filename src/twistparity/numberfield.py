@@ -5,6 +5,10 @@ coordinates; places carry their splitting data and a principal generator
 (class number 1 makes one exist). At a place with K_v = Q_p (K = Q, or p
 splits) an element is read through the canonical p-adic root of m: index 1
 sends sqrt(m) to that root, index 2 to its negative.
+
+The integer work (primality, the prime sieve, divisors, square roots mod p and
+Cornacchia's algorithm for the prime generators of imaginary fields) is done
+by ``arith``; the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from sympy import divisors, isprime, primerange, sqrt_mod
-
+from .arith import cornacchia, divisors, factorint, is_prime, kronecker, primes_up_to, sqrt_mod
 from .errors import (
     ClassNumberNotOne,
     GeneratorSearchExhausted,
@@ -31,33 +34,7 @@ from .errors import (
 # Imaginary quadratic fields with class number one (Baker-Heegner-Stark list).
 IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-GENERATOR_SEARCH_BOUND = 10 ** 6
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a|n) for arbitrary integers, n != 0."""
-    if n == 0:
-        raise ZeroElement("kronecker symbol with n = 0")
-    if n < 0:
-        return (-1 if a < 0 else 1) * kronecker(a, -n)
-    result = 1
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
+GENERATOR_SEARCH_BOUND = 10 ** 6  # b searched for a prime generator in a real field
 
 
 def legendre(a: int, p: int) -> int:
@@ -69,17 +46,7 @@ def legendre(a: int, p: int) -> int:
 
 
 def is_squarefree(n: int) -> bool:
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        if n % d == 0:
-            n //= d
-        d += 1
-    return True
+    return n != 0 and all(e == 1 for e in factorint(abs(n)).values())
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -626,10 +593,15 @@ def archimedean_places(K: Field) -> list[Place]:
 
 
 def _find_prime_generator(K: Field, p: int) -> NFElem:
-    """Element of norm +-p by bounded search (half coords allowed for m = 1 mod 4)."""
+    """The element a + b*sqrt(m) of norm +-p (a, b halves allowed for m = 1 mod 4)
+    that a search over b = 0, 1, 2, ... meets first: the least b (counting 2b for
+    half coordinates), then the least (a, b). Imaginary fields solve for it by
+    Cornacchia's algorithm; real fields search b < GENERATOR_SEARCH_BOUND."""
     m = K.m
     if m is None:
         raise InternalInvariantError("prime generator search over Q")
+    if m < 0:
+        return _imaginary_prime_generator(K, p)
     for b in range(GENERATOR_SEARCH_BOUND):
         mb2 = m * b * b
         candidates = []
@@ -650,6 +622,32 @@ def _find_prime_generator(K: Field, p: int) -> NFElem:
     raise GeneratorSearchExhausted(f"generator of a prime above {p} in {K}", GENERATOR_SEARCH_BOUND)
 
 
+def _imaginary_prime_generator(K: Field, p: int) -> NFElem:
+    """_find_prime_generator for m < 0, from one solution of a^2 + |m| b^2 = p
+    (or = 4p, halved) and the unit multiples of it and of its conjugate: those
+    are all the elements of norm p, as each generates a prime above p."""
+    m = K.m
+    sol = cornacchia(-m, p)
+    if sol is not None:
+        A, B = 2 * sol[0], 2 * sol[1]
+    else:
+        sol = cornacchia(-m, 4 * p) if m % 4 == 1 else None
+        if sol is None:
+            raise InternalInvariantError(f"no element of norm {p} in {K}")
+        A, B = sol
+    # (A, B) stands for (A + B*sqrt(m))/2, and so does the unit (c, e) that
+    # generates the units: i, the sixth root of unity (1 + sqrt(-3))/2, or -1
+    c, e, order = {-1: (0, 2, 4), -3: (1, 1, 6)}.get(m, (-2, 0, 2))
+    norm_p = []
+    for A, B in ((A, B), (A, -B)):
+        for _ in range(order):
+            norm_p.append((A, B))
+            A, B = (A * c + B * e * m) // 2, (A * e + B * c) // 2
+    # the search meets the element at b = B/2, or at B when the coordinates are halves
+    _, A, B = min((B if B % 2 else B // 2, A, B) for A, B in norm_p if A >= 0 and B >= 0)
+    return NFElem(K, Fraction(A, 2), Fraction(B, 2))
+
+
 @lru_cache(maxsize=None)
 def _places_above_cached(field_key, p: int) -> tuple:
     K = _make_field(*field_key)
@@ -658,7 +656,7 @@ def _places_above_cached(field_key, p: int) -> tuple:
 
 def places_above(K: Field, p: int) -> list[Place]:
     """The 1 or 2 places of K over the rational prime p."""
-    if not isprime(p):
+    if not is_prime(p):
         raise Malformed(f"{p} is not prime")
     return list(_places_above_cached(K.key, p))
 
@@ -693,8 +691,8 @@ def _places_above(K: Field, p: int) -> list[Place]:
 def places_of_norm_up_to(K: Field, X: int) -> list[Place]:
     """Finite places with residue norm <= X, sorted by (norm, p, index)."""
     out = []
-    for p in primerange(2, X + 1):
-        for v in places_above(K, p):
+    for p in primes_up_to(X):
+        for v in _places_above_cached(K.key, p):
             if v.residue_norm <= X:
                 out.append(v)
     out.sort(key=lambda v: (v.residue_norm, v.p, v.index))

@@ -8,9 +8,12 @@ in pure integer arithmetic (``DyadicOracle``). The one exception is
 ``per_character_parity_change``: the product of ``n_v`` over localized
 characters that ``parity_change`` computed before the sign tables, kept as
 their reference. Likewise ``generators_via_make_char`` is the generator path
-``character_group_generators`` took before it built its characters directly.
+``character_group_generators`` took before it built its characters directly,
+and ``scan_prime_generator`` is the search over b that found the prime
+generators of imaginary fields before Cornacchia's algorithm.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -247,3 +250,28 @@ def generators_via_make_char(K, X):
             span += [u * s for s in span]
     chars = [make_char(K, d) for d in basis + [v.generator for v in places_of_norm_up_to(K, X)]]
     return [chi for chi in chars if chi.norm <= X]
+
+
+def scan_prime_generator(K, p):
+    """The element of norm +-p met first by a search over b = 0, 1, 2, ...: the
+    solutions a of a^2 = m b^2 +- p (and, for m = 1 mod 4, of a^2 = m b^2 +- 4p
+    with a = b mod 2, halved), the least (a, b) of the first b that has one."""
+    from twistparity.numberfield import NFElem
+
+    m = K.m
+    b = 0
+    while True:
+        mb2 = m * b * b
+        candidates = []
+        for target in (mb2 + p, mb2 - p):
+            a = math.isqrt(target) if target >= 0 else -1
+            if a >= 0 and a * a == target:
+                candidates.append((Fraction(a), Fraction(b)))
+        if m % 4 == 1:
+            for target in (mb2 + 4 * p, mb2 - 4 * p):
+                a = math.isqrt(target) if target >= 0 else -1
+                if a >= 0 and a * a == target and (a - b) % 2 == 0:
+                    candidates.append((Fraction(a, 2), Fraction(b, 2)))
+        if candidates:
+            return NFElem(K, *min(candidates))
+        b += 1

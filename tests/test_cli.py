@@ -171,6 +171,18 @@ def test_singular_curve_is_input_error(capsys):
     assert err.startswith("input error: discriminant 0")
 
 
+def test_factoring_budget_is_input_error(capsys, monkeypatch):
+    import twistparity.arith as arith
+
+    # disc = -432 (p q)^2 with p, q prime near 10^39 and 3 * 10^39: past any
+    # feasible rho budget; a smaller one only makes the test quick
+    monkeypatch.setattr(arith, "FACTOR_BUDGET", 10 ** 4)
+    pq = 1000000000000000000000000000000000000003 * 3000000000000000000000000000000000000037
+    rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", f"[0,{pq}]")
+    assert rc == 2
+    assert err.startswith("input error: factoring a")
+
+
 @pytest.mark.parametrize("exc,code,prefix", [
     (ZeroTwistParameter("delta = 0"), 2, "input error: delta = 0"),
     (ValueError("bad value"), 4, "internal error: ValueError: bad value"),

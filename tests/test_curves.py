@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -153,6 +154,24 @@ def test_twist_preserves_j_and_involutes(Q, e11a1):
         for p in (2, 3, 5, 11):
             v = place(Q, p)
             assert reduction_type(back, v).red_type == reduction_type(e11a1, v).red_type
+
+
+@pytest.mark.parametrize("m,coeffs", [
+    (None, [0, -1, 1, -10, -20]), (None, [0, 0, 1, -1, 0]), (None, [1, 0, 0, -1, 1]),
+    (-1, [0, -1, 1, 0, 0]), (5, [0, -1, 1, 0, 0]),
+])
+def test_twist_disc_matches_b_formula(m, coeffs):
+    # quadratic_twist stores disc = 6^12 delta^6 disc(E) instead of computing it
+    K = rational_field() if m is None else quadratic_field(m)
+    E = curve(K, coeffs)
+    rng = random.Random(17)
+    for _ in range(8):
+        b = 0 if m is None else rng.randint(-9, 9)
+        delta = K.elem(Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12)),
+                       Fraction(b, rng.randint(1, 12)))
+        tw = quadratic_twist(E, delta)
+        assert "disc" in vars(tw)
+        assert tw.disc == curve(K, tw.ainvs()).disc, delta
 
 
 def test_twist_by_zero_rejected(Q, e11a1):

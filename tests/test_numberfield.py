@@ -1,13 +1,17 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twistparity.arith import primes_up_to
 from twistparity.errors import ClassNumberNotOne, Malformed, NotSquarefree
 from twistparity.heckechars import enumerate_characters, squarefree_deltas
 from twistparity.numberfield import (
+    IMAGINARY_CLASS_NUMBER_ONE,
     NFElem,
+    _find_prime_generator,
     _root_of_m,
     archimedean_places,
     global_sqrt,
@@ -24,7 +28,7 @@ from twistparity.numberfield import (
     real_quadratic_class_number,
 )
 
-from .oracles import brute_legendre
+from .oracles import brute_legendre, scan_prime_generator
 
 
 # ----------------------------------------------------------------------------
@@ -239,6 +243,26 @@ def test_generator_norms_exact():
         for v in places_above(K, p):
             if v.splitting in ("split", "ramified"):
                 assert abs(v.generator.norm()) == p
+
+
+@pytest.mark.parametrize("m", IMAGINARY_CLASS_NUMBER_ONE)
+def test_cornacchia_generators_match_scan(m):
+    K = quadratic_field(m)
+    for p in primes_up_to(10 ** 4):
+        if kronecker(K.disc, p) != -1:
+            assert _find_prime_generator(K, p) == scan_prime_generator(K, p), p
+
+
+def test_imaginary_places_at_large_prime_norm():
+    # primes that split in K; a search over b took up to sqrt(p) steps and
+    # gave up at b = 10^6
+    t0 = time.perf_counter()
+    for m, p in ((-1, 100000000000097), (-3, 100000000000261), (-7, 10 ** 18 + 3)):
+        K = quadratic_field(m)
+        pls = places_above(K, p)
+        assert [v.splitting for v in pls] == ["split", "split"], m
+        assert all(v.generator.norm() == p for v in pls), m
+    assert time.perf_counter() - t0 < 2.0
 
 
 # (m, p): 2 splits in Q(sqrt 17) and Q(sqrt -7); odd primes that split in Q(i), Q(sqrt 5)
