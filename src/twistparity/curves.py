@@ -111,7 +111,7 @@ class EllipticCurve:
 
     @cached_property
     def _key(self):
-        return (self.field.key,) + tuple((z.a, z.b) for z in self.ainvs())
+        return (self.field.key,) + tuple(z.as_integer_triple() for z in self.ainvs())
 
     @cached_property
     def _hash(self):
@@ -125,11 +125,17 @@ class EllipticCurve:
         if u.is_zero():
             raise ZeroElement("transform with u = 0")
         a1, a2, a3, a4, a6 = self.ainvs()
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-        na3 = (a3 + r * a1 + 2 * t) / u ** 3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4
-        na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6
+        na1 = a1 + 2 * s
+        na2 = a2 - s * a1 + 3 * r - s * s
+        na3 = a3 + r * a1 + 2 * t
+        na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+        na6 = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
+        if u != 1:  # divide by u^k through the powers of 1/u
+            ui = 1 / u
+            ui2 = ui * ui
+            ui3 = ui2 * ui
+            na1, na2, na3 = na1 * ui, na2 * ui2, na3 * ui3
+            na4, na6 = na4 * ui2 * ui2, na6 * ui3 * ui3
         return EllipticCurve(K, na1, na2, na3, na4, na6, check=False)
 
     def __eq__(self, other):
@@ -492,7 +498,7 @@ def bad_place_candidates(E: EllipticCurve) -> list[Place]:
     """Finite places that could carry bad reduction (support of Delta and denominators)."""
     K = E.field
     primes = set()
-    nd = E.disc.norm() if K.m is not None else E.disc.a
+    nd = E.disc.norm()
     for n in (nd.numerator, nd.denominator):
         primes.update(factorint(abs(n)).keys())
     for a in E.ainvs():

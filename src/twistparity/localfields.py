@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import InternalInvariantError, ZeroElement
-from .numberfield import Field, NFElem, Place, _qp_image, _qp_valuation, _vp_fraction
+from .numberfield import Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int
 
 # entries in each per-completion class-index cache, and in each memo of
 # ``curves`` and ``parity``
@@ -140,7 +140,8 @@ class LocalField:
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
         self._characters: Optional[list] = None
-        self._class_index_cache: dict = {}  # (a, b) -> class index, <= MEMO_BOUND entries
+        # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
+        self._class_index_cache: dict = {}
         # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
         self._unit_classes: Optional[dict] = None
         self._hilbert_matrix: Optional[list] = None
@@ -303,7 +304,8 @@ def valuation(x: NFElem, v: LocalField) -> int:
         raise ValueError("valuation at an archimedean place")
     if v.degree_over_qp == 1:
         return _qp_valuation(x, v.p, v.place.index)
-    nval = _vp_fraction(x.norm(), v.p)
+    A, B, D = x.as_integer_triple()  # v_p of the norm (A^2 - m B^2) / D^2
+    nval = _vp_int(A * A - v.field.m * B * B, v.p) - 2 * _vp_int(D, v.p)
     if v.e == 2:
         return nval
     if nval % 2:
@@ -335,8 +337,15 @@ def _reduce_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, int]:
     """The image of a v-integral x in O_v / p^k."""
     if v.degree_over_qp == 1:
         return _qp_image(x, v.p, v.place.index, k), 0
-    M = v.p ** k
-    return tuple(c.numerator * pow(c.denominator, -1, M) % M for c in x.omega_coords())
+    p = v.p
+    A, B, D = x.as_integer_triple()
+    c0, c1 = (A - B, 2 * B) if v.field.m % 4 == 1 else (A, B)  # x = (c0 + c1 omega) / D
+    d = p ** _vp_int(D, p)
+    if c0 % d or c1 % d:
+        raise InternalInvariantError("residue of a non-integral element")
+    M = p ** k
+    Dinv = pow(D // d, -1, M)
+    return c0 // d * Dinv % M, c1 // d * Dinv % M
 
 
 def _residue_ring(v: LocalField, bits: int):
@@ -494,7 +503,7 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
     """Index of the square class of x in square_class_reps(v)."""
     if x.is_zero():
         raise ZeroElement("square class of 0")
-    key = (x.a, x.b)
+    key = x.as_integer_triple()
     hit = v._class_index_cache.get(key)
     if hit is not None:
         return hit

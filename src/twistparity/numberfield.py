@@ -1,8 +1,10 @@
 """Base fields: Q and quadratic fields Q(sqrt m) with class number 1.
 
-Elements are kept as exact global objects a + b*sqrt(m) with Fraction
-coordinates; places carry their splitting data and a principal generator
-(class number 1 makes one exist). At a place with K_v = Q_p (K = Q, or p
+Elements are exact global objects (A + B*sqrt(m)) / D, kept as a normalized
+integer triple (D > 0, gcd(A, B, D) = 1) so that arithmetic runs on integers
+with one gcd per operation; the coordinates a = A/D and b = B/D are read as
+Fractions on demand. Places carry their splitting data and a principal
+generator (class number 1 makes one exist). At a place with K_v = Q_p (K = Q, or p
 splits) an element is read through the canonical p-adic root of m: index 1
 sends sqrt(m) to that root, index 2 to its negative.
 
@@ -49,17 +51,12 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorint(abs(n)).values())
 
 
-def rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a rational, or None."""
-    if q < 0:
+def _exact_isqrt(n: int) -> Optional[int]:
+    """The square root of the integer n when n is a square, else None."""
+    if n < 0:
         return None
-    if q == 0:
-        return Fraction(0)
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -70,12 +67,6 @@ def _vp_int(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
-
-
-def _vp_fraction(fr: Fraction, p: int) -> int:
-    if fr == 0:
-        raise ZeroElement("valuation of 0")
-    return _vp_int(fr.numerator, p) - _vp_int(fr.denominator, p)
 
 
 @lru_cache(maxsize=4096)
@@ -105,10 +96,10 @@ def _root_of_m(m: int, p: int, k: int) -> int:
 def _qp_valuation(x: NFElem, p: int, index: int = 1) -> int:
     """v(x) at a place with K_v = Q_p: K = Q, or the place of a split p where
     sqrt(m) maps to the canonical root (index 1) or to its negative (index 2)."""
-    if not x.b:  # rational x: no integer triple, and no root of m
-        return _vp_int(x.a.numerator, p) - _vp_int(x.a.denominator, p)
+    A, B, D = x.A, x.B, x.D
+    if not B:  # rational x: no root of m
+        return _vp_int(A, p) - _vp_int(D, p)
     m = x.field.m
-    A, B, D = x.as_integer_triple()
     vn = _vp_int(A * A - m * B * B, p)  # v_1 + v_2 of A + B sqrt(m), both >= 0
     mod = p ** (vn + 1)
     r = _root_of_m(m, p, vn + 1)
@@ -121,12 +112,11 @@ def _qp_valuation(x: NFElem, p: int, index: int = 1) -> int:
 def _qp_image(x: NFElem, p: int, index: int, k: int) -> int:
     """Image in Z/p^k of an x that is integral at a place with K_v = Q_p (see _qp_valuation)."""
     mod = p ** k
-    if not x.b:
-        num, den = x.a.numerator, x.a.denominator
-        if den % p == 0:
+    A, B, D = x.A, x.B, x.D
+    if not B:
+        if D % p == 0:
             raise InternalInvariantError("p-adic image of a non-integral element")
-        return num * pow(den, -1, mod) % mod
-    A, B, D = x.as_integer_triple()
+        return A * pow(D, -1, mod) % mod
     d = _vp_int(D, p)
     r = _root_of_m(x.field.m, p, k + d)
     t = (A + B * r if index == 1 else A - B * r) % (mod * p ** d)
@@ -139,143 +129,185 @@ def _qp_image(x: NFElem, p: int, index: int, k: int) -> int:
 # Field elements
 
 
-class NFElem:
-    """a + b*sqrt(m) with Fraction coordinates; b = 0 identically over Q."""
+def _make(field: "Field", A: int, B: int, D: int) -> "NFElem":
+    """The element (A + B*sqrt(m)) / D, D != 0, brought to normal form by one gcd."""
+    if D < 0:
+        A, B, D = -A, -B, -D
+    g = math.gcd(A, B, D)
+    if g != 1:
+        A, B, D = A // g, B // g, D // g
+    x = object.__new__(NFElem)
+    x.field = field
+    x.A = A
+    x.B = B
+    x.D = D
+    return x
 
-    __slots__ = ("field", "a", "b")
+
+class NFElem:
+    """(A + B*sqrt(m)) / D as an integer triple: D > 0, gcd(A, B, D) = 1, and
+    B = 0 over Q. The triple is unique, so equality compares it; the rational
+    coordinates a = A/D and b = B/D are read as Fractions."""
+
+    __slots__ = ("field", "A", "B", "D")
 
     def __init__(self, field: "Field", a, b=0):
-        self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        if field.m is None and self.b != 0:
+        if type(a) is int and type(b) is int:
+            A, B, D = a, b, 1
+        else:
+            a, b = Fraction(a), Fraction(b)
+            D = math.lcm(a.denominator, b.denominator)
+            # a and b are in lowest terms, so gcd(A, B, D) = 1 already
+            A = a.numerator * (D // a.denominator)
+            B = b.numerator * (D // b.denominator)
+        if field.m is None and B:
             raise Malformed("nonzero sqrt coordinate over Q")
+        self.field = field
+        self.A = A
+        self.B = B
+        self.D = D
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.A, self.D)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.B, self.D)
 
     # -- basic predicates ---------------------------------------------------
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.A and not self.B
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.B
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     # -- arithmetic -------------------------------------------------------
-    def _coerce(self, other):
+    def _coerce(self, other) -> tuple[int, int, int]:
+        """The triple of other: an element of the same field, or a rational."""
         if isinstance(other, NFElem):
-            if other.field.key != self.field.key:
+            if other.field is not self.field and other.field.key != self.field.key:
                 raise Malformed("elements of different fields")
-            return other
-        return NFElem(self.field, Fraction(other))
+            return other.A, other.B, other.D
+        if type(other) is int:
+            return other, 0, 1
+        q = Fraction(other)
+        return q.numerator, 0, q.denominator
+
+    def _plus(self, A: int, B: int, D: int) -> "NFElem":
+        if D == self.D:
+            return _make(self.field, self.A + A, self.B + B, D)
+        return _make(self.field, self.A * D + A * self.D, self.B * D + B * self.D, self.D * D)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return NFElem(self.field, self.a + o.a, self.b + o.b)
+        return self._plus(*self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return NFElem(self.field, self.a - o.a, self.b - o.b)
+        A, B, D = self._coerce(other)
+        return self._plus(-A, -B, D)
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return (-self)._plus(*self._coerce(other))
 
     def __neg__(self):
-        return NFElem(self.field, -self.a, -self.b)
+        return _make(self.field, -self.A, -self.B, self.D)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        m = self.field.m or 0
-        return NFElem(
-            self.field,
-            self.a * o.a + self.b * o.b * m,
-            self.a * o.b + self.b * o.a,
-        )
+        A, B, D = self._coerce(other)
+        if not B and not self.B:
+            return _make(self.field, self.A * A, 0, self.D * D)
+        m = self.field.m
+        return _make(self.field, self.A * A + m * self.B * B, self.A * B + self.B * A, self.D * D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.is_zero():
+        A, B, D = self._coerce(other)
+        if not A and not B:
             raise ZeroElement("division by zero element")
-        if self.field.m is None:
-            return NFElem(self.field, self.a / o.a)
-        n = o.norm()
-        num = self * o.conj()
-        return NFElem(self.field, num.a / n, num.b / n)
+        if not B:
+            return _make(self.field, self.A * D, self.B * D, self.D * A)
+        # x / y = x * conj(y) / norm(y), with norm(y) = (A^2 - m B^2) / D^2
+        m = self.field.m
+        return _make(self.field, D * (self.A * A - m * self.B * B), D * (self.B * A - self.A * B),
+                     self.D * (A * A - m * B * B))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _make(self.field, *self._coerce(other)) / self
 
     def __pow__(self, n: int):
         if n < 0:
-            return (NFElem(self.field, 1) / self) ** (-n)
-        result = NFElem(self.field, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return (1 / self) ** (-n)
+        if not self.B:
+            return _make(self.field, self.A ** n, 0, self.D ** n)
+        # (A + B sqrt(m))^n by squaring in integers; the one gcd comes at the end
+        m = self.field.m
+        A, B, ra, rb, k = self.A, self.B, 1, 0, n
+        while k:
+            if k & 1:
+                ra, rb = ra * A + m * rb * B, ra * B + rb * A
+            k >>= 1
+            if k:
+                A, B = A * A + m * B * B, 2 * A * B
+        return _make(self.field, ra, rb, self.D ** n)
 
     def conj(self) -> "NFElem":
-        return NFElem(self.field, self.a, -self.b)
+        return _make(self.field, self.A, -self.B, self.D)
 
     def norm(self) -> Fraction:
-        if self.field.m is None:
-            return self.a
-        return self.a * self.a - self.field.m * self.b * self.b
+        m = self.field.m
+        if m is None:
+            return Fraction(self.A, self.D)
+        return Fraction(self.A * self.A - m * self.B * self.B, self.D * self.D)
 
     # -- comparisons / hashing --------------------------------------------
     def __eq__(self, other):
         try:
-            o = self._coerce(other)
+            A, B, D = self._coerce(other)
         except (Malformed, ValueError, TypeError):
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.A == A and self.B == B and self.D == D
 
     def __hash__(self):
+        # equal to hash((field.key, a, b)): a Fraction with denominator 1 hashes as its int
+        if self.D == 1:
+            return hash((self.field.key, self.A, self.B))
         return hash((self.field.key, self.a, self.b))
 
     # -- embeddings --------------------------------------------------------
     def sign_at_real(self, index: int = 1) -> int:
         """Exact sign of the image under the real embedding (index 1: sqrt(m) > 0)."""
-        a, b = self.a, self.b
-        if index == 2:
-            b = -b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
+        A = self.A  # D > 0 leaves the sign to A + B*sqrt(m)
+        B = -self.B if index == 2 else self.B
+        if not B:
+            return (A > 0) - (A < 0)
         m = self.field.m
         if m is None or m < 0:
             raise Malformed("real embedding of a non-real element")
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
+        if not A:
+            return 1 if B > 0 else -1
+        sa = 1 if A > 0 else -1
+        sb = 1 if B > 0 else -1
         if sa == sb:
             return sa
-        return sa if a * a > m * b * b else sb
+        return sa if A * A > m * B * B else sb
 
     # -- integral coordinates ----------------------------------------------
     def as_integer_triple(self) -> tuple[int, int, int]:
         """(A, B, D) with self = (A + B*sqrt(m)) / D, D > 0, gcd(A, B, D) = 1."""
-        d = math.lcm(self.a.denominator, self.b.denominator)
-        A = int(self.a * d)
-        B = int(self.b * d)
-        g = math.gcd(math.gcd(abs(A), abs(B)), d)
-        return A // g, B // g, d // g
+        return self.A, self.B, self.D
 
     def omega_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates in the integral basis {1, omega} of O_K."""
-        K = self.field
-        if K.m is None:
-            return self.a, Fraction(0)
-        if K.m % 4 == 1:
+        m = self.field.m
+        if m is not None and m % 4 == 1:
             # omega = (1 + sqrt m)/2, so sqrt m = 2*omega - 1
-            return self.a - self.b, 2 * self.b
+            return Fraction(self.A - self.B, self.D), Fraction(2 * self.B, self.D)
         return self.a, self.b
 
     # -- formatting ----------------------------------------------------------
@@ -283,13 +315,14 @@ class NFElem:
         return f"NFElem({self})"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        bt = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
-        if self.a == 0:
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        bt = "w" if b == 1 else ("-w" if b == -1 else f"{b}*w")
+        if a == 0:
             return bt
-        sign = "+" if self.b > 0 else ""
-        return f"{self.a}{sign}{bt}"
+        sign = "+" if b > 0 else ""
+        return f"{a}{sign}{bt}"
 
 
 # ----------------------------------------------------------------------------
@@ -700,33 +733,31 @@ def places_of_norm_up_to(K: Field, X: int) -> list[Place]:
 
 
 def global_sqrt(x: NFElem) -> Optional[NFElem]:
-    """A square root of x in K, or None."""
-    K = x.field
+    """A square root of x in K, or None: the one with a > 0, or a = 0 and b > 0.
+
+    x D^2 = P + Q sqrt(m) with P = A D, Q = B D, and a root of it is an
+    algebraic integer z = (c + d sqrt(m)) / 2: c^2 + m d^2 = 4P, c d = 2Q and
+    N(z) = (c^2 - m d^2) / 4 = +-T with T^2 = P^2 - m Q^2. Then x = (z / D)^2.
+    """
+    K, A, B, D = x.field, x.A, x.B, x.D
+    P, Q = A * D, B * D
+    if K.m is None:
+        r = _exact_isqrt(P)
+        return None if r is None else _make(K, r, 0, D)
     if x.is_zero():
         return K.zero()
-    if K.m is None:
-        r = rational_sqrt(x.a)
-        return K.elem(r) if r is not None else None
-    s0, s1 = x.a, x.b
-    if s1 == 0:
-        r = rational_sqrt(s0)
-        if r is not None:
-            return K.elem(r)
-        r = rational_sqrt(s0 / K.m)
-        if r is not None:
-            return NFElem(K, 0, r)
+    m = K.m
+    T = _exact_isqrt(P * P - m * Q * Q)
+    if T is None:
         return None
-    t = rational_sqrt(s0 * s0 - K.m * s1 * s1)
-    if t is None:
-        return None
-    for branch in (t, -t):
-        c2 = (s0 + branch) / 2
-        c = rational_sqrt(c2)
-        if c is not None and c != 0:
-            d = s1 / (2 * c)
-            cand = NFElem(K, c, d)
-            if cand * cand == x:
-                return cand
+    for t in (T, -T):
+        c = _exact_isqrt(2 * (P + t))
+        if c:  # z = (c + (2Q / c) sqrt(m)) / 2
+            return _make(K, c * c, 2 * Q, 2 * c * D)
+    if not Q and 4 * P % m == 0:  # c = 0: x is m times a rational square
+        d = _exact_isqrt(4 * P // m)
+        if d:
+            return _make(K, 0, d, 2 * D)
     return None
 
 

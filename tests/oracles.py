@@ -9,12 +9,16 @@ in pure integer arithmetic (``DyadicOracle``). The one exception is
 characters that ``parity_change`` computed before the sign tables, kept as
 their reference. Likewise ``generators_via_make_char`` is the generator path
 ``character_group_generators`` took before it built its characters directly,
-and ``scan_prime_generator`` is the search over b that found the prime
-generators of imaginary fields before Cornacchia's algorithm.
+``scan_prime_generator`` is the search over b that found the prime
+generators of imaginary fields before Cornacchia's algorithm, and
+``FractionNFElem`` is the field element with Fraction coordinates that the
+integer-triple ``NFElem`` replaced.
 """
 
 import math
 from fractions import Fraction
+
+from twistparity.errors import Malformed, ZeroElement
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -275,3 +279,157 @@ def scan_prime_generator(K, p):
         if candidates:
             return NFElem(K, *min(candidates))
         b += 1
+
+
+class FractionNFElem:
+    """``numberfield.NFElem`` as it was before the integer triples: a + b*sqrt(m)
+    with Fraction coordinates, b = 0 identically over Q."""
+
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field, a, b=0):
+        self.field = field
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+        if field.m is None and self.b != 0:
+            raise Malformed("nonzero sqrt coordinate over Q")
+
+    # -- basic predicates ---------------------------------------------------
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def is_rational(self) -> bool:
+        return self.b == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    # -- arithmetic -------------------------------------------------------
+    def _coerce(self, other):
+        if isinstance(other, FractionNFElem):
+            if other.field.key != self.field.key:
+                raise Malformed("elements of different fields")
+            return other
+        return FractionNFElem(self.field, Fraction(other))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FractionNFElem(self.field, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FractionNFElem(self.field, self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __neg__(self):
+        return FractionNFElem(self.field, -self.a, -self.b)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        m = self.field.m or 0
+        return FractionNFElem(
+            self.field,
+            self.a * o.a + self.b * o.b * m,
+            self.a * o.b + self.b * o.a,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.is_zero():
+            raise ZeroElement("division by zero element")
+        if self.field.m is None:
+            return FractionNFElem(self.field, self.a / o.a)
+        n = o.norm()
+        num = self * o.conj()
+        return FractionNFElem(self.field, num.a / n, num.b / n)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return (FractionNFElem(self.field, 1) / self) ** (-n)
+        result = FractionNFElem(self.field, 1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def conj(self) -> "FractionNFElem":
+        return FractionNFElem(self.field, self.a, -self.b)
+
+    def norm(self) -> Fraction:
+        if self.field.m is None:
+            return self.a
+        return self.a * self.a - self.field.m * self.b * self.b
+
+    # -- comparisons / hashing --------------------------------------------
+    def __eq__(self, other):
+        try:
+            o = self._coerce(other)
+        except (Malformed, ValueError, TypeError):
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        return hash((self.field.key, self.a, self.b))
+
+    # -- embeddings --------------------------------------------------------
+    def sign_at_real(self, index: int = 1) -> int:
+        """Exact sign of the image under the real embedding (index 1: sqrt(m) > 0)."""
+        a, b = self.a, self.b
+        if index == 2:
+            b = -b
+        if b == 0:
+            return 0 if a == 0 else (1 if a > 0 else -1)
+        m = self.field.m
+        if m is None or m < 0:
+            raise Malformed("real embedding of a non-real element")
+        if a == 0:
+            return 1 if b > 0 else -1
+        sa = 1 if a > 0 else -1
+        sb = 1 if b > 0 else -1
+        if sa == sb:
+            return sa
+        return sa if a * a > m * b * b else sb
+
+    # -- integral coordinates ----------------------------------------------
+    def as_integer_triple(self) -> tuple[int, int, int]:
+        """(A, B, D) with self = (A + B*sqrt(m)) / D, D > 0, gcd(A, B, D) = 1."""
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        A = int(self.a * d)
+        B = int(self.b * d)
+        g = math.gcd(math.gcd(abs(A), abs(B)), d)
+        return A // g, B // g, d // g
+
+    def omega_coords(self) -> tuple[Fraction, Fraction]:
+        """Coordinates in the integral basis {1, omega} of O_K."""
+        K = self.field
+        if K.m is None:
+            return self.a, Fraction(0)
+        if K.m % 4 == 1:
+            # omega = (1 + sqrt m)/2, so sqrt m = 2*omega - 1
+            return self.a - self.b, 2 * self.b
+        return self.a, self.b
+
+    # -- formatting ----------------------------------------------------------
+    def __repr__(self):
+        return f"FractionNFElem({self})"
+
+    def __str__(self):
+        if self.b == 0:
+            return str(self.a)
+        bt = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
+        if self.a == 0:
+            return bt
+        sign = "+" if self.b > 0 else ""
+        return f"{self.a}{sign}{bt}"

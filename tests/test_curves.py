@@ -35,7 +35,7 @@ from twistparity.localfields import (
     square_class_index,
     valuation,
 )
-from twistparity.numberfield import places_above, quadratic_field, rational_field
+from twistparity.numberfield import NFElem, places_above, quadratic_field, rational_field
 
 from .conftest import place
 
@@ -200,6 +200,30 @@ def test_reduction_invariant_under_coordinate_change(Q, e11a1, e_mult2):
         for p in (2, 3, 11):
             v = place(Q, p)
             assert reduction_type(E3, v).red_type == reduction_type(E, v).red_type
+
+
+def test_transform_matches_the_division_formula(monkeypatch, K5):
+    E = curve(K5, [K5.elem(1, 1), -1, K5.elem(0, 1), 3, K5.elem(Fraction(1, 2), 2)])
+    a1, a2, a3, a4, a6 = E.ainvs()
+    rng = random.Random(11)
+    for _ in range(12):
+        u, r, s, t = (K5.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-3, 3))
+                      for _ in range(4))
+        if u.is_zero():
+            continue
+        want = ((a1 + 2 * s) / u, (a2 - s * a1 + 3 * r - s * s) / u ** 2,
+                (a3 + r * a1 + 2 * t) / u ** 3,
+                (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
+                (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6)
+        assert E.transform(u=u, r=r, s=s, t=t).ainvs() == want
+    # the translations of Tate's algorithm (u = 1) divide nothing; a scaling inverts u once
+    divisions = []
+    truediv = NFElem.__truediv__
+    monkeypatch.setattr(NFElem, "__truediv__", lambda x, y: divisions.append(y) or truediv(x, y))
+    E.transform(r=2, s=K5.elem(0, 1), t=-1)
+    assert divisions == []
+    E.transform(u=K5.elem(1, 1))
+    assert len(divisions) == 1
 
 
 def test_split_nonsplit_flip_under_unramified_twist(Q, e11a1, e37a1):
