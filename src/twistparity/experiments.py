@@ -1,22 +1,28 @@
 """Desk-scale verification: density scans over C(K, X), the reduction-theoretic
 twist oracle, and machine-readable reports.
 
-Density scans are exact and take one path. The generators of C(K, X) are built
-once and localized at the places of the reduced product (real, then special:
+Density scans are exact and take one path. For b >= 4, C(K, b) is generated by
+the unit classes and one prime generator per place of residue norm <= b, so
+|C(K, b)| = 2^g(b) with g(b) a count of places, read from one sieve
+(``numberfield.place_norms_up_to``). The scan localizes the generators, in
+norm order, at the places of the reduced product (real, then special:
 ``PlacePartition.reduced_places``), whose signs per class are read from
-``parity.reduced_sign_table``; the image of the localization homomorphism
-C(K, b) -> prod c_v grows as the buckets b pass, and each bucket's even count
-is |C(K, b)| / |image| times the even classes in the image (the homomorphism
-has equal fibers). Buckets below 4 enumerate C(K, b), which their generators
-need not span. The report's ``method`` is "exhaustive" when |C(K, X)| <=
-EXHAUSTIVE_CAP and "fibers" otherwise: a size label kept from the two paths
-this one replaced.
+``parity.reduced_sign_table``, and grows the image of the localization
+homomorphism C(K, b) -> prod c_v only until it is the whole product (by
+Grunwald-Wang it gets there; over Q it does by norm 11 for 11a1). Past that no
+place is built or localized. Each bucket's even count is |C(K, b)| / |image|
+times the even classes in the image (the homomorphism has equal fibers).
+Buckets below 4 enumerate C(K, b), which their generators need not span. The
+report's ``method`` is "exhaustive" when |C(K, X)| <= EXHAUSTIVE_CAP and
+"fibers" otherwise: a size label kept from the two paths this one replaced.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +42,21 @@ from .curves import (
 from .errors import UnsupportedRepresentation
 from .heckechars import (
     QuadChar,
-    character_group_generators,
     enumerate_characters,
     localization_profile,
     make_char,
     squarefree_deltas,
 )
 from .localfields import completion, square_class_index
-from .numberfield import Field, NFElem, archimedean_places, parse_field, places_above
+from .numberfield import (
+    Field,
+    NFElem,
+    archimedean_places,
+    parse_field,
+    place_norms_up_to,
+    places_above,
+    places_of_norm,
+)
 from .parity import (
     kappa,
     parity_change,
@@ -219,14 +232,21 @@ def scan_density(E: EllipticCurve, X: int,
 
     places = place_partition(E, assume_principal_series).reduced_places()
     values = [reduced_sign_table(E, v) for v in places]
-    mult_tables = [_class_mult_table(completion(K, v)) for v in places]
+    local = [completion(K, v) for v in places]
+    mult_tables = [_class_mult_table(lv) for lv in local]
     identity = tuple(0 for _ in places)
+    full = math.prod(lv.num_quadratic_characters for lv in local)
 
-    # character_group_generators(K, b) is the subset of these with norm <= b:
-    # a prime's character has norm at least the prime's residue norm
-    gens = [(chi.norm, localization_profile(chi, places))
-            for chi in character_group_generators(K, X)]
-    image = {identity}
+    def profile(x: NFElem) -> tuple:
+        return tuple(square_class_index(x, lv) for lv in local)
+
+    # For b >= 4 the generators of C(K, b) are the unit classes (norm <= 4) and
+    # the prime generators of the places of residue norm <= b (norm that residue
+    # norm, or a dyadic norm <= 4), so |C(K, b)| is a count of places.
+    units = K.unit_square_classes[1:3]
+    norms = place_norms_up_to(K, X)
+    image = _grow_subgroup({identity}, [profile(u) for u in units], mult_tables)
+    fed = 0  # the places of norms[:fed] are in the image
     buckets = []
     for b in sorted({max(1, (k * X) // 10) for k in range(1, 11)}):
         if b < 4:
@@ -238,9 +258,15 @@ def scan_density(E: EllipticCurve, X: int,
                                      [localization_profile(chi, places) for chi in chars],
                                      mult_tables)
         else:
-            fed = [prof for norm, prof in gens if norm <= b]
-            total = 1 << len(fed)
-            counted = _grow_subgroup(image, fed, mult_tables)
+            # feed the places in norm order until the image is full; past that
+            # no place is built or localized
+            while len(image) < full and fed < len(norms) and norms[fed] <= b:
+                n = norms[fed]
+                _grow_subgroup(image, [profile(v.generator) for v in places_of_norm(K, n)],
+                               mult_tables)
+                fed = bisect_right(norms, n)
+            total = 1 << (len(units) + bisect_right(norms, b))
+            counted = image
         plus = 0
         for h in counted:
             sign = 1

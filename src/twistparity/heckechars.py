@@ -138,15 +138,6 @@ def trivial_char(K: Field) -> QuadChar:
 # Enumeration of C(K, X)
 
 
-def character_group_generators(K: Field, X: int) -> list[QuadChar]:
-    """Independent generators of C(K, X): an F_2-basis of the unit classes and
-    the primes of norm <= X, each filtered by its own norm. Each generator is
-    canonical with known support, so nothing is factored."""
-    gens = [_char_of(K, u, ()) for u in K.unit_square_classes[1:3]]
-    gens += [_char_of(K, v.generator, (v,)) for v in places_of_norm_up_to(K, X)]
-    return [chi for chi in gens if chi.norm <= X]
-
-
 def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> list[QuadChar]:
     """All characters with Nchi <= X, each once, in deterministic order.
 

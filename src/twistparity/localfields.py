@@ -23,11 +23,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import InternalInvariantError, ZeroElement
-from .numberfield import Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int
-
-# entries in each per-completion class-index cache, and in each memo of
-# ``curves`` and ``parity``
-MEMO_BOUND = 1024
+from .numberfield import MEMO_BOUND, Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int
 
 
 # ----------------------------------------------------------------------------
@@ -147,6 +143,9 @@ class LocalField:
         self._hilbert_matrix: Optional[list] = None
 
     # -- identification -------------------------------------------------------
+    def key(self):
+        return (self.field.key, self.place.key())
+
     @property
     def degree_over_qp(self) -> int:
         return self.e * self.f
@@ -226,8 +225,9 @@ class LocalField:
 class LocalCharacter:
     """Quadratic character x -> (x, delta)_v of K_v^x, named by a global delta.
 
-    Two characters are equal when they share the completion (by identity) and
-    the square class of delta."""
+    Two characters are equal when their completions have the same key (a
+    completion the memo dropped and rebuilt is the same field) and delta has
+    the same square class."""
 
     local_field: LocalField
     delta: NFElem
@@ -250,7 +250,7 @@ class LocalCharacter:
         return is_unramified_class(self.delta, self.local_field)
 
     def __mul__(self, other: "LocalCharacter") -> "LocalCharacter":
-        if self.local_field is not other.local_field:
+        if self.local_field.key() != other.local_field.key():
             raise InternalInvariantError("product of characters of different completions")
         prod = self.delta * other.delta
         v = self.local_field
@@ -262,10 +262,10 @@ class LocalCharacter:
     def __eq__(self, other):
         if not isinstance(other, LocalCharacter):
             return NotImplemented
-        return self.local_field is other.local_field and self.index() == other.index()
+        return self.local_field.key() == other.local_field.key() and self.index() == other.index()
 
     def __hash__(self):
-        return hash((id(self.local_field), self.index()))
+        return hash((self.local_field.key(), self.index()))
 
     def __str__(self):
         return f"chi[{self.delta}]@{self.local_field}"
@@ -279,7 +279,7 @@ def completion(K: Field, v: Place) -> LocalField:
     return _completion_cached(K.key, v.key())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def _completion_cached(field_key, place_key) -> LocalField:
     from .numberfield import _make_field, archimedean_places, places_above
 

@@ -38,6 +38,11 @@ IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
 GENERATOR_SEARCH_BOUND = 10 ** 6  # b searched for a prime generator in a real field
 
+# entries in the places memo here, in the completion memo and each
+# per-completion class-index cache of ``localfields``, and in each memo of
+# ``curves`` and ``parity``
+MEMO_BOUND = 1024
+
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol for odd prime p via Euler's criterion."""
@@ -533,8 +538,8 @@ def real_quadratic_class_number(m: int) -> int:
 @lru_cache(maxsize=None)
 def _make_field(kind: str, m: Optional[int]) -> Field:
     # unit_square_classes is built as a group, (1, u) or (1, -1, eps, -eps), so
-    # its entries 1 and 2 form an F_2-basis: character_group_generators reads
-    # them as the basis of the unit classes
+    # its entries 1 and 2 form an F_2-basis: the density scan reads them as the
+    # unit generators of C(K, X)
     if kind == "rational":
         K = Field(kind="rational", m=None, disc=1)
         object.__setattr__(K, "unit_square_classes", (K.one(), K.elem(-1)))
@@ -681,7 +686,7 @@ def _imaginary_prime_generator(K: Field, p: int) -> NFElem:
     return NFElem(K, Fraction(A, 2), Fraction(B, 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def _places_above_cached(field_key, p: int) -> tuple:
     K = _make_field(*field_key)
     return tuple(_places_above(K, p))
@@ -721,15 +726,38 @@ def _places_above(K: Field, p: int) -> list[Place]:
     ]
 
 
+def place_norms_up_to(K: Field, X: int) -> list[int]:
+    """The residue norms <= X of the finite places of K, one entry per place,
+    ascending, from one sieve and no place construction. Over Q(sqrt m) a prime
+    p gives two places of norm p, one of norm p, or one of norm p^2 as
+    kronecker(disc, p) is 1, 0 or -1; that symbol is a character mod |disc|,
+    so it is read from a table of residues."""
+    primes = primes_up_to(X)
+    if K.m is None:
+        return primes
+    d = abs(K.disc)
+    symbol = [0] + [kronecker(K.disc, r) for r in range(1, d)]  # p = 0 mod d divides disc
+    norms = []
+    for p in primes:
+        s = symbol[p % d]
+        if s >= 0:
+            norms += (p, p) if s else (p,)
+        elif p * p <= X:
+            norms.append(p * p)
+    norms.sort()  # moves the inert p^2 into place
+    return norms
+
+
+def places_of_norm(K: Field, n: int) -> list[Place]:
+    """The finite places of residue norm n, where n is a prime or the square
+    of a prime."""
+    r = math.isqrt(n)
+    return [v for v in places_above(K, r if r * r == n else n) if v.residue_norm == n]
+
+
 def places_of_norm_up_to(K: Field, X: int) -> list[Place]:
     """Finite places with residue norm <= X, sorted by (norm, p, index)."""
-    out = []
-    for p in primes_up_to(X):
-        for v in _places_above_cached(K.key, p):
-            if v.residue_norm <= X:
-                out.append(v)
-    out.sort(key=lambda v: (v.residue_norm, v.p, v.index))
-    return out
+    return [v for n in dict.fromkeys(place_norms_up_to(K, X)) for v in places_of_norm(K, n)]
 
 
 def global_sqrt(x: NFElem) -> Optional[NFElem]:

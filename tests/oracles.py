@@ -7,7 +7,10 @@ square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
 in pure integer arithmetic (``DyadicOracle``). The one exception is
 ``per_character_parity_change``: the product of ``n_v`` over localized
 characters that ``parity_change`` computed before the sign tables, kept as
-their reference. Likewise ``generators_via_make_char`` is the generator path
+their reference. ``character_group_generators`` builds the generators of
+C(K, X) as characters, as the density scan did before it localized bare place
+generators and counted the rest by norm; it pins that count. Likewise
+``generators_via_make_char`` is the generator path
 ``character_group_generators`` took before it built its characters directly,
 ``scan_prime_generator`` is the search over b that found the prime
 generators of imaginary fields before Cornacchia's algorithm, and
@@ -239,6 +242,18 @@ def per_character_parity_change(E, chi) -> int:
     for v in places.values():
         sign *= n_v(local_rep_type(E, v), chi.localize(v))
     return sign
+
+
+def character_group_generators(K, X):
+    """Independent generators of C(K, X): an F_2-basis of the unit classes and
+    the primes of norm <= X, each filtered by its own norm. Each generator is
+    canonical with known support, so nothing is factored."""
+    from twistparity.heckechars import _char_of
+    from twistparity.numberfield import places_of_norm_up_to
+
+    gens = [_char_of(K, u, ()) for u in K.unit_square_classes[1:3]]
+    gens += [_char_of(K, v.generator, (v,)) for v in places_of_norm_up_to(K, X)]
+    return [chi for chi in gens if chi.norm <= X]
 
 
 def generators_via_make_char(K, X):

@@ -1,4 +1,5 @@
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from twistparity.heckechars import enumerate_characters, make_char
 from twistparity.parity import TABLE_SIGN_HOOKS
 
 from .conftest import place
+from .oracles import character_group_generators
 
 
 # ----------------------------------------------------------------------------
@@ -52,6 +54,55 @@ def test_scan_matches_brute_force(Q, e11a1, e37a1):
                 (str(E.field), parity)
         if E.field.m is None:
             assert r.fraction == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("m", [None, -1, -3, -7, 2, 5, 13])
+def test_scan_generator_count_matches_generators(m):
+    # for b >= 4 the scan counts the generators of C(K, b) as the unit basis
+    # plus the places of residue norm <= b; the fields have inert places of
+    # norm p^2, ramified places and the dyadic place of norm 4
+    from twistparity.numberfield import place_norms_up_to, quadratic_field, rational_field
+
+    K = rational_field() if m is None else quadratic_field(m)
+    norms = place_norms_up_to(K, 300)
+    units = len(K.unit_square_classes[1:3])
+    for b in range(4, 301):
+        assert units + bisect_right(norms, b) == len(character_group_generators(K, b)), b
+    E = curve(K, [0, -1, 1, 0, 0])
+    for X in (47, 300):
+        for row in scan_density(E, X).buckets:
+            if row.x_bucket >= 4:
+                assert row.total == 2 ** len(character_group_generators(K, row.x_bucket))
+
+
+def test_scan_stops_localizing_once_the_image_is_full(monkeypatch, Q, e11a1):
+    import twistparity.experiments as experiments
+    from twistparity.numberfield import _places_above_cached
+
+    # the image fills at norm 11 over Q, so a scan to 8000 builds only the
+    # places up to there, and a longer scan localizes nothing more
+    _places_above_cached.cache_clear()
+    scan_density(e11a1, 8000)
+    assert _places_above_cached.cache_info().currsize <= 8
+    calls = []
+    for name in ("places_of_norm", "square_class_index", "localization_profile"):
+        fn = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    counts = []
+    for X in (200, 20000):
+        calls.clear()
+        scan_density(e11a1, X)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1] and "localization_profile" not in counts[0]
+
+
+def test_scan_counts_places_at_a_million(Q, e11a1):
+    # pi(10^6) = 78498 places and the unit -1: a count the scan reaches only
+    # because it stops localizing at norm 11
+    r = scan_density(e11a1, 10 ** 6)
+    assert r.fraction == Fraction(1, 2)
+    assert r.buckets[-1].total == 2 ** (1 + 78498)
 
 
 def test_scan_deterministic_serialization(Q, e11a1):

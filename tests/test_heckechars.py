@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings, strategies as st
 import twistparity.heckechars as heckechars
 from twistparity.errors import ExplosionGuard, ZeroElement
 from twistparity.heckechars import (
-    character_group_generators,
     enumerate_characters,
     localization_profile,
     make_char,
@@ -27,7 +26,7 @@ from twistparity.numberfield import (
 )
 
 from .conftest import place
-from .oracles import generators_via_make_char, rational_char_norm
+from .oracles import character_group_generators, generators_via_make_char, rational_char_norm
 
 
 # ----------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from twistparity.arith import primes_up_to
 from twistparity.errors import ZeroElement
 from twistparity.localfields import (
     MEMO_BOUND,
+    LocalCharacter,
+    _completion_cached,
     _reduce_coords,
     completion,
     eval_local_char,
@@ -18,6 +21,7 @@ from twistparity.localfields import (
     valuation,
 )
 from twistparity.numberfield import (
+    _places_above_cached,
     archimedean_places,
     places_above,
     quadratic_field,
@@ -556,3 +560,26 @@ def test_class_index_cache_stays_bounded(Q):
         assert len(cache) <= MEMO_BOUND
         cache.clear()
         assert [square_class_index(x, v) for x in xs] == first == again
+
+
+def test_place_and_completion_memos_stay_bounded(Q):
+    # more places than MEMO_BOUND: both memos drop their oldest entries, and a
+    # completion built again is a new object whose characters still compare
+    # equal to the old ones (by field and place key, not by identity)
+    v3 = places_above(Q, 3)[0]
+    old = completion(Q, v3)
+    chars = [LocalCharacter(old, Q.elem(d)) for d in (1, -1, 3, -3)]
+    primes = primes_up_to(10000)
+    assert len(primes) > MEMO_BOUND
+    for p in primes:
+        completion(Q, places_above(Q, p)[0])
+    for memo in (_completion_cached, _places_above_cached):
+        info = memo.cache_info()
+        assert info.maxsize == MEMO_BOUND and info.currsize <= MEMO_BOUND
+    new = completion(Q, v3)
+    assert new is not old
+    again = [LocalCharacter(new, Q.elem(d)) for d in (1, -1, 3, -3)]
+    assert again == chars and [hash(c) for c in again] == [hash(c) for c in chars]
+    assert LocalCharacter(new, Q.elem(12)) == chars[2]
+    assert LocalCharacter(new, Q.elem(3)) != chars[3]
+    assert (chars[1] * again[2]).index() == chars[3].index()

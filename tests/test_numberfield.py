@@ -24,6 +24,7 @@ from twistparity.numberfield import (
     parse_element,
     parse_field,
     pell_fundamental_unit,
+    place_norms_up_to,
     places_above,
     places_of_norm_up_to,
     quadratic_field,
@@ -401,6 +402,18 @@ def test_places_of_norm_up_to():
     norms = [v.residue_norm for v in pls]
     assert norms == sorted(norms)
     assert norms == [2, 5, 5, 9]
+
+
+@pytest.mark.parametrize("m", [None, -1, -2, -3, -7, -11, -19, 2, 3, 5, 6, 13, 17, 21])
+def test_place_norms_count_the_places(m):
+    # split, ramified and inert primes (inert ones at p^2, and only while
+    # p^2 <= X), counted without building a place
+    K = rational_field() if m is None else quadratic_field(m)
+    for X in (1, 2, 3, 4, 9, 10, 48, 49, 50, 1000):
+        built = sorted(v.residue_norm for p in primes_up_to(X) for v in places_above(K, p)
+                       if v.residue_norm <= X)
+        assert place_norms_up_to(K, X) == built, X
+        assert [v.residue_norm for v in places_of_norm_up_to(K, X)] == built, X
 
 
 # ----------------------------------------------------------------------------
