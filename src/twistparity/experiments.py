@@ -4,17 +4,18 @@ twist oracle, and machine-readable reports.
 Density scans are exact and take one path. For b >= 4, C(K, b) is generated by
 the unit classes and one prime generator per place of residue norm <= b, so
 |C(K, b)| = 2^g(b) with g(b) a count of places, read from one sieve
-(``numberfield.place_norms_up_to``). The scan localizes the generators, in
-norm order, at the places of the reduced product (real, then special:
-``PlacePartition.reduced_places``), whose signs per class are read from
-``parity.reduced_sign_table``, and grows the image of the localization
-homomorphism C(K, b) -> prod c_v only until it is the whole product (by
-Grunwald-Wang it gets there; over Q it does by norm 11 for 11a1). Past that no
-place is built or localized. Each bucket's even count is |C(K, b)| / |image|
-times the even classes in the image (the homomorphism has equal fibers).
-Buckets below 4 enumerate C(K, b), which their generators need not span. The
-report's ``method`` is "exhaustive" when |C(K, X)| <= EXHAUSTIVE_CAP and
-"fibers" otherwise: a size label kept from the two paths this one replaced.
+(``numberfield.place_norms_up_to``). With ``LocalField.class_coords`` each c_v =
+K_v^x/K_v^x2 is F_2^d, an element's classes at the places of the reduced
+product (``PlacePartition.reduced_places``) are one int, and the image H of
+C(K, b) -> G = prod c_v is a subspace, kept with a basis of H^perp that the
+generators, in norm order, cut only until it is 0 (Grunwald-Wang; over Q by
+norm 11 for 11a1). The even count is |C(K, b)| / |H| * (|H| + w S) / 2, where
+S sums prod_v f_v (the rows of ``parity.reduced_sign_table``) over H, or by
+Poisson summation |H|/|G| times prod_v f^_v (Walsh-Hadamard) over H^perp,
+whichever is smaller. Buckets below 4 enumerate C(K, b), which their
+generators need not span. The report's ``method`` is "exhaustive" when
+|C(K, X)| <= EXHAUSTIVE_CAP and "fibers" otherwise: a size label kept from the
+two paths this one replaced.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from .curves import (
     SPLIT_MULT,
     NONSPLIT_MULT,
 )
-from .errors import UnsupportedRepresentation
+from .errors import ExplosionGuard, UnsupportedRepresentation
 from .heckechars import (
+    ENUMERATION_GUARD,
     QuadChar,
     enumerate_characters,
     localization_profile,
@@ -194,26 +196,35 @@ def emit_report(report: DensityReport, fmt: str, path: str) -> str:
 # Exact density scan
 
 
-def _class_mult_table(lv) -> list[list[int]]:
-    reps = lv.square_class_reps()
-    n = len(reps)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            k = square_class_index(reps[i] * reps[j], lv)
-            table[i][j] = table[j][i] = k
-    return table
+def _cut(image: list, perp: list, gens) -> None:
+    """Add the profiles gens to H = span(image), with perp a basis of H^perp:
+    each g not in H cuts perp to the psi with <psi, g> = 0."""
+    for g in gens:
+        odd = [psi for psi in perp if (psi & g).bit_count() & 1]
+        if odd:
+            image.append(g)
+            perp[:] = [psi ^ odd[0] if psi in odd else psi for psi in perp if psi != odd[0]]
 
 
-def _grow_subgroup(group: set, gens_profiles, mult_tables) -> set:
-    """Enlarge the subgroup ``group`` of class-index tuples, in place, by the
-    generator tuples (componentwise class products); returns it."""
-    for g in gens_profiles:
-        if g in group:
-            continue
-        new = [tuple(mult_tables[i][h[i]][g[i]] for i in range(len(h))) for h in group]
-        group.update(new)
-    return group
+def _walsh_hadamard(f: list) -> list:
+    """f^(psi) = sum_x f(x) (-1)^<psi, x> over F_2^d, for f given on range(2^d)."""
+    return [sum(-s if (psi & x).bit_count() & 1 else s for x, s in enumerate(f))
+            for psi in range(len(f))]
+
+
+def _sign_sum(image: list, perp: list, tables: list) -> int:
+    """S = sum over H = span(image) of prod_v f_v, with (bit offset, f_v, f^_v) per
+    place in tables: a walk of H, or |H|/|G| * sum over H^perp of prod_v f^_v."""
+    dual = len(image) > len(perp)
+    basis = perp if dual else image
+    if 1 << len(basis) > ENUMERATION_GUARD:
+        raise ExplosionGuard(1 << len(basis), ENUMERATION_GUARD)
+    rows = [(off, len(f) - 1, fhat if dual else f) for off, f, fhat in tables]
+    span = [0]
+    for g in basis:
+        span += [h ^ g for h in span]
+    total = sum(math.prod(row[h >> off & mask] for off, mask, row in rows) for h in span)
+    return total >> len(perp) if dual else total
 
 
 def scan_density(E: EllipticCurve, X: int,
@@ -231,21 +242,27 @@ def scan_density(E: EllipticCurve, X: int,
     predicted = (1 + w * krep.kappa) / 2
 
     places = place_partition(E, assume_principal_series).reduced_places()
-    values = [reduced_sign_table(E, v) for v in places]
     local = [completion(K, v) for v in places]
-    mult_tables = [_class_mult_table(lv) for lv in local]
-    identity = tuple(0 for _ in places)
-    full = math.prod(lv.num_quadratic_characters for lv in local)
+    coords = [lv.class_coords() for lv in local]
+    tables, dim = [], 0  # one bit field per place; f_v re-indexed by coordinates
+    for v, cv in zip(places, coords):
+        f = [s for _, s in sorted(zip(cv, reduced_sign_table(E, v)))]
+        tables.append((dim, f, _walsh_hadamard(f)))
+        dim += len(cv).bit_length() - 1
 
-    def profile(x: NFElem) -> tuple:
-        return tuple(square_class_index(x, lv) for lv in local)
+    def profile(classes) -> int:
+        return sum(cv[c] << off for cv, c, (off, _, _) in zip(coords, classes, tables))
+
+    def localize(x: NFElem) -> int:
+        return profile(square_class_index(x, lv) for lv in local)
 
     # For b >= 4 the generators of C(K, b) are the unit classes (norm <= 4) and
     # the prime generators of the places of residue norm <= b (norm that residue
     # norm, or a dyadic norm <= 4), so |C(K, b)| is a count of places.
     units = K.unit_square_classes[1:3]
     norms = place_norms_up_to(K, X)
-    image = _grow_subgroup({identity}, [profile(u) for u in units], mult_tables)
+    image, perp = [], [1 << i for i in range(dim)]
+    _cut(image, perp, map(localize, units))
     fed = 0  # the places of norms[:fed] are in the image
     buckets = []
     for b in sorted({max(1, (k * X) // 10) for k in range(1, 11)}):
@@ -254,29 +271,21 @@ def scan_density(E: EllipticCurve, X: int,
             # not span C(K, b) (|C(K, 3)| = 4 over Q(sqrt 13), with one generator)
             chars = enumerate_characters(K, b)
             total = len(chars)
-            counted = _grow_subgroup({identity},
-                                     [localization_profile(chi, places) for chi in chars],
-                                     mult_tables)
+            counted, counted_perp = [], [1 << i for i in range(dim)]
+            _cut(counted, counted_perp,
+                 (profile(localization_profile(chi, places)) for chi in chars))
         else:
-            # feed the places in norm order until the image is full; past that
-            # no place is built or localized
-            while len(image) < full and fed < len(norms) and norms[fed] <= b:
+            # feed the places in norm order until the image is full (H^perp = 0);
+            # past that no place is built or localized
+            while perp and fed < len(norms) and norms[fed] <= b:
                 n = norms[fed]
-                _grow_subgroup(image, [profile(v.generator) for v in places_of_norm(K, n)],
-                               mult_tables)
+                _cut(image, perp, (localize(v.generator) for v in places_of_norm(K, n)))
                 fed = bisect_right(norms, n)
             total = 1 << (len(units) + bisect_right(norms, b))
-            counted = image
-        plus = 0
-        for h in counted:
-            sign = 1
-            for vals, idx in zip(values, h):
-                sign *= vals[idx]
-            # rk(E^chi) even  <=>  (w = +1) xor (parity flips)
-            if (w == 1) == (sign == 1):
-                plus += 1
-        # localization is a homomorphism: each image tuple has total/|image| preimages
-        even = total // len(counted) * plus
+            counted, counted_perp = image, perp
+        # rk(E^chi) even <=> w * sign = +1; each class in H has total/|H| preimages
+        plus = ((1 << len(counted)) + w * _sign_sum(counted, counted_perp, tables)) // 2
+        even = total // (1 << len(counted)) * plus
         buckets.append(BucketRow(b, total, even, Fraction(even, total), predicted))
 
     last = buckets[-1]

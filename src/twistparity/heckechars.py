@@ -191,11 +191,7 @@ class SurjectivityReport:
 
 def localization_profile(chi: QuadChar, places) -> tuple:
     """Tuple of local square-class indices of delta at the given places."""
-    out = []
-    for v in places:
-        lv = completion(chi.field, v)
-        out.append(square_class_index(chi.delta, lv))
-    return tuple(out)
+    return tuple(square_class_index(chi.delta, completion(chi.field, v)) for v in places)
 
 
 def surjectivity_check(K: Field, places, X: int, guard: int = ENUMERATION_GUARD) -> SurjectivityReport:

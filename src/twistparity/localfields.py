@@ -135,7 +135,7 @@ class LocalField:
                 self.uniformizer = place.generator if place.generator is not None else K.elem(self.p)
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
-        self._characters: Optional[list] = None
+        self._class_coords: Optional[list] = None
         # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
         self._class_index_cache: dict = {}
         # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
@@ -207,6 +207,21 @@ class LocalField:
             self._square_classes = _build_square_classes(self)
         return self._square_classes
 
+    def class_coords(self) -> list[int]:
+        """Class index -> its bit mask over a greedy F_2-basis of the classes."""
+        if self._class_coords is None:
+            reps = self.square_class_reps()
+            coords = {0: 0}
+            for i, r in enumerate(reps):
+                if i not in coords:  # the 2^k classes reached span bits < k; i opens bit k
+                    bit = len(coords)
+                    for j, mask in list(coords.items()):
+                        coords[square_class_index(r * reps[j], self)] = mask | bit
+            if sorted(coords.values()) != list(range(len(reps))):
+                raise InternalInvariantError(f"square classes at {self} are not a group")
+            self._class_coords = [coords[i] for i in range(len(reps))]
+        return self._class_coords
+
     def hilbert_matrix(self) -> list[list[int]]:
         """(reps[i], reps[j])_v for a place above 2."""
         if self.p != 2:
@@ -216,9 +231,7 @@ class LocalField:
         return self._hilbert_matrix
 
     def characters(self) -> list["LocalCharacter"]:
-        if self._characters is None:
-            self._characters = [LocalCharacter(self, d) for d in self.square_class_reps()]
-        return self._characters
+        return [LocalCharacter(self, d) for d in self.square_class_reps()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,18 +411,9 @@ def _hilbert_search(x: NFElem, y: NFElem, v: LocalField) -> int:
 
 def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
     """(reps[i], reps[j])_v by bimultiplicativity from the pairs of an F_2-basis."""
-    reps = v.square_class_reps()
-    coords = {0: 0}  # class index -> its coordinates over the basis, as a bit mask
-    basis = []
-    for i, r in enumerate(reps):
-        if i not in coords:
-            bit = 1 << len(basis)
-            basis.append(r)
-            for j, mask in list(coords.items()):
-                coords[square_class_index(r * reps[j], v)] = mask | bit
-    if len(coords) != len(reps):
-        raise InternalInvariantError(f"square classes at {v} are not closed under products")
-    k = len(basis)
+    reps, coords = v.square_class_reps(), v.class_coords()
+    k = len(reps).bit_length() - 1
+    basis = [reps[coords.index(1 << a)] for a in range(k)]
     odd = [[False] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
@@ -419,7 +423,7 @@ def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
         s = sum(odd[a][b] for a in range(k) if mi >> a & 1 for b in range(k) if mj >> b & 1)
         return -1 if s % 2 else 1
 
-    return [[symbol(coords[i], coords[j]) for j in range(len(reps))] for i in range(len(reps))]
+    return [[symbol(mi, mj) for mj in coords] for mi in coords]
 
 
 # ----------------------------------------------------------------------------

@@ -1,14 +1,21 @@
+import math
 import sys
+import time
 from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from twistparity.curves import SPLIT_MULT, curve, quadratic_twist, reduction_type
+from twistparity.errors import ExplosionGuard
 from twistparity.experiments import (
     BucketRow,
     DensityReport,
     TwistRootNumberOracle,
+    _cut,
+    _sign_sum,
+    _walsh_hadamard,
     emit_report,
     find_demo_curve,
     oracle_crosscheck,
@@ -95,6 +102,84 @@ def test_scan_stops_localizing_once_the_image_is_full(monkeypatch, Q, e11a1):
         scan_density(e11a1, X)
         counts.append(sorted(calls))
     assert counts[0] == counts[1] and "localization_profile" not in counts[0]
+
+
+@seed(20153)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sign_sum_matches_the_span(data):
+    # random bit fields of width 0-4 (dim <= 12), values f_v, and generators:
+    # _cut keeps perp a basis of H^perp, and _sign_sum (a walk of H or of
+    # H^perp) equals the sum over the span enumerated directly
+    widths = data.draw(st.lists(st.integers(0, 4), max_size=5).filter(lambda ws: sum(ws) <= 12))
+    tables, dim = [], 0
+    for width in widths:
+        f = data.draw(st.lists(st.integers(-3, 3), min_size=1 << width, max_size=1 << width))
+        tables.append((dim, f, _walsh_hadamard(f)))
+        dim += width
+    gens = data.draw(st.lists(st.integers(0, (1 << dim) - 1), max_size=14))
+    image, perp = [], [1 << i for i in range(dim)]
+    _cut(image, perp, gens)
+    span = {0}
+    for g in gens:
+        span |= {h ^ g for h in span}
+    assert len(span) == 1 << len(image) and len(image) + len(perp) == dim
+    assert all((psi & h).bit_count() % 2 == 0 for psi in perp for h in image)
+    brute = sum(math.prod(f[h >> off & len(f) - 1] for off, f, _ in tables) for h in span)
+    assert _sign_sum(image, perp, tables) == brute
+
+
+def test_sign_sum_guards_before_enumerating():
+    # rank 23 and corank 23: both walks pass ENUMERATION_GUARD = 2^22, so the
+    # count raises before it builds a span or reads a value
+    class Untouchable(list):
+        def __getitem__(self, i):
+            raise AssertionError("a value was read")
+
+    tables = [(off, Untouchable([1, 1]), Untouchable([2, 0])) for off in range(46)]
+    image = [1 << i for i in range(23)]
+    perp = [1 << i for i in range(23, 46)]
+    with pytest.raises(ExplosionGuard) as err:
+        _sign_sum(image, perp, tables)
+    assert err.value.size == 1 << 23
+
+
+# Legendre curves y^2 = x(x - A)(x + B) over Q with 5 and 6 reduced places
+MANY_PLACES = ([0, 586, 0, -1767, 0], [0, -50, 0, -17871, 0], [0, -294, 0, -9367, 0])
+
+
+def test_scan_matches_brute_force_on_many_places(Q, monkeypatch):
+    import twistparity.experiments as experiments
+    from twistparity.parity import parity_change, place_partition
+
+    walks = set()
+    sign_sum = experiments._sign_sum
+    monkeypatch.setattr(experiments, "_sign_sum", lambda image, perp, tables:
+                        walks.add(len(image) > len(perp)) or sign_sum(image, perp, tables))
+    X = 25
+    for coeffs in MANY_PLACES:
+        E = curve(Q, coeffs)
+        assert len(place_partition(E).reduced_places()) >= 5
+        signs = [(chi.norm, parity_change(E, chi)) for chi in enumerate_characters(Q, X)]
+        for parity, w in (("even", 1), ("odd", -1)):
+            r = scan_density(E, X, parity_override=parity)
+            brute = []
+            for b in sorted({max(1, k * X // 10) for k in range(1, 11)}):
+                family = [s for norm, s in signs if norm <= b]
+                brute.append((b, len(family), sum(1 for s in family if w * s == 1)))
+            assert [(row.x_bucket, row.total, row.even) for row in r.buckets] == brute, \
+                (coeffs, parity)
+    assert walks == {False, True}  # the buckets walk H and walk H^perp
+
+
+def test_scan_of_a_twelve_place_curve_is_fast(Q):
+    # 12 reduced places, |prod c_v| = 2^23: the set-of-tuples closure this
+    # count replaced took minutes and gigabytes on it
+    E = curve(Q, [0, -11962238, 0, -8529584063, 0])
+    start = time.perf_counter()
+    r = scan_density(E, 2000)
+    assert time.perf_counter() - start < 2
+    assert len(r.buckets) == 10 and r.fraction == r.predicted == Fraction(1, 2)
 
 
 def test_scan_counts_places_at_a_million(Q, e11a1):

@@ -513,6 +513,7 @@ def test_dyadic_tables_take_at_most_ten_pair_searches(Qi, K5, monkeypatch):
         searches.clear()
         v = localfields.LocalField(K, places_above(K, 2)[0])
         assert v._unit_classes is None and v._hilbert_matrix is None  # built on first use
+        assert v._class_coords is None
         reps = v.square_class_reps()
         for x in reps:
             for y in reps:
@@ -583,3 +584,58 @@ def test_place_and_completion_memos_stay_bounded(Q):
     assert LocalCharacter(new, Q.elem(12)) == chars[2]
     assert LocalCharacter(new, Q.elem(3)) != chars[3]
     assert (chars[1] * again[2]).index() == chars[3].index()
+
+
+# ----------------------------------------------------------------------------
+# class coordinates: the F_2-structure the Hilbert matrix and the scan share
+
+
+def _coordinate_sweep(K):
+    """The archimedean places, the places above 2 and 3, and (over a quadratic
+    field) one split and one inert odd prime above 3."""
+    yield from archimedean_places(K)
+    for p in (2, 3):
+        yield from places_above(K, p)
+    kinds = {None} if K.m is None else {"split", "inert"}
+    for p in primes_up_to(100)[2:]:
+        vs = places_above(K, p)
+        if vs[0].splitting in kinds:
+            kinds.discard(vs[0].splitting)
+            yield from vs
+        if not kinds:
+            return
+
+
+@pytest.mark.parametrize("m", [None, -1, -3, -7, 2, 5, 13])
+def test_class_coords_are_a_group_isomorphism(m):
+    K = rational_field() if m is None else quadratic_field(m)
+    kinds = set()
+    for v in _coordinate_sweep(K):
+        lv = completion(K, v)
+        reps, coords = lv.square_class_reps(), lv.class_coords()
+        kinds.add(v.kind if v.kind != "finite" else (v.p if v.p <= 3 else v.splitting))
+        assert sorted(coords) == list(range(len(reps))), (str(lv), coords)
+        for i, x in enumerate(reps):
+            for j, y in enumerate(reps):
+                assert coords[square_class_index(x * y, lv)] == coords[i] ^ coords[j], \
+                    (str(lv), i, j)
+    arch = "complex" if m is not None and m < 0 else "real"
+    assert kinds == {arch, 2, 3} | ({None} if m is None else {"split", "inert"})
+
+
+def test_dropped_completions_are_freed_without_the_collector(Q):
+    # a completion holds no reference cycle, so the ones the memo drops go at
+    # once: with the cyclic collector off, no more than the memo stay alive
+    import gc
+
+    from twistparity.localfields import LocalField
+
+    gc.collect()
+    gc.disable()
+    try:
+        for p in primes_up_to(12000):
+            completion(Q, places_above(Q, p)[0]).characters()
+        alive = sum(1 for o in gc.get_objects() if isinstance(o, LocalField))
+    finally:
+        gc.enable()
+    assert alive <= MEMO_BOUND
