@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_int_at_least(1), required=True, help="norm bound X")
     p.add_argument("--parity", choices=("even", "odd"), default=None)
     p.add_argument("--out", default=None, help="report file path")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--format", choices=("json", "csv"), default=None,
+                   help="report format for --out (default json)")
     p.add_argument("--tolerance", type=float, default=None,
                    help="allowed |fraction - predicted| (default 0.02 over Q, 0.05 else)")
 
@@ -185,6 +186,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.format is not None and not args.out:
+        print(f"input error: --format {args.format} needs --out: the report is only "
+              f"written to a file", file=sys.stderr)
+        return EXIT_INPUT
     K, E = _load(args)
     report = scan_density(E, args.x, parity_override=args.parity,
                           assume_principal_series=args.assume_principal_series)
@@ -192,8 +197,9 @@ def cmd_scan(args) -> int:
     if tol is None:
         tol = 0.02 if K.m is None else 0.05
     if args.out:
-        emit_report(report, args.format, args.out)
-        print(f"wrote {args.format} report to {args.out}")
+        fmt = args.format or "json"
+        emit_report(report, fmt, args.out)
+        print(f"wrote {fmt} report to {args.out}")
     err = abs(float(report.fraction) - float(report.predicted))
     print(f"curve {report.curve} over {report.field}, X = {report.X} "
           f"({report.method} scan, parity {report.parity})")

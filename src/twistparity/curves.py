@@ -12,7 +12,12 @@ E^c are each computed once; the rep type reads its certifying twists
 (E^c)^eta from the entries at the class of c * eta, which is exact because the
 two models are isomorphic over K_v. Reduction data is also memoized per
 literal model, so Tate's algorithm or the fast path runs once per model and
-place. The four memos (``_MEMOS``) are LRU caches of MEMO_BOUND entries each.
+place, and ``bad_places`` once per curve. The five memos (``_MEMOS``) are LRU
+caches of MEMO_BOUND entries each.
+
+A model that ``quadratic_twist`` or ``transform`` builds carries its c4, c6
+and Delta, scaled from those of its source, so neither the fast path nor the
+translations of Tate's algorithm recompute them from b2..b8.
 """
 
 from __future__ import annotations
@@ -118,25 +123,42 @@ class EllipticCurve:
         return hash(self._key)
 
     def transform(self, u=1, r=0, s=0, t=0) -> "EllipticCurve":
-        """Coordinate change (x, y) -> (u^2 x + r, u^3 y + s u^2 x + t)."""
+        """Coordinate change (x, y) -> (u^2 x + r, u^3 y + s u^2 x + t).
+
+        It is the translation x -> x + r, then y -> y + s x, then y -> y + t,
+        then the scaling by u; a zero r, s or t costs nothing. The result
+        carries c4 u^-4, c6 u^-6 and Delta u^-12.
+        """
         K = self.field
         mk = lambda z: z if isinstance(z, NFElem) else K.elem(z)
         u, r, s, t = map(mk, (u, r, s, t))
         if u.is_zero():
             raise ZeroElement("transform with u = 0")
         a1, a2, a3, a4, a6 = self.ainvs()
-        na1 = a1 + 2 * s
-        na2 = a2 - s * a1 + 3 * r - s * s
-        na3 = a3 + r * a1 + 2 * t
-        na4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-        na6 = a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1
+        c4, c6, disc = self.c4, self.c6, self.disc
+        if not r.is_zero():
+            a6 = a6 + r * (a4 + r * (a2 + r))
+            a4 = a4 + r * (2 * a2 + 3 * r)
+            a2 = a2 + 3 * r
+            a3 = a3 + r * a1
+        if not s.is_zero():
+            a2 = a2 - s * (a1 + s)
+            a4 = a4 - s * a3
+            a1 = a1 + 2 * s
+        if not t.is_zero():
+            a6 = a6 - t * (a3 + t)
+            a4 = a4 - t * a1
+            a3 = a3 + 2 * t
         if u != 1:  # divide by u^k through the powers of 1/u
             ui = 1 / u
             ui2 = ui * ui
             ui3 = ui2 * ui
-            na1, na2, na3 = na1 * ui, na2 * ui2, na3 * ui3
-            na4, na6 = na4 * ui2 * ui2, na6 * ui3 * ui3
-        return EllipticCurve(K, na1, na2, na3, na4, na6, check=False)
+            ui4, ui6 = ui2 * ui2, ui3 * ui3
+            a1, a2, a3, a4, a6 = a1 * ui, a2 * ui2, a3 * ui3, a4 * ui4, a6 * ui6
+            c4, c6, disc = c4 * ui4, c6 * ui6, disc * ui6 * ui6
+        out = EllipticCurve(K, a1, a2, a3, a4, a6, check=False)
+        out.c4, out.c6, out.disc = c4, c6, disc
+        return out
 
     def __eq__(self, other):
         return isinstance(other, EllipticCurve) and self.key() == other.key()
@@ -178,17 +200,18 @@ def invariants(E: EllipticCurve):
 
 
 def quadratic_twist(E: EllipticCurve, delta: NFElem) -> EllipticCurve:
-    """Twist by the square class of delta: (c4, c6) -> (delta^2 c4, delta^3 c6)."""
+    """Twist by the square class of delta: the model y^2 = x^3 - 27 c4 delta^2 x
+    - 54 c6 delta^3, which carries c4 = 6^4 delta^2 c4(E), c6 = 6^6 delta^3 c6(E)
+    and Delta = 6^12 delta^6 Delta(E) (nonzero, as delta and Delta(E) are)."""
     if not isinstance(delta, NFElem):
         delta = E.field.elem(delta)
     if delta.is_zero():
         raise ZeroTwistParameter("twist by 0")
-    c4, c6 = E.c4, E.c6
-    Et = EllipticCurve(E.field, 0, 0, 0, -27 * c4 * delta * delta,
-                       -54 * c6 * delta ** 3, check=False)
-    # -16 (4 A^3 + 27 B^2) with A = -27 c4 delta^2, B = -54 c6 delta^3 and
-    # c4^3 - c6^2 = 1728 disc(E): nonzero, as delta and disc(E) are
-    Et.disc = 6 ** 12 * delta ** 6 * E.disc
+    d2 = delta * delta
+    d3 = d2 * delta
+    c4, c6 = E.c4 * d2, E.c6 * d3
+    Et = EllipticCurve(E.field, 0, 0, 0, -27 * c4, -54 * c6, check=False)
+    Et.c4, Et.c6, Et.disc = 6 ** 4 * c4, 6 ** 6 * c6, 6 ** 12 * d3 * d3 * E.disc
     return Et
 
 
@@ -276,7 +299,6 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
     pi = lv.uniformizer
     rf = lv.residue_field()
     p = lv.p
-    lifts = [lv.lift(el) for el in rf.elements()]
 
     # make the model v-integral
     kmin = 0
@@ -338,7 +360,7 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
             return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
 
         # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
-        E = _tate_normalize(E, lv, pi, lifts)
+        E = _tate_normalize(E, lv, pi)
 
         # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + a6/pi^3 over k:
         # continue only past a triple root, i.e. P == (T - c)^3
@@ -388,20 +410,26 @@ def _rmul(rf, k: int, x):
     return acc
 
 
-def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem, lifts) -> EllipticCurve:
-    """Find (s, t) with pi | a1', a2'; pi^2 | a3', a4'; pi^3 | a6'."""
+def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem) -> EllipticCurve:
+    """The (s, t)-translate with pi | a1', a2'; pi^2 | a3', a4'; pi^3 | a6'.
+
+    Silverman, Advanced Topics, IV.9; Cohen, GTM 138, 7.5. At odd p completing
+    the square clears a1 and a3. At p = 2, past types II-IV, pi | a1 and
+    pi^2 | a3, a4, a6. Then a2' = a2 - s a1 - s^2 = a2 - s^2 mod pi, and for
+    t = pi t1, a6' = a6 - t a3 - t^2 = a6 - pi^2 t1^2 mod pi^3: s and t1 are
+    lifts of the square roots of a2 and a6 / pi^2 in the residue field F_q,
+    where the square root of x is x^(q/2). a3' = a3 + 2t and a4' = a4 - s a3 -
+    t a1 - 2st stay in pi^2.
+    """
     if lv.p != 2:
-        cand = E.transform(s=-E.a1 / 2, t=-E.a3 / 2)
-        if not _tate_normalized(cand, lv):
-            raise InternalInvariantError("completing the square did not normalize the model")
-        return cand
-    t_digits = [l0 + pi * l1 for l0 in lifts for l1 in lifts]
-    for sb in lifts:
-        for td in t_digits:
-            cand = E.transform(s=sb, t=pi * td)
-            if _tate_normalized(cand, lv):
-                return cand
-    raise InternalInvariantError("tate normalization search failed")
+        out = E.transform(s=-E.a1 / 2, t=-E.a3 / 2)
+    else:
+        rf = lv.residue_field()
+        sqrt = lambda z: lv.lift(rf.pow(lv.residue(z), rf.q // 2))
+        out = E.transform(s=sqrt(E.a2), t=pi * sqrt(E.a6 / (pi * pi)))
+    if not _tate_normalized(out, lv):
+        raise InternalInvariantError(f"the (s, t)-translation did not normalize the model at {lv}")
+    return out
 
 
 def _tate_normalized(E: EllipticCurve, lv: LocalField) -> bool:
@@ -491,9 +519,6 @@ def _twist_root_number(E: EllipticCurve, v: Place, c: int) -> int:
     raise UnsupportedRepresentation(v, rep.detail)
 
 
-_MEMOS = (_reduction, _twist_reduction, _twist_rep_type, _twist_root_number)
-
-
 def bad_place_candidates(E: EllipticCurve) -> list[Place]:
     """Finite places that could carry bad reduction (support of Delta and denominators)."""
     K = E.field
@@ -512,7 +537,15 @@ def bad_place_candidates(E: EllipticCurve) -> list[Place]:
 
 
 def bad_places(E: EllipticCurve) -> list[Place]:
-    return [v for v in bad_place_candidates(E) if not reduction_type(E, v).is_good()]
+    return list(_bad_places(E))
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _bad_places(E: EllipticCurve) -> tuple:
+    return tuple(v for v in bad_place_candidates(E) if not reduction_type(E, v).is_good())
+
+
+_MEMOS = (_reduction, _twist_reduction, _twist_rep_type, _twist_root_number, _bad_places)
 
 
 def root_number(E: EllipticCurve) -> int:

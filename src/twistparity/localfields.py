@@ -136,6 +136,7 @@ class LocalField:
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
         self._class_coords: Optional[list] = None
+        self._minus_one_row: Optional[list] = None
         # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
         self._class_index_cache: dict = {}
         # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
@@ -221,6 +222,14 @@ class LocalField:
                 raise InternalInvariantError(f"square classes at {self} are not a group")
             self._class_coords = [coords[i] for i in range(len(reps))]
         return self._class_coords
+
+    def minus_one_row(self) -> list[int]:
+        """Class index c -> chi_c(-1) = (-1, reps[c])_v."""
+        if self._minus_one_row is None:
+            minus_one = self.field.elem(-1)
+            self._minus_one_row = [hilbert_symbol(minus_one, r, self)
+                                   for r in self.square_class_reps()]
+        return self._minus_one_row
 
     def hilbert_matrix(self) -> list[list[int]]:
         """(reps[i], reps[j])_v for a place above 2."""

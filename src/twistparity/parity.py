@@ -5,11 +5,14 @@ Signs live in {+1, -1} as plain ints. The sign n_v(chi_v) depends only on the
 square class of chi_v in K_v^x/K_v^x2, so each (curve, place) has one finite
 table: ``sign_table(E, v)[c]`` is n_v of the character of class c, in the
 class-index order of ``completion(K, v).characters()``. Every consumer reads
-it by ``square_class_index``: ``parity_change`` over the bad places and the
-ramified places of chi, and, through ``reduced_sign_table`` (chi_v(-1) * n_v
-at the special places, chi_v(-1) at the real ones), ``parity_change_simplified``,
-``kappa_v_average`` and the exact scan of ``experiments``. The tables sit in
-one LRU memo of MEMO_BOUND entries.
+it by ``square_class_index``: ``parity_change`` at the bad places, and, through
+``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
+the real ones), ``parity_change_simplified``, ``kappa_v_average`` and the exact
+scan of ``experiments``. At a good place where chi ramifies ``parity_change``
+builds no table: n_v is row 2, chi_v(-1). That sign, and every chi_v(-1) here,
+is read from ``LocalField.minus_one_row()``, one row per completion that
+depends only on the field. The tables sit in one LRU memo of MEMO_BOUND
+entries.
 
 The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
 can flip a single row and watch the twisted-parity oracle break (all hooks are
@@ -61,7 +64,7 @@ TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
 
 
 def _chi_minus_one(chi: LocalCharacter) -> int:
-    return eval_local_char(chi, chi.local_field.field.elem(-1))
+    return chi.local_field.minus_one_row()[chi.index()]
 
 
 def _chi_pi(chi: LocalCharacter) -> int:
@@ -133,13 +136,13 @@ def _sign_table(E: EllipticCurve, v: Place, *hooks: int) -> tuple:
 
 def reduced_sign_table(E: EllipticCurve, v: Place) -> tuple:
     """chi_c(-1) * n_v(chi_c) (= m_v) at a special place, chi_c(-1) at a real one."""
-    chars = completion(E.field, v).characters()
+    minus_one = completion(E.field, v).minus_one_row()
     if v.kind == "real":
-        return tuple(_chi_minus_one(chi) for chi in chars)
+        return tuple(minus_one)
     kind = local_rep_type(E, v).kind
     if kind not in (SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD):
         raise WrongRepClass(f"m_v undefined for {kind}")
-    return tuple(_chi_minus_one(chi) * s for chi, s in zip(chars, sign_table(E, v)))
+    return tuple(m * s for m, s in zip(minus_one, sign_table(E, v)))
 
 
 @dataclass
@@ -173,14 +176,22 @@ def place_partition(E: EllipticCurve, assume_principal_series: bool = False) -> 
 
 
 def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
-    """n(chi) = prod over finite places of n_v(chi_v): +1 iff parity preserved."""
+    """n(chi) = prod over finite places of n_v(chi_v): +1 iff parity preserved.
+
+    The sign tables are read at the bad places. At a good place n_v is 1 where
+    chi is unramified (row 1) and chi_v(-1) where it ramifies (row 2), read
+    from the completion's ``minus_one_row``.
+    """
     K = E.field
-    places = {v.key(): v for v in bad_places(E)}
-    for v in chi.ramified_finite():
-        places.setdefault(v.key(), v)
+    bad = bad_places(E)
     sign = 1
-    for v in places.values():
+    for v in bad:
         sign *= sign_table(E, v)[square_class_index(chi.delta, completion(K, v))]
+    bad_keys = {v.key() for v in bad}
+    for v in chi.ramified_finite():
+        if v.key() not in bad_keys:
+            lv = completion(K, v)
+            sign *= TABLE_SIGN_HOOKS[2] * lv.minus_one_row()[square_class_index(chi.delta, lv)]
     return sign
 
 

@@ -15,7 +15,9 @@ generators and counted the rest by norm; it pins that count. Likewise
 ``scan_prime_generator`` is the search over b that found the prime
 generators of imaginary fields before Cornacchia's algorithm, and
 ``FractionNFElem`` is the field element with Fraction coordinates that the
-integer-triple ``NFElem`` replaced.
+integer-triple ``NFElem`` replaced. ``tate_normalize_search`` is the search
+over (s, t) digits that normalized Tate's models at p = 2 before the residue
+square roots.
 """
 
 import math
@@ -269,6 +271,21 @@ def generators_via_make_char(K, X):
             span += [u * s for s in span]
     chars = [make_char(K, d) for d in basis + [v.generator for v in places_of_norm_up_to(K, X)]]
     return [chi for chi in chars if chi.norm <= X]
+
+
+def tate_normalize_search(E, lv, pi):
+    """The first (s, t) = (lift, pi * (lift + pi * lift)) over the residue field's
+    lifts, in that order, whose translate has pi | a1, a2; pi^2 | a3, a4; pi^3 | a6."""
+    from twistparity.curves import _tate_normalized
+
+    lifts = [lv.lift(el) for el in lv.residue_field().elements()]
+    for sb in lifts:
+        for l0 in lifts:
+            for l1 in lifts:
+                cand = E.transform(s=sb, t=pi * (l0 + pi * l1))
+                if _tate_normalized(cand, lv):
+                    return cand
+    raise LookupError(f"no (s, t) normalizes {E} at {lv}")
 
 
 def scan_prime_generator(K, p):

@@ -85,6 +85,15 @@ def test_scan_csv(tmp_path, capsys):
     assert head == "X_bucket,total,even,fraction_num,fraction_den,predicted_num,predicted_den"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_format_without_out_is_input_error(capsys, fmt):
+    # the report is only ever written to --out, so --format alone would be ignored
+    rc, out, err = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                       "--x", "12", "--format", fmt)
+    assert rc == 2 and out == ""
+    assert err.startswith("input error:") and "--format" in err and "--out" in err
+
+
 def test_scan_report_with_thousands_of_digits(tmp_path, capsys):
     # |C(Q, 2*10^5)| = 2^17985 (-1 and 17984 primes) has 5415 decimal digits,
     # past the interpreter's default int-string limit

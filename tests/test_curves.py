@@ -161,7 +161,8 @@ def test_twist_preserves_j_and_involutes(Q, e11a1):
     (-1, [0, -1, 1, 0, 0]), (5, [0, -1, 1, 0, 0]),
 ])
 def test_twist_disc_matches_b_formula(m, coeffs):
-    # quadratic_twist stores disc = 6^12 delta^6 disc(E) instead of computing it
+    # quadratic_twist stores c4 = 6^4 delta^2 c4(E), c6 = 6^6 delta^3 c6(E) and
+    # disc = 6^12 delta^6 disc(E) instead of computing them from b2..b8
     K = rational_field() if m is None else quadratic_field(m)
     E = curve(K, coeffs)
     rng = random.Random(17)
@@ -170,8 +171,10 @@ def test_twist_disc_matches_b_formula(m, coeffs):
         delta = K.elem(Fraction(rng.randint(-40, 40) or 1, rng.randint(1, 12)),
                        Fraction(b, rng.randint(1, 12)))
         tw = quadratic_twist(E, delta)
-        assert "disc" in vars(tw)
-        assert tw.disc == curve(K, tw.ainvs()).disc, delta
+        fresh = curve(K, tw.ainvs())
+        for name in ("c4", "c6", "disc"):
+            assert name in vars(tw)
+            assert getattr(tw, name) == getattr(fresh, name), (name, delta)
 
 
 def test_twist_by_zero_rejected(Q, e11a1):
@@ -216,6 +219,16 @@ def test_transform_matches_the_division_formula(monkeypatch, K5):
                 (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u ** 4,
                 (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1) / u ** 6)
         assert E.transform(u=u, r=r, s=s, t=t).ainvs() == want
+    # the result carries c4 u^-4, c6 u^-6 and disc u^-12, also when r, s or t is 0
+    zero = K5.elem(0)
+    for u, r, s, t in ((1, 2, zero, zero), (1, zero, K5.elem(0, 1), zero), (1, zero, zero, -1),
+                       (K5.elem(1, 1), 2, zero, -1), (3, zero, zero, zero),
+                       (K5.elem(Fraction(1, 2), 1), K5.elem(1, 2), Fraction(-1, 3), K5.elem(0, 2))):
+        out = E.transform(u=u, r=r, s=s, t=t)
+        fresh = curve(K5, out.ainvs())
+        for name in ("c4", "c6", "disc"):
+            assert name in vars(out)
+            assert getattr(out, name) == getattr(fresh, name), (name, u, r, s, t)
     # the translations of Tate's algorithm (u = 1) divide nothing; a scaling inverts u once
     divisions = []
     truediv = NFElem.__truediv__
@@ -414,6 +427,42 @@ def test_per_class_rep_type_matches_literal_twist(case):
         lv = completion(K, v)
         got = _rep_summary(curves._twist_rep_type(E, v, c), lv, _w_or_error(E, v, c))
         assert got == want, (str(E), str(v), c)
+
+
+def test_tate_normalization_matches_the_digit_search(monkeypatch):
+    # at p = 2 the residue square roots give the (s, t) that the search over
+    # digit lifts found first, with one transform per call; F_2 and F_4, e = 1, 2.
+    # Classifying each class twist also classifies its ramified twists
+    from .oracles import tate_normalize_search
+
+    transforms = []
+    transform = curves.EllipticCurve.transform
+    monkeypatch.setattr(curves.EllipticCurve, "transform",
+                        lambda E, *a, **kw: transforms.append(E) or transform(E, *a, **kw))
+    normalize = curves._tate_normalize
+    checked = []
+
+    def pinned(E, lv, pi):
+        before = len(transforms)
+        got = normalize(E, lv, pi)
+        assert len(transforms) == before + 1
+        if lv.p == 2:
+            assert got.key() == tate_normalize_search(E, lv, pi).key(), (str(E), str(lv))
+            checked.append((lv.field.m, lv.e, lv.f))
+        return got
+
+    monkeypatch.setattr(curves, "_tate_normalize", pinned)
+    cases = _equivalence_cases() + [curve(quadratic_field(m), [0, -1, 1, 0, 0]) for m in (-7, 2)]
+    for E in cases:
+        K = E.field
+        for v in places_above(K, 2):
+            lv = completion(K, v)
+            _clear_curve_memos()
+            for rep in lv.square_class_reps():  # the twist and its ramified twists
+                local_rep_type(quadratic_twist(E, rep), v)
+    assert len(checked) > 1000
+    assert {(e, f) for _, e, f in checked} == {(1, 1), (2, 1), (1, 2)}
+    assert {m for m, _, _ in checked} == {None, -1, 5, -3, -7, 2}
 
 
 def test_curve_memos_stay_bounded(Q, e11a1):

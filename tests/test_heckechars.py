@@ -101,6 +101,32 @@ def test_make_char_of_unit_times_prime_powers(data):
     assert global_sqrt(delta / chi.delta) is not None
 
 
+MAKE_CHAR_BUDGET_S = 2.0
+
+
+@seed(20142)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_make_char_round_trips_at_norms_up_to_10_12(data):
+    # delta / chi.delta is a square, and one call stays within its budget, for
+    # elements (a + b sqrt m) / d whose numerator has norm up to 10^12
+    m = data.draw(st.sampled_from([None, -1, -3, -7, 2, 5]), label="m")
+    K = rational_field() if m is None else quadratic_field(m)
+    k = data.draw(st.integers(0, 6), label="digits / 2")  # spread the norms over 1..10^12
+    bound = 10 ** (2 * k) if m is None else 10 ** k
+    a = data.draw(st.integers(-bound, bound), label="a")
+    b = 0 if m is None else data.draw(st.integers(-bound, bound), label="b")
+    d = data.draw(st.integers(1, 10 ** 4), label="d")
+    num = K.elem(a, b)
+    if num.is_zero() or abs(num.norm()) > 10 ** 12:
+        return
+    delta = num / d
+    t0 = time.perf_counter()
+    chi = make_char(K, delta)
+    assert time.perf_counter() - t0 < MAKE_CHAR_BUDGET_S, str(delta)
+    assert global_sqrt(delta / chi.delta) is not None, str(delta)
+
+
 def test_make_char_runs_one_support_pass(monkeypatch, Q, Qi, K5):
     calls = []
     support_places = heckechars._support_places

@@ -5,6 +5,7 @@ import pytest
 
 from twistparity import parity
 from twistparity.curves import (
+    bad_places,
     curve,
     local_rep_type,
     quadratic_twist,
@@ -13,8 +14,8 @@ from twistparity.curves import (
 from twistparity.errors import ExplosionGuard, ParityUnavailable, WrongRepClass
 from twistparity.experiments import oracle_crosscheck
 from twistparity.heckechars import enumerate_characters, make_char
-from twistparity.localfields import LocalCharacter, completion
-from twistparity.numberfield import places_above
+from twistparity.localfields import LocalCharacter, completion, is_unramified_class
+from twistparity.numberfield import places_above, quadratic_field, rational_field
 from twistparity.parity import (
     COMPLEX,
     TABLE_SIGN_HOOKS,
@@ -234,6 +235,59 @@ def test_n_v_runs_once_per_place_and_class(Q, e11a1, monkeypatch):
     report = oracle_crosscheck(e11a1, delta_bound=200)
     assert report.clean and report.tested > 0
     assert seen and len(seen) == len(set(seen))
+    # good places, where only rows 1 and 2 apply, build no table
+    assert {key for key, _ in seen} <= {v.key() for v in bad_places(e11a1)}
+
+
+def test_bad_places_found_once_per_curve(Q, e11a1, e37a1, e_mult2, monkeypatch):
+    # the table path (bad_places, memoized) and the oracle each list the
+    # candidate places once per curve, not once per twist
+    from twistparity import curves, experiments
+
+    calls = []
+    candidates = curves.bad_place_candidates
+    for module, path in ((curves, "table"), (experiments, "oracle")):
+        monkeypatch.setattr(module, "bad_place_candidates",
+                            lambda E, path=path: calls.append((path, E.key())) or candidates(E))
+    curves._bad_places.cache_clear()
+    for E in (e11a1, e37a1, e_mult2):
+        assert oracle_crosscheck(E, delta_bound=100).tested > 100
+    assert sorted(calls) == sorted((path, E.key()) for path in ("table", "oracle")
+                                   for E in (e11a1, e37a1, e_mult2))
+
+
+def _good_places(K):
+    """The places above 2 and 3, and the first split and inert places above 5..29."""
+    places = list(places_above(K, 2)) + list(places_above(K, 3))
+    kinds = set()
+    for p in (5, 7, 13, 17, 19, 23, 29):
+        vs = places_above(K, p)
+        kind = vs[0].splitting
+        if kind not in kinds and kind != "ramified":
+            kinds.add(kind)
+            places += vs
+    return places
+
+
+@pytest.mark.parametrize("m", [None, -1, 5, -3, -7, 2])
+def test_row2_row_matches_the_sign_table(m):
+    # parity_change reads n_v at a good place where chi ramifies as
+    # TABLE_SIGN_HOOKS[2] * chi_c(-1) from the completion's minus_one_row
+    K = rational_field() if m is None else quadratic_field(m)
+    E = curve(K, [0, -1, 1, 0, 0] if m is not None else [0, -1, 1, -10, -20])
+    bad = {v.key() for v in bad_places(E)}
+    seen_ramified = 0
+    for v in _good_places(K):
+        assert v.key() not in bad
+        lv = completion(K, v)
+        table = parity.sign_table(E, v)
+        for c, rep in enumerate(lv.square_class_reps()):
+            if is_unramified_class(rep, lv):
+                assert table[c] == 1
+            else:
+                assert table[c] == TABLE_SIGN_HOOKS[2] * lv.minus_one_row()[c], (str(v), c)
+                seen_ramified += 1
+    assert seen_ramified >= 8
 
 
 def test_parity_oracle_small(Q, e37a1):
