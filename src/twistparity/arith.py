@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: primality, a prime sieve, factorization, square
-roots mod p and Cornacchia's algorithm.
+"""Exact integer arithmetic: primality, a prime sieve, factorization and square
+roots mod p.
 
 Pure Python on built-in ints, with no module state. ``is_prime`` is
 deterministic: Miller-Rabin on the smallest base set that is exact for the
@@ -240,24 +240,3 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
             s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
     return min(r, p - r)
 
-
-def cornacchia(d: int, n: int) -> Optional[tuple[int, int]]:
-    """(x, y) with x^2 + d*y^2 = n, x >= 0 and y > 0, or None when the search
-    finds none. n is a prime p (Cohen, GTM 138, Algorithm 1.5.2), or 4p with
-    p prime and d = 3 mod 4 (Algorithm 1.5.3, the modified form)."""
-    if d < 1 or d > n:
-        return None
-    p = n // 4 if n % 4 == 0 else n
-    x0 = sqrt_mod(-d, p)
-    if x0 is None:
-        return None
-    if p == n:
-        a, b = p, (p - x0 if 2 * x0 <= p else x0)
-    else:
-        a, b = 2 * p, (x0 if (x0 - d) % 2 == 0 else p - x0)
-    bound = math.isqrt(n)
-    while b > bound:
-        a, b = b, a % b
-    c, rem = divmod(n - b * b, d)
-    y = math.isqrt(c)
-    return (b, y) if rem == 0 and y > 0 and y * y == c else None

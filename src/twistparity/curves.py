@@ -259,10 +259,9 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     return reduction_type(quadratic_twist(E, completion(E.field, v).square_class_reps()[c]), v)
 
 
-def _pot_kind(E: EllipticCurve, lv: LocalField) -> str:
-    if E.c4.is_zero():
-        return ADDITIVE_POT_GOOD  # j = 0
-    return ADDITIVE_POT_MULT if valuation(E.j, lv) < 0 else ADDITIVE_POT_GOOD
+def _pot_kind(vc4, vd: int) -> str:
+    """Potentially multiplicative iff v(j) = 3 v(c4) - v(Delta) < 0 (c4 = 0: j = 0)."""
+    return ADDITIVE_POT_MULT if 3 * vc4 - vd < 0 else ADDITIVE_POT_GOOD
 
 
 def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
@@ -288,7 +287,7 @@ def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
         split = lv.residue_field().is_square(lv.residue(-c6m))
         return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
                              vdm, 0, 1 if split else -1, Emin)
-    return ReductionData(v, _pot_kind(E, lv), vdm, vc4m, None, Emin)
+    return ReductionData(v, _pot_kind(vc4, vd), vdm, vc4m, None, Emin)
 
 
 # -- Tate's algorithm for residue characteristic 2 and 3 ----------------------
@@ -340,7 +339,8 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
             raise InternalInvariantError("no singular point despite v(disc) > 0")
         E = E.transform(r=lv.lift(sing[0]), t=lv.lift(sing[1]))
 
-        if _val0(E.c4, lv) == 0:
+        vc4 = _val0(E.c4, lv)
+        if vc4 == 0:
             # multiplicative: tangent-cone quadratic T^2 + a1 T - a2 over k
             A1 = lv.residue(E.a1)
             A2 = lv.residue(E.a2)
@@ -351,13 +351,13 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
             return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
                                  n, 0, 1 if split else -1, E)
 
-        pot = _pot_kind(E, lv)
+        pot = _pot_kind(vc4, n)
         if _val0(E.a6, lv) < 2:  # type II
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
         if _val0(E.b8, lv) < 3:  # type III
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
         if _val0(E.b6, lv) < 3:  # type IV
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
 
         # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
         E = _tate_normalize(E, lv, pi)
@@ -375,7 +375,7 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
                 c = cb
                 break
         if c is None:  # I0* or In*
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
         E = E.transform(r=pi * lv.lift(c))
         if not (_val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4):
             raise InternalInvariantError("triple-root translation left a2, a4, a6 too small")
@@ -389,15 +389,15 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
                 y0 = yb
                 break
         if y0 is None:  # IV*
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
         E = E.transform(t=pi * pi * lv.lift(y0))
         if not (_val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5):
             raise InternalInvariantError("double-root translation left a3, a6 too small")
 
         if _val0(E.a4, lv) < 4:  # III*
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
         if _val0(E.a6, lv) < 6:  # II*
-            return ReductionData(v, pot, n, _val0(E.c4, lv), None, E)
+            return ReductionData(v, pot, n, vc4, None, E)
 
         # non-minimal: rescale and loop
         E = E.transform(u=pi)

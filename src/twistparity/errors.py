@@ -17,10 +17,6 @@ class InternalInvariantError(TwistParityError):
     """An internal consistency check failed: a bug in the package, not bad input."""
 
 
-class PrecisionExhausted(TwistParityError):
-    """A v-adic computation could not distinguish a value from 0 at working precision."""
-
-
 class NotSquarefree(TwistParityError):
     """Field constructor got m that is not squarefree (or m in {0, 1})."""
 
@@ -31,15 +27,6 @@ class ClassNumberNotOne(TwistParityError):
         self.h = h
         msg = f"Q(sqrt {m}) has class number {h}" if h else f"Q(sqrt {m}) does not have class number 1"
         super().__init__(msg)
-
-
-class GeneratorSearchExhausted(TwistParityError):
-    """Bounded search for a prime-ideal generator or fundamental unit failed."""
-
-    def __init__(self, what, bound):
-        self.what = what
-        self.bound = bound
-        super().__init__(f"search for {what} exhausted at bound {bound}")
 
 
 class FactorizationBudgetExceeded(TwistParityError):

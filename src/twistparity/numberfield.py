@@ -4,13 +4,17 @@ Elements are exact global objects (A + B*sqrt(m)) / D, kept as a normalized
 integer triple (D > 0, gcd(A, B, D) = 1) so that arithmetic runs on integers
 with one gcd per operation; the coordinates a = A/D and b = B/D are read as
 Fractions on demand. Places carry their splitting data and a principal
-generator (class number 1 makes one exist). At a place with K_v = Q_p (K = Q, or p
-splits) an element is read through the canonical p-adic root of m: index 1
-sends sqrt(m) to that root, index 2 to its negative.
+generator, which class number 1 makes exist. One finite algorithm finds it in
+every field: reduce the norm form of the prime and carry its basis along
+(Cohen, GTM 138, 5.4 for definite and 5.6 for indefinite forms); the same
+reduction step counts the cycles of reduced forms that give the class number
+of a real field, whose fundamental unit comes from a continued fraction (5.7).
+At a place with K_v = Q_p (K = Q, or p splits) an element is read through the
+canonical p-adic root of m: index 1 sends sqrt(m) to that root, index 2 to its
+negative.
 
-The integer work (primality, the prime sieve, divisors, square roots mod p and
-Cornacchia's algorithm for the prime generators of imaginary fields) is done
-by ``arith``; the package has no runtime dependency.
+The integer work (primality, the prime sieve, divisors and square roots mod p)
+is done by ``arith``; the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -22,21 +26,17 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .arith import cornacchia, divisors, factorint, is_prime, kronecker, primes_up_to, sqrt_mod
+from .arith import divisors, factorint, is_prime, kronecker, primes_up_to, sqrt_mod
 from .errors import (
     ClassNumberNotOne,
-    GeneratorSearchExhausted,
     InternalInvariantError,
     Malformed,
     NotSquarefree,
-    PrecisionExhausted,
     ZeroElement,
 )
 
 # Imaginary quadratic fields with class number one (Baker-Heegner-Stark list).
 IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
-
-GENERATOR_SEARCH_BOUND = 10 ** 6  # b searched for a prime generator in a real field
 
 # entries in the places memo here, in the completion memo and each
 # per-completion class-index cache of ``localfields``, and in each memo of
@@ -109,8 +109,8 @@ def _qp_valuation(x: NFElem, p: int, index: int = 1) -> int:
     mod = p ** (vn + 1)
     r = _root_of_m(m, p, vn + 1)
     t = (A + B * r if index == 1 else A - B * r) % mod
-    if t == 0:
-        raise PrecisionExhausted("split valuation did not resolve")
+    if t == 0:  # v_1 <= v_1 + v_2 = vn, so t != 0 mod p^(vn + 1)
+        raise InternalInvariantError("split valuation did not resolve")
     return _vp_int(t, p) - _vp_int(D, p)
 
 
@@ -467,40 +467,26 @@ def pell_fundamental_unit(m: int) -> tuple[int, int, bool]:
 
 
 def _reduced_indefinite_forms(D: int) -> set:
-    """All reduced forms (a,b,c) with b^2-4ac = D > 0 non-square."""
+    """All reduced forms (a, b, c) with b^2 - 4ac = D > 0 non-square:
+    |sqrt(D) - 2|a|| < b < sqrt(D), in integers sq - b < 2|a| <= sq + b, b <= sq."""
     sq = math.isqrt(D)
-
-    def reduced(a, b):
-        if not (0 < b <= sq):
-            return False
-        t = 2 * abs(a)
-        lhs = D + t * t - b * b
-        if lhs >= 0 and lhs * lhs >= 4 * t * t * D:
-            return False
-        return True
-
     forms = set()
     for b in range(1, sq + 1):
-        if (D - b * b) % 4 != 0:
-            continue
-        prod = (D - b * b) // 4  # = |a*c|, a*c < 0
-        if prod == 0:
-            continue
-        for absa in divisors(prod):
-            if not reduced(absa, b):
-                continue
-            for a in (absa, -absa):
-                c = (b * b - D) // (4 * a)
-                forms.add((a, b, c))
+        if (D - b * b) % 4 == 0:
+            for absa in divisors((D - b * b) // 4):  # |a*c|, a*c < 0
+                if sq - b < 2 * absa <= sq + b:
+                    forms.update((a, b, (b * b - D) // (4 * a)) for a in (absa, -absa))
     return forms
 
 
-def _rho(form, D, sq):
+def _rho(form, D: int, sq: int):
+    """The reduction step f(-Y, X + s*Y) = (c, 2cs - b, c') on a form f = (a, b, c)
+    of discriminant D, and s (Cohen, GTM 138, 5.4 and 5.6): 2cs - b lies in
+    (-|c|, |c|] when |c| > sq = isqrt(D) (sq = 0 for D < 0), else in (sq - 2|c|, sq]."""
     a, b, c = form
-    t = 2 * abs(c)
-    b2 = sq - ((sq + b) % t)
-    c2 = (b2 * b2 - D) // (4 * c)
-    return (c, b2, c2)
+    h = max(abs(c), sq)
+    b2 = h - (h + b) % (2 * abs(c))
+    return (c, b2, (b2 * b2 - D) // (4 * c)), (b + b2) // (2 * c)
 
 
 def narrow_class_number(D: int) -> int:
@@ -516,7 +502,7 @@ def narrow_class_number(D: int) -> int:
         g = f
         while g not in seen:
             seen.add(g)
-            g = _rho(g, D, sq)
+            g, _ = _rho(g, D, sq)
             if g not in forms:
                 raise InternalInvariantError(f"rho left the reduced set: {g}")
     return cycles
@@ -633,57 +619,64 @@ def archimedean_places(K: Field) -> list[Place]:
 def _find_prime_generator(K: Field, p: int) -> NFElem:
     """The element a + b*sqrt(m) of norm +-p (a, b halves allowed for m = 1 mod 4)
     that a search over b = 0, 1, 2, ... meets first: the least b (counting 2b for
-    half coordinates), then the least (a, b). Imaginary fields solve for it by
-    Cornacchia's algorithm; real fields search b < GENERATOR_SEARCH_BOUND."""
+    half coordinates), then the least (a, b). p splits or ramifies in K.
+
+    With omega^2 = t*omega - n and r^2 - t*r + n = 0 mod p, the prime (p, omega - r)
+    has the basis p, omega - r and the norm form (p, t - 2r, (r^2 - t*r + n)/p) of
+    discriminant disc(K). ``_rho`` reduces the form and carries the basis until the
+    first coefficient is +-1 (Cohen, GTM 138, 5.4 and 5.6: class number 1 puts such
+    a form in every cycle of reduced forms); then the first basis element x has
+    norm +-p. The elements of norm +-p are the unit multiples of x and conj(x);
+    the search meets those with A, B >= 0. Over a real field these are the positive
+    z*eps^k >= sqrt(p), whose B grows with k after the first: none past twice the
+    first B can win.
+    """
     m = K.m
     if m is None:
-        raise InternalInvariantError("prime generator search over Q")
-    if m < 0:
-        return _imaginary_prime_generator(K, p)
-    for b in range(GENERATOR_SEARCH_BOUND):
-        mb2 = m * b * b
-        candidates = []
-        for target in (mb2 + p, mb2 - p):
-            if target >= 0:
-                a = math.isqrt(target)
-                if a * a == target:
-                    candidates.append((Fraction(a), Fraction(b)))
-        if m % 4 == 1:
-            for target in (mb2 + 4 * p, mb2 - 4 * p):
-                if target >= 0:
-                    a = math.isqrt(target)
-                    if a * a == target and (a - b) % 2 == 0:
-                        candidates.append((Fraction(a, 2), Fraction(b, 2)))
-        if candidates:
-            a, bb = sorted(candidates)[0]
-            return NFElem(K, a, bb)
-    raise GeneratorSearchExhausted(f"generator of a prime above {p} in {K}", GENERATOR_SEARCH_BOUND)
-
-
-def _imaginary_prime_generator(K: Field, p: int) -> NFElem:
-    """_find_prime_generator for m < 0, from one solution of a^2 + |m| b^2 = p
-    (or = 4p, halved) and the unit multiples of it and of its conjugate: those
-    are all the elements of norm p, as each generates a prime above p."""
-    m = K.m
-    sol = cornacchia(-m, p)
-    if sol is not None:
-        A, B = 2 * sol[0], 2 * sol[1]
+        raise InternalInvariantError("prime generator over Q")
+    t, n = K.omega_trace_norm()
+    D = K.disc
+    if p == 2:
+        r = n % 2
     else:
-        sol = cornacchia(-m, 4 * p) if m % 4 == 1 else None
-        if sol is None:
-            raise InternalInvariantError(f"no element of norm {p} in {K}")
-        A, B = sol
-    # (A, B) stands for (A + B*sqrt(m))/2, and so does the unit (c, e) that
-    # generates the units: i, the sixth root of unity (1 + sqrt(-3))/2, or -1
-    c, e, order = {-1: (0, 2, 4), -3: (1, 1, 6)}.get(m, (-2, 0, 2))
+        s = sqrt_mod(D, p)
+        r = 0 if s is None else (t + s) * (p + 1) // 2 % p
+    c, rem = divmod(r * r - t * r + n, p)
+    if rem:
+        raise InternalInvariantError(f"{p} is inert in {K}")
+    form = (p, t - 2 * r, c)
+    sq = math.isqrt(D) if D > 0 else 0
+    # elements as integer pairs (A, B) for (A + B*sqrt(m))/2
+    (A, B), y = (2 * p, 0), (t - 2 * r, 2 - t)
+    while abs(form[0]) != 1:
+        form, s = _rho(form, D, sq)
+        (A, B), y = y, (s * y[0] - A, s * y[1] - B)
+    if m < 0:  # the unit (c, e) generates the units: i, (1 + sqrt(-3))/2, or -1
+        c, e, order = {-1: (0, 2, 4), -3: (1, 1, 6)}.get(m, (-2, 0, 2))
+    else:  # eps = (c + e*sqrt(m))/2, and 1/eps = (ci + ei*sqrt(m))/2 is +-conj(eps)
+        eps = K.fundamental_unit
+        c, e = 2 * eps.A // eps.D, 2 * eps.B // eps.D
+        ci, ei = (c, -e) if c * c > m * e * e else (-c, e)
     norm_p = []
     for A, B in ((A, B), (A, -B)):
-        for _ in range(order):
+        if m < 0:
+            for _ in range(order):
+                norm_p.append((A, B))
+                A, B = (A * c + B * e * m) // 2, (A * e + B * c) // 2
+            continue
+        if (A if A * A > m * B * B else B) < 0:  # the sign of A + B*sqrt(m)
+            A, B = -A, -B
+        while A >= 0 and B >= 0:
+            A, B = (A * ci + B * ei * m) // 2, (A * ei + B * ci) // 2
+        while A < 0 or B < 0:
+            A, B = (A * c + B * e * m) // 2, (A * e + B * c) // 2
+        bound = 2 * B
+        while B <= bound:
             norm_p.append((A, B))
             A, B = (A * c + B * e * m) // 2, (A * e + B * c) // 2
-    # the search meets the element at b = B/2, or at B when the coordinates are halves
+    # the search meets (A + B*sqrt(m))/2 at b = B/2 for even B, at b = B in halves
     _, A, B = min((B if B % 2 else B // 2, A, B) for A, B in norm_p if A >= 0 and B >= 0)
-    return NFElem(K, Fraction(A, 2), Fraction(B, 2))
+    return _make(K, A, B, 2)
 
 
 @lru_cache(maxsize=MEMO_BOUND)

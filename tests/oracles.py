@@ -12,8 +12,9 @@ C(K, X) as characters, as the density scan did before it localized bare place
 generators and counted the rest by norm; it pins that count. Likewise
 ``generators_via_make_char`` is the generator path
 ``character_group_generators`` took before it built its characters directly,
-``scan_prime_generator`` is the search over b that found the prime
-generators of imaginary fields before Cornacchia's algorithm, and
+``scan_prime_generator`` is the search over b that defines the prime
+generator of a place and that the reduction of the prime's norm form must
+reproduce in every field, and
 ``FractionNFElem`` is the field element with Fraction coordinates that the
 integer-triple ``NFElem`` replaced. ``tate_normalize_search`` is the search
 over (s, t) digits that normalized Tate's models at p = 2 before the residue

@@ -82,22 +82,6 @@ def test_divisors_and_primes_up_to():
         assert arith.primes_up_to(n) == list(sympy.primerange(n + 1)), n
 
 
-def test_cornacchia_finds_the_solutions():
-    for d in (1, 2, 3, 7, 11, 163):
-        for p in sympy.primerange(2, 3000):
-            for n in ((p, 4 * p) if d % 4 == 3 else (p,)):
-                sol = arith.cornacchia(d, n)
-                exists = any(math.isqrt(n - d * y * y) ** 2 == n - d * y * y
-                             for y in range(1, math.isqrt(n // d) + 1))
-                if sol is None:
-                    # the algorithms find a primitive solution; a non-primitive
-                    # one at 4p is twice a solution at p
-                    assert not exists or (n == 4 * p and arith.cornacchia(d, p)), (d, n)
-                else:
-                    x, y = sol
-                    assert x >= 0 and y > 0 and x * x + d * y * y == n, (d, n)
-
-
 def test_import_loads_neither_sympy_nor_process_pool():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))

@@ -328,28 +328,31 @@ def test_generator_norms_exact():
 
 
 @pytest.mark.parametrize("m", IMAGINARY_CLASS_NUMBER_ONE)
-def test_cornacchia_generators_match_scan(m):
+def test_prime_generators_match_scan(m):
     K = quadratic_field(m)
     for p in primes_up_to(10 ** 4):
         if kronecker(K.disc, p) != -1:
             assert _find_prime_generator(K, p) == scan_prime_generator(K, p), p
 
 
-def test_imaginary_places_at_large_prime_norm():
+def test_places_at_large_prime_norm():
     # primes that split in K; a search over b took up to sqrt(p) steps and
     # gave up at b = 10^6
     t0 = time.perf_counter()
-    for m, p in ((-1, 100000000000097), (-3, 100000000000261), (-7, 10 ** 18 + 3)):
+    for m, p in ((-1, 100000000000097), (-3, 100000000000261), (-7, 10 ** 18 + 3),
+                 (2, 1000000000000159), (2, 1000000000000223), (2, 1000000000000241),
+                 (5, 10 ** 18 + 9), (199, 10 ** 15 + 37)):
         K = quadratic_field(m)
         pls = places_above(K, p)
         assert [v.splitting for v in pls] == ["split", "split"], m
-        assert all(v.generator.norm() == p for v in pls), m
+        assert all(abs(v.generator.norm()) == p for v in pls), m
     assert time.perf_counter() - t0 < 2.0
 
 
 def test_places_above_every_small_class_number_one_field():
     # every class-number-1 Q(sqrt m) with |m| <= 200, real fields included, and
-    # every p < 1000: about 2 s on a 2-core x86_64 container with Python 3.11
+    # every p < 1000, each generator checked against the search over b: about
+    # 2 s on a 2-core x86_64 container with Python 3.11
     fields = []
     for m in range(-200, 201):
         if m not in (0, 1) and is_squarefree(m):
@@ -364,6 +367,8 @@ def test_places_above_every_small_class_number_one_field():
             pls = places_above(K, p)
             kinds = {1: ["split", "split"], 0: ["ramified"], -1: ["inert"]}[kronecker(K.disc, p)]
             assert [v.splitting for v in pls] == kinds, (K.m, p)
+            if kinds != ["inert"]:
+                assert scan_prime_generator(K, p) in [v.generator for v in pls], (K.m, p)
             for v in pls:
                 if v.splitting == "inert":
                     assert v.generator == p and v.residue_norm == p * p
