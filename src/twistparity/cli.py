@@ -2,9 +2,9 @@
 
 Subcommands: classify, predict, scan, verify, lemmas.
 Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
-field or singular curve, or an integer past the factoring budget), 3
-unsupported curve, 4 internal error (a failed invariant or any exception that
-is not a named package error: a bug in the package, not bad input).
+field or singular curve, an integer past the factoring budget, or a listing past
+the enumeration guard), 3 unsupported curve, 4 internal error (a failed invariant
+or any exception that is not a named package error: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .arith import primes_up_to
 from .curves import local_root_number, parse_curve, reduction_type
 from .errors import (
     ClassNumberNotOne,
+    ExplosionGuard,
     FactorizationBudgetExceeded,
     InternalInvariantError,
     Malformed,
@@ -56,13 +57,14 @@ EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
 
-def _int_at_least(lo: int):
-    """argparse type: an int >= lo; anything else exits 2 with a usage message."""
-    def parse(text: str) -> int:
-        if int(text) < lo:
+def _at_least(lo, kind=int):
+    """argparse type: an int (or kind) >= lo; anything else, NaN too, exits 2 with usage."""
+    def parse(text: str):
+        x = kind(text)
+        if not x >= lo:  # NaN compares false
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
-        return int(text)
-    parse.__name__ = "int"  # argparse reports "invalid int value" when int() fails
+        return x
+    parse.__name__ = kind.__name__  # argparse reports "invalid int value" when int() fails
     return parse
 
 
@@ -74,13 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=True):
+    def common(p, principal=True):
         p.add_argument("--field", default="Q", help="Q or Q(sqrt m)")
-        if curve:
-            p.add_argument("--curve", required=True,
-                           help="[a1,a2,a3,a4,a6] or [a4,a6]; entries like 3/2+1/2*w")
-        p.add_argument("--assume-principal-series", action="store_true",
-                       help="treat uncertifiable additive places as principal series")
+        p.add_argument("--curve", required=True,
+                       help="[a1,a2,a3,a4,a6] or [a4,a6]; entries like 3/2+1/2*w")
+        if principal:  # verify skips unsupported twists: the flag would change nothing
+            p.add_argument("--assume-principal-series", action="store_true",
+                           help="treat uncertifiable additive places as principal series")
 
     p = sub.add_parser("classify", help="per-place reduction and twist data")
     common(p)
@@ -92,24 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="exact density scan over characters of norm <= X")
     common(p)
-    p.add_argument("--x", type=_int_at_least(1), required=True, help="norm bound X")
+    p.add_argument("--x", type=_at_least(1), required=True, help="norm bound X")
     p.add_argument("--parity", choices=("even", "odd"), default=None)
     p.add_argument("--out", default=None, help="report file path")
     p.add_argument("--format", choices=("json", "csv"), default=None,
                    help="report format for --out (default json)")
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_at_least(0, float), default=None,
                    help="allowed |fraction - predicted| (default 0.02 over Q, 0.05 else)")
 
     p = sub.add_parser("verify", help="twisted-parity oracle cross-check")
-    common(p)
-    p.add_argument("--x", type=_int_at_least(1), required=True,
+    common(p, principal=False)
+    p.add_argument("--x", type=_at_least(1), required=True,
                    help="|delta| bound over Q; character norm bound otherwise")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
 
     p = sub.add_parser("lemmas", help="counting lemma, surjectivity, Gauss sums")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
-    p.add_argument("--x", type=_int_at_least(1), default=20,
+    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--x", type=_at_least(1), default=20,
                    help="norm bound for the surjectivity scan")
     return ap
 
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (Malformed, NotSquarefree, ClassNumberNotOne, SingularCurve,
-            ZeroTwistParameter, FactorizationBudgetExceeded) as e:
+            ZeroTwistParameter, FactorizationBudgetExceeded, ExplosionGuard) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (UnsupportedRepresentation, ParityUnavailable) as e:

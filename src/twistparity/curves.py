@@ -17,7 +17,10 @@ caches of MEMO_BOUND entries each.
 
 A model that ``quadratic_twist`` or ``transform`` builds carries its c4, c6
 and Delta, scaled from those of its source, so neither the fast path nor the
-translations of Tate's algorithm recompute them from b2..b8.
+translations of Tate's algorithm recompute them from b2..b8. Tate's algorithm
+(residue characteristic 2 and 3) searches nothing: the singular point, the
+tangent cone's splitting and the triple and double roots over F_q have closed
+forms through the p-th root x -> x^(q/p), each giving the only candidate.
 """
 
 from __future__ import annotations
@@ -269,12 +272,7 @@ def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
     vd = valuation(E.disc, lv)
     vc4 = _val0(E.c4, lv)
     vc6 = _val0(E.c6, lv)
-    ks = [vd // 12]
-    if vc4 is not INF:
-        ks.append(vc4 // 4)
-    if vc6 is not INF:
-        ks.append(vc6 // 6)
-    k = min(ks)
+    k = min(vd // 12, vc4 // 4, vc6 // 6)  # INF // w is INF, and vd is finite
     pi = lv.uniformizer
     c4m = E.c4 / pi ** (4 * k)
     c6m = E.c6 / pi ** (6 * k)
@@ -294,16 +292,12 @@ def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
 
 
 def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
-    K = E.field
     pi = lv.uniformizer
     rf = lv.residue_field()
     p = lv.p
 
     # make the model v-integral
-    kmin = 0
-    for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6)):
-        if not a.is_zero():
-            kmin = min(kmin, valuation(a, lv) // w)
+    kmin = min(0, *(_val0(a, lv) // w for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6))))
     if kmin < 0:
         E = E.transform(u=pi ** kmin)
 
@@ -313,101 +307,81 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
             return ReductionData(v, GOOD, 0, _val0(E.c4, lv), None, E)
 
         # move the singular point of the reduced curve to the origin
-        res = [lv.residue(a) for a in E.ainvs()]
-        sing = None
-        for xb in rf.elements():
-            for yb in rf.elements():
-                fx = rf.add(rf.mul(res[0], yb),
-                            rf.neg(rf.add(rf.add(_rmul(rf, 3, rf.mul(xb, xb)),
-                                                 _rmul(rf, 2, rf.mul(res[1], xb))), res[3])))
-                if not rf.is_zero(fx):
-                    continue
-                fy = rf.add(rf.add(_rmul(rf, 2, yb), rf.mul(res[0], xb)), res[2])
-                if not rf.is_zero(fy):
-                    continue
-                fval = rf.add(
-                    rf.add(rf.mul(yb, yb), rf.add(rf.mul(res[0], rf.mul(xb, yb)), rf.mul(res[2], yb))),
-                    rf.neg(rf.add(rf.add(rf.mul(xb, rf.mul(xb, xb)), rf.mul(res[1], rf.mul(xb, xb))),
-                                  rf.add(rf.mul(res[3], xb), res[4]))),
-                )
-                if rf.is_zero(fval):
-                    sing = (xb, yb)
-                    break
-            if sing:
-                break
-        if sing is None:
+        x0, y0 = _singular_point(rf, *(lv.residue(a) for a in E.ainvs()))
+        E = E.transform(r=lv.lift(x0), t=lv.lift(y0))
+        if not all(rf.is_zero(lv.residue(a)) for a in (E.a3, E.a4, E.a6)):
             raise InternalInvariantError("no singular point despite v(disc) > 0")
-        E = E.transform(r=lv.lift(sing[0]), t=lv.lift(sing[1]))
 
         vc4 = _val0(E.c4, lv)
         if vc4 == 0:
-            # multiplicative: tangent-cone quadratic T^2 + a1 T - a2 over k
-            A1 = lv.residue(E.a1)
-            A2 = lv.residue(E.a2)
-            split = any(
-                rf.is_zero(rf.add(rf.mul(tb, tb), rf.add(rf.mul(A1, tb), rf.neg(A2))))
-                for tb in rf.elements()
-            )
+            # multiplicative: does the tangent cone T^2 + a1 T - a2 split over k?
+            a1, a2 = lv.residue(E.a1), lv.residue(E.a2)
+            if p == 3:  # its discriminant a1^2 + 4 a2 is b2
+                split = rf.is_square(rf.add(rf.mul(a1, a1), a2))
+            else:  # a1 != 0, and T = a1 S gives S^2 + S + a2/a1^2: split iff its trace is 0
+                z = rf.div(a2, rf.mul(a1, a1))
+                split = rf.is_zero(z if rf.f == 1 else rf.add(z, rf.mul(z, z)))
             return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
                                  n, 0, 1 if split else -1, E)
 
         pot = _pot_kind(vc4, n)
-        if _val0(E.a6, lv) < 2:  # type II
-            return ReductionData(v, pot, n, vc4, None, E)
-        if _val0(E.b8, lv) < 3:  # type III
-            return ReductionData(v, pot, n, vc4, None, E)
-        if _val0(E.b6, lv) < 3:  # type IV
+        if _val0(E.a6, lv) < 2 or _val0(E.b8, lv) < 3 or _val0(E.b6, lv) < 3:  # II, III, IV
             return ReductionData(v, pot, n, vc4, None, E)
 
         # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
         E = _tate_normalize(E, lv, pi)
 
-        # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + a6/pi^3 over k:
-        # continue only past a triple root, i.e. P == (T - c)^3
-        P = [lv.residue(E.a6 / pi ** 3), lv.residue(E.a4 / pi ** 2),
-             lv.residue(E.a2 / pi), rf.one()]
-        c = None
-        for cb in rf.elements():
-            m3c = rf.neg(_rmul(rf, 3, cb))
-            p3c2 = _rmul(rf, 3, rf.mul(cb, cb))
-            mc3 = rf.neg(rf.mul(cb, rf.mul(cb, cb)))
-            if P[2] == m3c and P[1] == p3c2 and P[0] == mc3:
-                c = cb
-                break
+        # cubic T^3 + A2 T^2 + A4 T + A6 over k (A_i = a_i / pi^(i/2)): continue past a
+        # triple root c, as (T - c)^3 = T^3 + c T^2 + c^2 T + c^3 at p = 2, T^3 - c^3 at 3
+        A2, A4, A6 = (lv.residue(E.a2 / pi), lv.residue(E.a4 / pi ** 2),
+                      lv.residue(E.a6 / pi ** 3))
+        if p == 2:
+            c = A2 if A4 == rf.mul(A2, A2) and A6 == rf.mul(A2, A4) else None
+        else:
+            c = rf.root(rf.neg(A6)) if rf.is_zero(A2) and rf.is_zero(A4) else None
         if c is None:  # I0* or In*
             return ReductionData(v, pot, n, vc4, None, E)
         E = E.transform(r=pi * lv.lift(c))
         if not (_val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4):
             raise InternalInvariantError("triple-root translation left a2, a4, a6 too small")
 
-        # quadratic Y^2 + (a3/pi^2) Y - a6/pi^4 over k: continue past a double root
-        A3 = lv.residue(E.a3 / pi ** 2)
-        A6 = lv.residue(E.a6 / pi ** 4)
-        y0 = None
-        for yb in rf.elements():
-            if A3 == rf.neg(_rmul(rf, 2, yb)) and rf.neg(A6) == rf.mul(yb, yb):
-                y0 = yb
-                break
+        # quadratic Y^2 + A3 Y - A6 over k (A3 = a3/pi^2, A6 = a6/pi^4): continue past a
+        # double root y0, as (Y - y0)^2 = Y^2 + y0^2 at p = 2, Y^2 + y0 Y + y0^2 at 3
+        A3, A6 = lv.residue(E.a3 / pi ** 2), lv.residue(E.a6 / pi ** 4)
+        if p == 2:
+            y0 = rf.root(A6) if rf.is_zero(A3) else None
+        else:
+            y0 = A3 if rf.mul(A3, A3) == rf.neg(A6) else None
         if y0 is None:  # IV*
             return ReductionData(v, pot, n, vc4, None, E)
         E = E.transform(t=pi * pi * lv.lift(y0))
         if not (_val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5):
             raise InternalInvariantError("double-root translation left a3, a6 too small")
 
-        if _val0(E.a4, lv) < 4:  # III*
-            return ReductionData(v, pot, n, vc4, None, E)
-        if _val0(E.a6, lv) < 6:  # II*
+        if _val0(E.a4, lv) < 4 or _val0(E.a6, lv) < 6:  # III*, II*
             return ReductionData(v, pot, n, vc4, None, E)
 
         # non-minimal: rescale and loop
         E = E.transform(u=pi)
 
 
-def _rmul(rf, k: int, x):
-    acc = rf.zero()
-    for _ in range(k):
-        acc = rf.add(acc, x)
-    return acc
+def _singular_point(rf, a1, a2, a3, a4, a6):
+    """The only candidate for the singular point of the reduced curve over F_q, p = 2, 3."""
+    add, mul = rf.add, rf.mul
+    if rf.p == 2:  # F_y = a1 x + a3 and F_x = a1 y + x^2 + a4
+        if not rf.is_zero(a1):
+            x0 = rf.div(a3, a1)
+            return x0, rf.div(add(mul(x0, x0), a4), a1)
+        x0 = rf.root(a4)  # then y^2 = x^3 + a2 x^2 + a4 x + a6 at x0
+        return x0, rf.root(add(mul(add(mul(add(x0, a2), x0), a4), x0), a6))
+    # p = 3: F_y = 0 gives y = a1 x + a3, then F_x = b2 x + b4 (b2 = a1^2 + a2, b4 = a1 a3 - a4).
+    # At b2 = 0 also b4 = 0, and the curve is (y - a1 x - a3)^2 = x^3 + b6, b6 = a3^2 + a6
+    b2 = add(mul(a1, a1), a2)
+    if rf.is_zero(b2):
+        x0 = rf.root(rf.neg(add(mul(a3, a3), a6)))
+    else:
+        x0 = rf.div(add(a4, rf.neg(mul(a1, a3))), b2)
+    return x0, add(mul(a1, x0), a3)
 
 
 def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem) -> EllipticCurve:
@@ -418,15 +392,15 @@ def _tate_normalize(E: EllipticCurve, lv: LocalField, pi: NFElem) -> EllipticCur
     pi^2 | a3, a4, a6. Then a2' = a2 - s a1 - s^2 = a2 - s^2 mod pi, and for
     t = pi t1, a6' = a6 - t a3 - t^2 = a6 - pi^2 t1^2 mod pi^3: s and t1 are
     lifts of the square roots of a2 and a6 / pi^2 in the residue field F_q,
-    where the square root of x is x^(q/2). a3' = a3 + 2t and a4' = a4 - s a3 -
-    t a1 - 2st stay in pi^2.
+    taken by ``ResidueField.root``, x -> x^(q/2), the p-th root that the other
+    steps of Tate's algorithm use too. a3' = a3 + 2t and a4' = a4 - s a3 - t a1
+    - 2st stay in pi^2.
     """
     if lv.p != 2:
         out = E.transform(s=-E.a1 / 2, t=-E.a3 / 2)
     else:
-        rf = lv.residue_field()
-        sqrt = lambda z: lv.lift(rf.pow(lv.residue(z), rf.q // 2))
-        out = E.transform(s=sqrt(E.a2), t=pi * sqrt(E.a6 / (pi * pi)))
+        root = lambda z: lv.lift(lv.residue_field().root(lv.residue(z)))
+        out = E.transform(s=root(E.a2), t=pi * root(E.a6 / (pi * pi)))
     if not _tate_normalized(out, lv):
         raise InternalInvariantError(f"the (s, t)-translation did not normalize the model at {lv}")
     return out

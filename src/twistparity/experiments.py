@@ -374,7 +374,8 @@ def oracle_crosscheck(E: EllipticCurve,
     """Compare parity_change * w(E) against w(E^delta) recomputed from scratch.
 
     The family is C(K, X) when X is given, rational squarefree |delta| <=
-    delta_bound when that is given, or an explicit delta iterable.
+    delta_bound when that is given, or an explicit delta iterable. Mismatches
+    come in the family's order, with any number of workers.
     """
     K = E.field
     if deltas is None:
@@ -392,8 +393,9 @@ def oracle_crosscheck(E: EllipticCurve,
     else:
         from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
 
-        chunks = [deltas[i::workers] for i in range(workers)]
-        args = [(str(K), str(E), [str(d) for d in ch]) for ch in chunks if ch]
+        size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
+        args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
+                for i in range(0, len(deltas), size)]
         tested = unsupported = 0
         mismatches = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -401,7 +403,6 @@ def oracle_crosscheck(E: EllipticCurve,
                 tested += sub_tested
                 unsupported += sub_unsup
                 mismatches.extend(sub_mm)
-        mismatches.sort(key=lambda m: m.delta)
     return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 

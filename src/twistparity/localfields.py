@@ -83,10 +83,12 @@ class ResidueField:
             return True  # Frobenius is onto in characteristic 2
         return self.pow(x, (self.q - 1) // 2) == self.one()
 
-    def elements(self):
-        if self.f == 1:
-            return list(range(self.p))
-        return [(a, b) for a in range(self.p) for b in range(self.p)]
+    def div(self, x, y):
+        return self.mul(x, self.pow(y, self.q - 2))
+
+    def root(self, x):
+        """The p-th root x^(q/p): Frobenius is a bijection of F_q."""
+        return self.pow(x, self.q // self.p)
 
     def nonsquare(self):
         """Deterministic quadratic non-residue (odd q only)."""

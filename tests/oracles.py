@@ -18,7 +18,10 @@ reproduce in every field, and
 ``FractionNFElem`` is the field element with Fraction coordinates that the
 integer-triple ``NFElem`` replaced. ``tate_normalize_search`` is the search
 over (s, t) digits that normalized Tate's models at p = 2 before the residue
-square roots.
+square roots, and ``tate_reduction_search`` is Tate's algorithm as it was
+before its closed forms: the singular point, a root of the tangent cone and
+the triple and double roots found by search over F_q, which
+``_residue_elements`` lists for both.
 """
 
 import math
@@ -274,12 +277,19 @@ def generators_via_make_char(K, X):
     return [chi for chi in chars if chi.norm <= X]
 
 
+def _residue_elements(rf):
+    """F_q, listed: ints mod p (f = 1) or pairs (a, b) = a + b omega (f = 2)."""
+    if rf.f == 1:
+        return list(range(rf.p))
+    return [(a, b) for a in range(rf.p) for b in range(rf.p)]
+
+
 def tate_normalize_search(E, lv, pi):
     """The first (s, t) = (lift, pi * (lift + pi * lift)) over the residue field's
     lifts, in that order, whose translate has pi | a1, a2; pi^2 | a3, a4; pi^3 | a6."""
     from twistparity.curves import _tate_normalized
 
-    lifts = [lv.lift(el) for el in lv.residue_field().elements()]
+    lifts = [lv.lift(el) for el in _residue_elements(lv.residue_field())]
     for sb in lifts:
         for l0 in lifts:
             for l1 in lifts:
@@ -287,6 +297,142 @@ def tate_normalize_search(E, lv, pi):
                 if _tate_normalized(cand, lv):
                     return cand
     raise LookupError(f"no (s, t) normalizes {E} at {lv}")
+
+
+def tate_reduction_search(E, v, lv):
+    """Tate's algorithm at p = 2, 3 with the singular point, the tangent cone's
+    root and the triple and double roots found by search over F_q, in the
+    order of ``_residue_elements``. It normalizes with the package's
+    ``_tate_normalize``, which ``tate_normalize_search`` pins."""
+    from twistparity.curves import (
+        GOOD,
+        NONSPLIT_MULT,
+        SPLIT_MULT,
+        ReductionData,
+        _pot_kind,
+        _tate_normalize,
+        _val0,
+    )
+    from twistparity.errors import InternalInvariantError
+    from twistparity.localfields import valuation
+
+    K = E.field
+    pi = lv.uniformizer
+    rf = lv.residue_field()
+    p = lv.p
+
+    # make the model v-integral
+    kmin = 0
+    for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6)):
+        if not a.is_zero():
+            kmin = min(kmin, valuation(a, lv) // w)
+    if kmin < 0:
+        E = E.transform(u=pi ** kmin)
+
+    while True:
+        n = valuation(E.disc, lv)
+        if n == 0:
+            return ReductionData(v, GOOD, 0, _val0(E.c4, lv), None, E)
+
+        # move the singular point of the reduced curve to the origin
+        res = [lv.residue(a) for a in E.ainvs()]
+        sing = None
+        for xb in _residue_elements(rf):
+            for yb in _residue_elements(rf):
+                fx = rf.add(rf.mul(res[0], yb),
+                            rf.neg(rf.add(rf.add(_rmul(rf, 3, rf.mul(xb, xb)),
+                                                 _rmul(rf, 2, rf.mul(res[1], xb))), res[3])))
+                if not rf.is_zero(fx):
+                    continue
+                fy = rf.add(rf.add(_rmul(rf, 2, yb), rf.mul(res[0], xb)), res[2])
+                if not rf.is_zero(fy):
+                    continue
+                fval = rf.add(
+                    rf.add(rf.mul(yb, yb), rf.add(rf.mul(res[0], rf.mul(xb, yb)), rf.mul(res[2], yb))),
+                    rf.neg(rf.add(rf.add(rf.mul(xb, rf.mul(xb, xb)), rf.mul(res[1], rf.mul(xb, xb))),
+                                  rf.add(rf.mul(res[3], xb), res[4]))),
+                )
+                if rf.is_zero(fval):
+                    sing = (xb, yb)
+                    break
+            if sing:
+                break
+        if sing is None:
+            raise InternalInvariantError("no singular point despite v(disc) > 0")
+        E = E.transform(r=lv.lift(sing[0]), t=lv.lift(sing[1]))
+
+        vc4 = _val0(E.c4, lv)
+        if vc4 == 0:
+            # multiplicative: tangent-cone quadratic T^2 + a1 T - a2 over k
+            A1 = lv.residue(E.a1)
+            A2 = lv.residue(E.a2)
+            split = any(
+                rf.is_zero(rf.add(rf.mul(tb, tb), rf.add(rf.mul(A1, tb), rf.neg(A2))))
+                for tb in _residue_elements(rf)
+            )
+            return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
+                                 n, 0, 1 if split else -1, E)
+
+        pot = _pot_kind(vc4, n)
+        if _val0(E.a6, lv) < 2:  # type II
+            return ReductionData(v, pot, n, vc4, None, E)
+        if _val0(E.b8, lv) < 3:  # type III
+            return ReductionData(v, pot, n, vc4, None, E)
+        if _val0(E.b6, lv) < 3:  # type IV
+            return ReductionData(v, pot, n, vc4, None, E)
+
+        # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
+        E = _tate_normalize(E, lv, pi)
+
+        # cubic P(T) = T^3 + (a2/pi) T^2 + (a4/pi^2) T + a6/pi^3 over k:
+        # continue only past a triple root, i.e. P == (T - c)^3
+        P = [lv.residue(E.a6 / pi ** 3), lv.residue(E.a4 / pi ** 2),
+             lv.residue(E.a2 / pi), rf.one()]
+        c = None
+        for cb in _residue_elements(rf):
+            m3c = rf.neg(_rmul(rf, 3, cb))
+            p3c2 = _rmul(rf, 3, rf.mul(cb, cb))
+            mc3 = rf.neg(rf.mul(cb, rf.mul(cb, cb)))
+            if P[2] == m3c and P[1] == p3c2 and P[0] == mc3:
+                c = cb
+                break
+        if c is None:  # I0* or In*
+            return ReductionData(v, pot, n, vc4, None, E)
+        E = E.transform(r=pi * lv.lift(c))
+        if not (_val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4):
+            raise InternalInvariantError("triple-root translation left a2, a4, a6 too small")
+
+        # quadratic Y^2 + (a3/pi^2) Y - a6/pi^4 over k: continue past a double root
+        A3 = lv.residue(E.a3 / pi ** 2)
+        A6 = lv.residue(E.a6 / pi ** 4)
+        y0 = None
+        for yb in _residue_elements(rf):
+            if A3 == rf.neg(_rmul(rf, 2, yb)) and rf.neg(A6) == rf.mul(yb, yb):
+                y0 = yb
+                break
+        if y0 is None:  # IV*
+            return ReductionData(v, pot, n, vc4, None, E)
+        E = E.transform(t=pi * pi * lv.lift(y0))
+        if not (_val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5):
+            raise InternalInvariantError("double-root translation left a3, a6 too small")
+
+        if _val0(E.a4, lv) < 4:  # III*
+            return ReductionData(v, pot, n, vc4, None, E)
+        if _val0(E.a6, lv) < 6:  # II*
+            return ReductionData(v, pot, n, vc4, None, E)
+
+        # non-minimal: rescale and loop
+        E = E.transform(u=pi)
+
+
+def _rmul(rf, k: int, x):
+    acc = rf.zero()
+    for _ in range(k):
+        acc = rf.add(acc, x)
+    return acc
+
+
+
 
 
 def scan_prime_generator(K, p):

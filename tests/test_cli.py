@@ -161,11 +161,24 @@ def test_input_error_exit_codes(capsys):
     ("lemmas", "--trials", "-1"),
     ("lemmas", "--x", "0"),
     ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "ten"),
+    ("scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "12", "--tolerance", "-1"),
+    ("scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "12", "--tolerance", "nan"),
 ])
 def test_out_of_range_flags_exit_2(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and "PASS" not in out
     assert "must be >=" in err or "invalid int value" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemmas", "--x", "100"),
+    ("verify", "--field", "Q(sqrt -1)", "--curve", "[0,-1,1,0,0]", "--x", "100"),
+])
+def test_enumeration_guard_is_input_error(capsys, argv):
+    # 2^26 characters of norm <= 100 would be listed: too large an --x, not a math failure
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and "PASS" not in out
+    assert err.startswith("input error: enumeration of size")
 
 
 def test_zero_denominator_is_input_error(capsys):
@@ -230,6 +243,25 @@ def test_unknown_flag_is_error(capsys):
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
                    "--x", "10", "--workers", "2")
     assert rc == 2
+    # verify skips unsupported twists and has no use for the principal-series flag
+    rc, out, _ = run(capsys, "verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                     "--x", "20", "--assume-principal-series")
+    assert rc == 2 and "PASS" not in out
+
+
+def test_every_flag_is_read():
+    # a flag that its command never reads is parsed and then ignored
+    import argparse
+    import inspect
+
+    import twistparity.cli as cli
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(getattr(cli, f"cmd_{name}")) + inspect.getsource(cli._load)
+        for action in parser._actions:
+            if action.dest != "help":
+                assert f"args.{action.dest}" in source, (name, action.option_strings)
 
 
 def test_help_lists_flags(capsys):

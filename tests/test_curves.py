@@ -465,6 +465,55 @@ def test_tate_normalization_matches_the_digit_search(monkeypatch):
     assert {m for m, _, _ in checked} == {None, -1, 5, -3, -7, 2}
 
 
+
+def test_tate_closed_forms_match_the_search(monkeypatch):
+    # the closed forms give the singular point, the tangent cone's splitting and
+    # the triple and double roots that the search over F_q found: the same type,
+    # valuations, split sign and minimal model for seeded random curves and all
+    # their class twists at the places above 2 and 3 of ten fields
+    from .oracles import tate_reduction_search
+
+    kind, seen = None, set()
+    singular_point = curves._singular_point
+
+    def traced(rf, a1, a2, a3, a4, a6):  # which closed form: a1 = 0 at p = 2, b2 = 0 at p = 3
+        lead = a1 if rf.p == 2 else rf.add(rf.mul(a1, a1), a2)
+        seen.add((kind, "branch", rf.is_zero(lead)))
+        return singular_point(rf, a1, a2, a3, a4, a6)
+
+    monkeypatch.setattr(curves, "_singular_point", traced)
+    _clear_curve_memos()
+    models = 0
+    for m in (None, -1, 5, -3, -7, 2, -2, 3, 13, -11):
+        K = rational_field() if m is None else quadratic_field(m)
+        rng = random.Random(1000 + (m or 0))
+        cases = []
+        while len(cases) < 8:
+            coeffs = [rng.randint(-6, 6) for _ in range(5)]
+            if m is not None and rng.random() < 0.5:
+                coeffs[rng.randrange(5)] = K.elem(rng.randint(-3, 3)) + rng.randint(1, 3) * K.sqrt_m()
+            try:
+                cases.append(curve(K, coeffs))
+            except SingularCurve:
+                pass
+        for E in cases:
+            for v in places_above(K, 2) + places_above(K, 3):
+                lv = completion(K, v)
+                kind = (lv.p, lv.e, lv.f)
+                for c, rep in enumerate(lv.square_class_reps()):
+                    T = quadratic_twist(E, rep) if c else E  # E keeps its a1, a3
+                    got, want = reduction_type(T, v), tate_reduction_search(T, v, lv)
+                    assert (got.red_type, got.v_disc, got.v_c4, got.split_sign) == \
+                        (want.red_type, want.v_disc, want.v_c4, want.split_sign), (str(T), str(v))
+                    assert got.minimal_model.key() == want.minimal_model.key(), (str(T), str(v))
+                    seen.add((kind, "sign", got.split_sign))
+                    models += 1
+    kinds = [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1)]
+    assert models > 1500
+    assert {(k, tag, x) for k in kinds for tag, x in (("sign", 1), ("sign", -1))} <= seen
+    assert {(k, "branch", x) for k in kinds for x in (True, False)} <= seen
+
+
 def test_curve_memos_stay_bounded(Q, e11a1):
     # MEMO_BOUND twisted models at two places fill each memo twice over: LRU
     # eviction keeps it at its bound, and evicted entries recompute equal
