@@ -2,9 +2,10 @@
 
 Subcommands: classify, predict, scan, verify, lemmas.
 Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
-field or singular curve, an integer past the factoring budget, or a listing past
-the enumeration guard), 3 unsupported curve, 4 internal error (a failed invariant
-or any exception that is not a named package error: a bug, not bad input).
+field or singular curve, an integer past the factoring budget, a listing past
+the enumeration guard, or a scan report that cannot be written to --out),
+3 unsupported curve, 4 internal error (a failed invariant or any exception that
+is not a named package error: a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -200,7 +201,12 @@ def cmd_scan(args) -> int:
         tol = 0.02 if K.m is None else 0.05
     if args.out:
         fmt = args.format or "json"
-        emit_report(report, fmt, args.out)
+        try:
+            emit_report(report, fmt, args.out)
+        except OSError as e:
+            print(f"input error: cannot write report to {args.out}: {e.strerror or e}",
+                  file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {fmt} report to {args.out}")
     err = abs(float(report.fraction) - float(report.predicted))
     print(f"curve {report.curve} over {report.field}, X = {report.X} "

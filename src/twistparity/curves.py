@@ -44,7 +44,6 @@ from .localfields import (
     completion,
     hilbert_symbol,
     is_unramified_class,
-    square_class_index,
     valuation,
 )
 from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
@@ -446,10 +445,10 @@ def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
         return LocalRepType(SPECIAL_UNRAMIFIED, v, split_sign=rd.split_sign)
     lv = completion(E.field, v)
     reps = lv.square_class_reps()
-    # (eta, reduction of (E^c)^eta) over the ramified classes eta; (E^c)^eta is
-    # isomorphic over K_v to E twisted by the class of c * eta
-    twists = [(eta, _twist_reduction(E, v, square_class_index(reps[c] * eta, lv)))
-              for eta in reps if not is_unramified_class(eta, lv)]
+    # (eta, reduction of (E^c)^eta) over the ramified eta = reps[e]; (E^c)^eta
+    # is isomorphic over K_v to E twisted by the class of index c ^ e
+    twists = [(eta, _twist_reduction(E, v, c ^ e))
+              for e, eta in enumerate(reps) if not is_unramified_class(eta, lv)]
     if rd.red_type == ADDITIVE_POT_MULT:
         split_tw = nonsplit_tw = None
         for eta, rde in twists:

@@ -4,9 +4,10 @@ twist oracle, and machine-readable reports.
 Density scans are exact and take one path. For b >= 4, C(K, b) is generated by
 the unit classes and one prime generator per place of residue norm <= b, so
 |C(K, b)| = 2^g(b) with g(b) a count of places, read from one sieve
-(``numberfield.place_norms_up_to``). With ``LocalField.class_coords`` each c_v =
-K_v^x/K_v^x2 is F_2^d, an element's classes at the places of the reduced
-product (``PlacePartition.reduced_places``) are one int, and the image H of
+(``numberfield.place_norms_up_to``). Each c_v = K_v^x/K_v^x2 is F_2^d, and a
+class index is its F_2 coordinate, so an element's classes at the places of the
+reduced product (``PlacePartition.reduced_places``), each shifted to its own bit
+field, are one int, and the image H of
 C(K, b) -> G = prod c_v is a subspace, kept with a basis of H^perp that the
 generators, in norm order, cut only until it is 0 (Grunwald-Wang; over Q by
 norm 11 for 11a1). The even count is |C(K, b)| / |H| * (|H| + w S) / 2, where
@@ -243,15 +244,14 @@ def scan_density(E: EllipticCurve, X: int,
 
     places = place_partition(E, assume_principal_series).reduced_places()
     local = [completion(K, v) for v in places]
-    coords = [lv.class_coords() for lv in local]
-    tables, dim = [], 0  # one bit field per place; f_v re-indexed by coordinates
-    for v, cv in zip(places, coords):
-        f = [s for _, s in sorted(zip(cv, reduced_sign_table(E, v)))]
+    tables, dim = [], 0  # one bit field per place: a class index is its F_2 coordinate
+    for v in places:
+        f = list(reduced_sign_table(E, v))
         tables.append((dim, f, _walsh_hadamard(f)))
-        dim += len(cv).bit_length() - 1
+        dim += len(f).bit_length() - 1
 
     def profile(classes) -> int:
-        return sum(cv[c] << off for cv, c, (off, _, _) in zip(coords, classes, tables))
+        return sum(c << off for c, (off, _, _) in zip(classes, tables))
 
     def localize(x: NFElem) -> int:
         return profile(square_class_index(x, lv) for lv in local)

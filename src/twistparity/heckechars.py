@@ -119,11 +119,8 @@ def _char_of(K: Field, delta: NFElem, support: tuple) -> QuadChar:
     ``support``: adds the places above 2 and the real places where it ramifies."""
     ram = list(support)
     seen = {v.key() for v in support}
-    for v in places_above(K, 2):
+    for v in places_above(K, 2) + archimedean_places(K):
         if v.key() not in seen and not is_unramified_class(delta, completion(K, v)):
-            ram.append(v)
-    for v in archimedean_places(K):
-        if v.kind == "real" and delta.sign_at_real(v.index) < 0:
             ram.append(v)
     ram.sort(key=lambda v: v.sort_key())
     norm = max((v.residue_norm for v in ram if v.is_finite()), default=1)

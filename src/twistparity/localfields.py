@@ -4,16 +4,15 @@ Local elements are global field elements read v-adically, through one
 reduction: _reduce_coords maps a v-integral element to O_v / p^k, as its image
 in Z/p^k when K_v = Q_p and as its omega-coordinates mod p^k when
 [K_v : Q_p] = 2. Residues are its k = 1 case. At a place with K_v = Q_p
-(K = Q, or p splits) the valuation and the image read sqrt(m) as the canonical
-p-adic root of m from numberfield, and all decisions are finite and exact. At
-odd residue characteristic they use Euler's criterion and the tame symbol
-formula. At the places above 2 they use two tables built once per completion,
-on first use. By the local square theorem (O'Meara, Introduction to Quadratic
-Forms, 63:1) a unit is a square iff it is a square mod 4*pi, so the class of a
-unit is read off its coordinates mod 8; and the Hilbert symbol is a <= 16x16
-matrix over class indices, filled by bimultiplicativity from an F_2-basis of
-the classes. The only search left, for a primitive zero of z^2 - x u^2 - y w^2
-mod 2^5, fills that matrix: at most 10 basis pairs per completion.
+(K = Q, or p splits) sqrt(m) is read as the canonical p-adic root of m.
+
+K_v^x/K_v^x2 is numbered once: a class index is its F_2 coordinate, so the
+class of x*y is the XOR of the indices. Above 2 a unit is a square iff it is a
+square mod 4*pi (O'Meara, Introduction to Quadratic Forms, 63:1), so its class
+is read off its coordinates mod 8. The Hilbert symbol is a bilinear form on the
+classes (Serre, A Course in Arithmetic, III.1-2): one matrix per completion,
+filled from the basis reps[2^a] by the real sign rule, the tame formula at odd
+p, or above 2 a search mod 2^5 (at most 10 pairs), and read by every call.
 """
 
 from __future__ import annotations
@@ -137,11 +136,9 @@ class LocalField:
                 self.uniformizer = place.generator if place.generator is not None else K.elem(self.p)
         self._residue_field: Optional[ResidueField] = None
         self._square_classes: Optional[list] = None
-        self._class_coords: Optional[list] = None
-        self._minus_one_row: Optional[list] = None
         # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
         self._class_index_cache: dict = {}
-        # places above 2: unit residue mod 8 -> unit class, and the Hilbert matrix
+        # places above 2: unit residue mod 8 -> unit class
         self._unit_classes: Optional[dict] = None
         self._hilbert_matrix: Optional[list] = None
 
@@ -210,33 +207,12 @@ class LocalField:
             self._square_classes = _build_square_classes(self)
         return self._square_classes
 
-    def class_coords(self) -> list[int]:
-        """Class index -> its bit mask over a greedy F_2-basis of the classes."""
-        if self._class_coords is None:
-            reps = self.square_class_reps()
-            coords = {0: 0}
-            for i, r in enumerate(reps):
-                if i not in coords:  # the 2^k classes reached span bits < k; i opens bit k
-                    bit = len(coords)
-                    for j, mask in list(coords.items()):
-                        coords[square_class_index(r * reps[j], self)] = mask | bit
-            if sorted(coords.values()) != list(range(len(reps))):
-                raise InternalInvariantError(f"square classes at {self} are not a group")
-            self._class_coords = [coords[i] for i in range(len(reps))]
-        return self._class_coords
-
     def minus_one_row(self) -> list[int]:
         """Class index c -> chi_c(-1) = (-1, reps[c])_v."""
-        if self._minus_one_row is None:
-            minus_one = self.field.elem(-1)
-            self._minus_one_row = [hilbert_symbol(minus_one, r, self)
-                                   for r in self.square_class_reps()]
-        return self._minus_one_row
+        return self.hilbert_matrix()[square_class_index(self.field.elem(-1), self)]
 
     def hilbert_matrix(self) -> list[list[int]]:
-        """(reps[i], reps[j])_v for a place above 2."""
-        if self.p != 2:
-            raise ValueError(f"no Hilbert matrix at {self}: it is built at places above 2")
+        """(reps[i], reps[j])_v over the class indices."""
         if self._hilbert_matrix is None:
             self._hilbert_matrix = _build_hilbert_matrix(self)
         return self._hilbert_matrix
@@ -263,11 +239,6 @@ class LocalCharacter:
         return eval_local_char(self, x)
 
     def is_trivial(self) -> bool:
-        v = self.local_field
-        if v.place_kind == "complex":
-            return True
-        if v.place_kind == "real":
-            return self.delta.sign_at_real(v.place.index) > 0
         return self.index() == 0
 
     def is_unramified(self) -> bool:
@@ -276,12 +247,8 @@ class LocalCharacter:
     def __mul__(self, other: "LocalCharacter") -> "LocalCharacter":
         if self.local_field.key() != other.local_field.key():
             raise InternalInvariantError("product of characters of different completions")
-        prod = self.delta * other.delta
         v = self.local_field
-        if v.place_kind == "finite":
-            reps = v.square_class_reps()
-            prod = reps[square_class_index(prod, v)]
-        return LocalCharacter(v, prod)
+        return LocalCharacter(v, v.square_class_reps()[self.index() ^ other.index()])
 
     def __eq__(self, other):
         if not isinstance(other, LocalCharacter):
@@ -420,21 +387,28 @@ def _hilbert_search(x: NFElem, y: NFElem, v: LocalField) -> int:
     return -1
 
 
+def _hilbert_real(x: NFElem, y: NFElem, v: LocalField) -> int:
+    i = v.place.index
+    return -1 if x.sign_at_real(i) < 0 and y.sign_at_real(i) < 0 else 1
+
+
 def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
-    """(reps[i], reps[j])_v by bimultiplicativity from the pairs of an F_2-basis."""
-    reps, coords = v.square_class_reps(), v.class_coords()
-    k = len(reps).bit_length() - 1
-    basis = [reps[coords.index(1 << a)] for a in range(k)]
+    """(reps[i], reps[j])_v by bimultiplicativity from the pairs of the basis reps[2^a]."""
+    reps = v.square_class_reps()
+    k = len(reps).bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
+    basis = [reps[1 << a] for a in range(k)]
+    symbol = (_hilbert_real if v.place_kind == "real"
+              else _hilbert_search if v.p == 2 else _hilbert_tame)
     odd = [[False] * k for _ in range(k)]
     for a in range(k):
         for b in range(a, k):
-            odd[a][b] = odd[b][a] = _hilbert_search(basis[a], basis[b], v) == -1
+            odd[a][b] = odd[b][a] = symbol(basis[a], basis[b], v) == -1
 
-    def symbol(mi, mj):
-        s = sum(odd[a][b] for a in range(k) if mi >> a & 1 for b in range(k) if mj >> b & 1)
+    def entry(i, j):
+        s = sum(odd[a][b] for a in range(k) if i >> a & 1 for b in range(k) if j >> b & 1)
         return -1 if s % 2 else 1
 
-    return [[symbol(mi, mj) for mj in coords] for mi in coords]
+    return [[entry(i, j) for j in range(len(reps))] for i in range(len(reps))]
 
 
 # ----------------------------------------------------------------------------
@@ -445,13 +419,6 @@ def hilbert_symbol(x: NFElem, y: NFElem, v: LocalField) -> int:
     """(x, y)_v = +1 iff z^2 = x u^2 + y w^2 has a nontrivial K_v-solution."""
     if x.is_zero() or y.is_zero():
         raise ZeroElement("hilbert symbol with zero argument")
-    if v.place_kind == "complex":
-        return 1
-    if v.place_kind == "real":
-        i = v.place.index
-        return -1 if (x.sign_at_real(i) < 0 and y.sign_at_real(i) < 0) else 1
-    if v.p != 2:
-        return _hilbert_tame(x, y, v)
     return v.hilbert_matrix()[square_class_index(x, v)][square_class_index(y, v)]
 
 
@@ -486,31 +453,36 @@ def _build_square_classes(v: LocalField) -> list[NFElem]:
         return [K.one(), u, pi, u * pi]
     # Above 2 a unit is a square iff it is one mod 4 pi (O'Meara 63:1), and
     # 8 O_v lies in 4 pi O_v. So small candidate units c0 + c1 omega are walked
-    # in a fixed order; one whose residue mod 8 is new opens a class and
-    # claims the residues of its coset in the unit-class table.
+    # in a fixed order. One whose residue mod 8 lies outside the classes met so
+    # far opens the next bit: its coset times those classes claims the residues
+    # of the unit-class table. Each class keeps the first candidate met in it.
     ring, mul = _residue_ring(v, 3)
-    squares = {mul(y, y) for y in ring if _is_unit(y, v)}
+    table = dict.fromkeys((mul(y, y) for y in ring if _is_unit(y, v)), 0)
     if v.degree_over_qp == 1:
         cands = [(1, 0), (-1, 0), (5, 0), (-5, 0)]
     else:
         cands = [(1, 0)] + [(c0, c1) for r in range(1, 7) for c0 in range(-r, r + 1)
                             for c1 in range(-r, r + 1) if max(abs(c0), abs(c1)) == r]
     target = v.num_quadratic_characters // 2
-    table: dict = {}
-    units = []
+    units: dict = {}  # unit class -> its first candidate
+    size = 1
     for c in cands:
         if len(units) == target:
             break
+        if not _is_unit(c, v):
+            continue
         key = (c[0] % 8, c[1] % 8)
-        if _is_unit(c, v) and key not in table:
-            for s in squares:
-                table[mul(key, s)] = len(units)
-            units.append(c)
-    if len(units) != target:
-        raise InternalInvariantError(f"found only {len(units)} unit classes at {v}")
+        if key not in table:
+            for r, i in list(table.items()):
+                table[mul(key, r)] = i | size
+            size *= 2
+        units.setdefault(table[key], c)
+    if len(units) != target or size != target:
+        raise InternalInvariantError(
+            f"unit classes at {v}: {len(units)} met, {size} numbered, {target} expected")
     v._unit_classes = table
     om = K.omega()
-    unit_reps = [K.elem(c0) + K.elem(c1) * om for c0, c1 in units]
+    unit_reps = [K.elem(c0) + K.elem(c1) * om for _, (c0, c1) in sorted(units.items())]
     return unit_reps + [r * pi for r in unit_reps]
 
 
@@ -522,18 +494,15 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
     hit = v._class_index_cache.get(key)
     if hit is not None:
         return hit
-    if v.place_kind == "real":
-        idx = 0 if x.sign_at_real(v.place.index) > 0 else 1
-    elif v.place_kind == "complex":
-        idx = 0
+    if v.place_kind != "finite":
+        idx = 1 if v.place_kind == "real" and x.sign_at_real(v.place.index) < 0 else 0
     elif v.p != 2:
         n, u = unit_part(x, v)
-        res_sq = v.residue_field().is_square(v.residue(u))
-        idx = (0 if res_sq else 1) + (0 if n % 2 == 0 else 2)
+        idx = (0 if v.residue_field().is_square(v.residue(u)) else 1) | (n & 1) << 1
     else:
         half = len(v.square_class_reps()) // 2
         n, u = unit_part(x, v)
-        idx = v._unit_classes[_reduce_coords(u, v, 3)] + (half if n % 2 else 0)
+        idx = v._unit_classes[_reduce_coords(u, v, 3)] | (n & 1) * half
     cache = v._class_index_cache
     if len(cache) >= MEMO_BOUND:
         del cache[next(iter(cache))]  # the oldest insertion
@@ -553,12 +522,10 @@ def eval_local_char(chi: LocalCharacter, x: NFElem) -> int:
 
 
 def is_unramified_class(delta: NFElem, v: LocalField) -> bool:
-    """True iff (., delta)_v is trivial on local units (K_v(sqrt delta)/K_v unramified)."""
-    if v.place_kind == "complex":
-        return True
-    if v.place_kind == "real":
-        return delta.sign_at_real(v.place.index) > 0
-    if v.p != 2:
-        return valuation(delta, v) % 2 == 0
-    row = v.hilbert_matrix()[square_class_index(delta, v)]
+    """True iff K_v(sqrt delta)/K_v is unramified: at a finite place, iff
+    (., delta)_v is trivial on the unit classes, the first half of the indices."""
+    i = square_class_index(delta, v)
+    if v.place_kind != "finite":
+        return i == 0
+    row = v.hilbert_matrix()[i]
     return all(s == 1 for s in row[:len(row) // 2])

@@ -4,15 +4,18 @@ products, local averages kappa_v, and the predicted even-rank density.
 Signs live in {+1, -1} as plain ints. The sign n_v(chi_v) depends only on the
 square class of chi_v in K_v^x/K_v^x2, so each (curve, place) has one finite
 table: ``sign_table(E, v)[c]`` is n_v of the character of class c, in the
-class-index order of ``completion(K, v).characters()``. Every consumer reads
-it by ``square_class_index``: ``parity_change`` at the bad places, and, through
+class-index order of ``completion(K, v).characters()``. A class index is the
+F_2 coordinate of the class, so the twist chi * eta of rows 4, 8 and 9 has the
+class of the XOR of the two indices. Every consumer reads the table by
+``square_class_index``: ``parity_change`` at the bad places, and, through
 ``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
 the real ones), ``parity_change_simplified``, ``kappa_v_average`` and the exact
-scan of ``experiments``. At a good place where chi ramifies ``parity_change``
-builds no table: n_v is row 2, chi_v(-1). That sign, and every chi_v(-1) here,
-is read from ``LocalField.minus_one_row()``, one row per completion that
-depends only on the field. The tables sit in one LRU memo of MEMO_BOUND
-entries.
+scan of ``experiments``, which takes the row as a function on F_2^d as it is.
+At a good place where chi ramifies ``parity_change`` builds no table: n_v is
+row 2, chi_v(-1). That sign, and every chi_v(-1) here, is read from
+``LocalField.minus_one_row()``, the row of the class of -1 in the completion's
+Hilbert matrix, which depends only on the field. The tables sit in one LRU memo
+of MEMO_BOUND entries.
 
 The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
 can flip a single row and watch the twisted-parity oracle break (all hooks are
@@ -29,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
+from .arith import is_prime
 from .curves import (
     EllipticCurve,
     PRINCIPAL_RAMIFIED_QUAD,
@@ -54,10 +58,9 @@ from .localfields import (
     LocalCharacter,
     completion,
     eval_local_char,
-    is_unramified_class,
     square_class_index,
 )
-from .numberfield import NFElem, Place, archimedean_places, legendre
+from .numberfield import Place, archimedean_places, legendre
 
 # Mutation hooks: one multiplicative sign per implemented nontrivial table row.
 TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
@@ -69,11 +72,6 @@ def _chi_minus_one(chi: LocalCharacter) -> int:
 
 def _chi_pi(chi: LocalCharacter) -> int:
     return eval_local_char(chi, chi.local_field.uniformizer)
-
-
-def _same_class(chi: LocalCharacter, delta: NFElem) -> bool:
-    v = chi.local_field
-    return square_class_index(chi.delta, v) == square_class_index(delta, v)
 
 
 def n_v(rep: LocalRepType, chi: LocalCharacter) -> int:
@@ -89,9 +87,7 @@ def n_v(rep: LocalRepType, chi: LocalCharacter) -> int:
     if rep.kind == PRINCIPAL_RAMIFIED_QUAD:
         if unram:
             return 1                                    # row 3
-        v = chi.local_field
-        mu_chi_unram = is_unramified_class(chi.delta * rep.good_twist, v)
-        if mu_chi_unram:
+        if (chi * LocalCharacter(chi.local_field, rep.good_twist)).is_unramified():
             return h[4] * _chi_minus_one(chi)           # row 4
         return h[5] * _chi_minus_one(chi)               # row 5
     if rep.kind == SPECIAL_UNRAMIFIED:
@@ -101,11 +97,11 @@ def n_v(rep: LocalRepType, chi: LocalCharacter) -> int:
     if rep.kind == SPECIAL_RAMIFIED_QUAD:
         if unram:
             return 1                                    # row 10
-        v = chi.local_field
-        if is_unramified_class(chi.delta * rep.split_twist, v):
+        mu = LocalCharacter(chi.local_field, rep.split_twist)
+        if (chi * mu).is_unramified():
             # row 9: -chi(-pi) mu(pi) = chi(-1) * (-(chi mu)(pi)), and
             # (chi mu)(pi) = +1 iff the chi-twist is split multiplicative
-            twist_split = 1 if _same_class(chi, rep.split_twist) else -1
+            twist_split = 1 if chi == mu else -1
             return h[9] * (_chi_minus_one(chi) * (-twist_split))
         return h[8] * _chi_minus_one(chi)               # row 8
     raise WrongRepClass(f"unknown representation kind {rep.kind}")
@@ -422,7 +418,7 @@ def random_gamma_config(rng, max_places: int = 6) -> GammaConfig:
 
 def gauss_sum_check(p: int, tol: float = 1e-6) -> bool:
     """tau(chi)^2 = p * chi(-1) for the quadratic character mod an odd prime p."""
-    if p == 2 or p >= 10 ** 4:
+    if p == 2 or p >= 10 ** 4 or not is_prime(p):
         raise ValueError("p must be an odd prime < 10^4")
     tau = 0 + 0j
     for a in range(1, p):

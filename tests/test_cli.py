@@ -94,6 +94,16 @@ def test_scan_format_without_out_is_input_error(capsys, fmt):
     assert err.startswith("input error:") and "--format" in err and "--out" in err
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_scan_unwritable_out_is_input_error(tmp_path, capsys, target):
+    # a missing directory (FileNotFoundError) or a directory (IsADirectoryError)
+    out_path = str(tmp_path / target)
+    rc, out, err = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                       "--x", "40", "--out", out_path)
+    assert rc == 2 and "wrote" not in out
+    assert err.startswith(f"input error: cannot write report to {out_path}:"), err
+
+
 def test_scan_report_with_thousands_of_digits(tmp_path, capsys):
     # |C(Q, 2*10^5)| = 2^17985 (-1 and 17984 primes) has 5415 decimal digits,
     # past the interpreter's default int-string limit

@@ -432,6 +432,45 @@ def test_hilbert_reciprocity_over_quadratic_fields():
             assert prod == 1, (m, str(x), str(y))
 
 
+def _tame_formula(x, y, v):
+    """(x, y)_v at odd p: the tame symbol (-1)^(ab) x^b / y^a mod v (a, b the
+    valuations) to the power (q - 1) / 2, by Euler's criterion in F_q."""
+    a, b = valuation(x, v), valuation(y, v)
+    rf = v.residue_field()
+    t = v.residue((-1) ** (a * b) * x ** b / y ** a)
+    return 1 if rf.pow(t, (v.q - 1) // 2) == rf.one() else -1
+
+
+@pytest.mark.parametrize("m", [None, -1, -3, -7, 2, 5, 13])
+def test_hilbert_matrix_matches_the_direct_formula(m):
+    # the matrix lookup against the per-pair formula at odd places (split,
+    # inert, ramified, or Q_p) and the sign rule at real places
+    K = rational_field() if m is None else quadratic_field(m)
+    rng = random.Random(2014 if m is None else 2014 + m)
+    odd = [v for p in (3, 5, 7, 11, 13, 17) for v in places_above(K, p)]
+    real = [v for v in archimedean_places(K) if v.kind == "real"]
+    kinds = set()
+    for v in odd + real:
+        lv = completion(K, v)
+        kinds.add(v.kind if v.kind == "real" else v.splitting)
+        for _ in range(150):
+            x, y = (K.elem(Fraction(rng.randint(-60, 60), rng.randint(1, 30)),
+                           rng.randint(-60, 60) if m is not None else 0)
+                    * (lv.uniformizer ** rng.randint(-2, 3) if v in odd else 1)
+                    for _ in range(2))
+            if x.is_zero() or y.is_zero():
+                continue
+            if v in odd:
+                want = _tame_formula(x, y, lv)
+            else:
+                want = hilbert_real(x.sign_at_real(v.index), y.sign_at_real(v.index))
+            assert hilbert_symbol(x, y, lv) == want, (str(lv), str(x), str(y))
+    expect = {None} if m is None else {"split", "inert"}
+    if m in (-3, -7, 5, 13):
+        expect.add("ramified")
+    assert kinds >= expect | ({"real"} if m is None or m > 0 else set()), kinds
+
+
 # ----------------------------------------------------------------------------
 # dyadic tables against the brute-force oracle
 
@@ -513,7 +552,6 @@ def test_dyadic_tables_take_at_most_ten_pair_searches(Qi, K5, monkeypatch):
         searches.clear()
         v = localfields.LocalField(K, places_above(K, 2)[0])
         assert v._unit_classes is None and v._hilbert_matrix is None  # built on first use
-        assert v._class_coords is None
         reps = v.square_class_reps()
         for x in reps:
             for y in reps:
@@ -522,17 +560,19 @@ def test_dyadic_tables_take_at_most_ten_pair_searches(Qi, K5, monkeypatch):
         assert len(searches) <= 10, (str(K), len(searches))
 
 
-# Class indices feed the scan profiles and the report bytes, so the dyadic
-# representatives and their order are pinned (unit classes first, then times pi).
+# The dyadic representatives and their order are pinned: units first, then
+# times pi, with the class index the F_2 coordinate over the basis reps[2^a].
+# Report bytes do not depend on that order; tests/test_report_digests.py pins
+# them on scans over these fields.
 DYADIC_REPS = {
     ("Q", 1): "1 -1 5 -5 2 -2 10 -10",
-    ("Qi", 1): "1 -w -2-w -2+w -1-2*w -1+2*w -3 -3*w 1+w 1-w -1-3*w -3-w 1-3*w -3+w -3-3*w 3-3*w",
-    ("Q(sqrt2)", 1): ("1 -1-w -1 -1+w -1-2*w 1-2*w -3-3*w -3-w "
-                      "w -2-w -w 2-w -4-w -4+w -6-3*w -2-3*w"),
-    ("Q(sqrt5)", 1): ("1 -3/2-1/2*w -1/2+1/2*w -1/2-1/2*w -5/2-1/2*w w -w 5/2+1/2*w "
-                      "2 -3-w -1+w -1-w -5-w 2*w -2*w 5+w"),
-    ("Q(sqrt-3)", 1): ("1 -3/2-1/2*w -1 3/2+1/2*w -5/2-1/2*w 2+w -7/2-1/2*w -5/2-3/2*w "
-                       "2 -3-w -2 3+w -5-w 4+2*w -7-w -5-3*w"),
+    ("Qi", 1): "1 -w -2-w -1+2*w -2+w -1-2*w -3 -3*w 1+w 1-w -1-3*w -3+w -3-w 1-3*w -3-3*w 3-3*w",
+    ("Q(sqrt2)", 1): ("1 -1-w -1 -1+w -1-2*w -3-w 1-2*w -3-3*w "
+                      "w -2-w -w 2-w -4-w -2-3*w -4+w -6-3*w"),
+    ("Q(sqrt5)", 1): ("1 -3/2-1/2*w -1/2+1/2*w -1/2-1/2*w -5/2-1/2*w 5/2+1/2*w -w w "
+                      "2 -3-w -1+w -1-w -5-w 5+w -2*w 2*w"),
+    ("Q(sqrt-3)", 1): ("1 -3/2-1/2*w -1 3/2+1/2*w -5/2-1/2*w -5/2-3/2*w 2+w -7/2-1/2*w "
+                       "2 -3-w -2 3+w -5-w -5-3*w 4+2*w -7-w"),
     ("Q(sqrt-7)", 1): "1 -1 5 -5 1/2-1/2*w -1/2+1/2*w 5/2-5/2*w -5/2+5/2*w",
     ("Q(sqrt-7)", 2): "1 -1 5 -5 1/2+1/2*w -1/2-1/2*w 5/2+5/2*w -5/2-5/2*w",
     ("Q(sqrt17)", 1): "1 -1 5 -5 3/2+1/2*w -3/2-1/2*w 15/2+5/2*w -15/2-5/2*w",
@@ -587,7 +627,7 @@ def test_place_and_completion_memos_stay_bounded(Q):
 
 
 # ----------------------------------------------------------------------------
-# class coordinates: the F_2-structure the Hilbert matrix and the scan share
+# class indices: the F_2-structure the Hilbert matrix and the scan share
 
 
 def _coordinate_sweep(K):
@@ -607,18 +647,17 @@ def _coordinate_sweep(K):
 
 
 @pytest.mark.parametrize("m", [None, -1, -3, -7, 2, 5, 13])
-def test_class_coords_are_a_group_isomorphism(m):
+def test_class_index_is_the_f2_coordinate(m):
     K = rational_field() if m is None else quadratic_field(m)
     kinds = set()
     for v in _coordinate_sweep(K):
         lv = completion(K, v)
-        reps, coords = lv.square_class_reps(), lv.class_coords()
+        reps = lv.square_class_reps()
         kinds.add(v.kind if v.kind != "finite" else (v.p if v.p <= 3 else v.splitting))
-        assert sorted(coords) == list(range(len(reps))), (str(lv), coords)
+        assert [square_class_index(x, lv) for x in reps] == list(range(len(reps))), str(lv)
         for i, x in enumerate(reps):
             for j, y in enumerate(reps):
-                assert coords[square_class_index(x * y, lv)] == coords[i] ^ coords[j], \
-                    (str(lv), i, j)
+                assert square_class_index(x * y, lv) == i ^ j, (str(lv), i, j)
     arch = "complex" if m is not None and m < 0 else "real"
     assert kinds == {arch, 2, 3} | ({None} if m is None else {"split", "inert"})
 

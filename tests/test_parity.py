@@ -422,5 +422,6 @@ def test_gauss_sum_examples():
 
 
 def test_gauss_sum_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gauss_sum_check(2)
+    for p in (2, 1, 9, 15):
+        with pytest.raises(ValueError):
+            gauss_sum_check(p)
