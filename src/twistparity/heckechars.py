@@ -127,10 +127,6 @@ def _char_of(K: Field, delta: NFElem, support: tuple) -> QuadChar:
     return QuadChar(K, delta, support, tuple(ram), norm)
 
 
-def trivial_char(K: Field) -> QuadChar:
-    return make_char(K, K.one())
-
-
 # ----------------------------------------------------------------------------
 # Enumeration of C(K, X)
 

@@ -11,18 +11,26 @@ class of x*y is the XOR of the indices. Above 2 a unit is a square iff it is a
 square mod 4*pi (O'Meara, Introduction to Quadratic Forms, 63:1), so its class
 is read off its coordinates mod 8. The Hilbert symbol is a bilinear form on the
 classes (Serre, A Course in Arithmetic, III.1-2): one matrix per completion,
-filled from the basis reps[2^a] by the real sign rule, the tame formula at odd
-p, or above 2 a search mod 2^5 (at most 10 pairs), and read by every call.
+filled from the Gram matrix of the basis reps[2^a], and read by every call.
+That Gram matrix comes from one rule per kind of place, with no search:
+(-1, -1) = -1 at a real place; at an odd place, with the basis [u, pi],
+(u, u) = 1, (u, pi) = -1 and (pi, pi) = (-1)^((q-1)/2); at a Q_2 place Serre's
+closed formula in epsilon and omega (III.1.2, Thm 1); and at the one place
+above 2 of degree 2, Hilbert reciprocity (III.2, Thm 3), the product of the
+symbols at the real places and at the odd places that divide the basis norms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .arith import factorint, kronecker
 from .errors import InternalInvariantError, ZeroElement
-from .numberfield import MEMO_BOUND, Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int
+from .numberfield import (MEMO_BOUND, Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int,
+                          archimedean_places, places_above)
 
 
 # ----------------------------------------------------------------------------
@@ -76,11 +84,11 @@ class ResidueField:
         return r
 
     def is_square(self, x) -> bool:
-        if self.is_zero(x):
-            return True
         if self.p == 2:
             return True  # Frobenius is onto in characteristic 2
-        return self.pow(x, (self.q - 1) // 2) == self.one()
+        if self.f == 2:  # the norm F_q^x -> F_p^x is onto, so x is a square iff N(x) is
+            x = x[0] * x[0] + self.t * x[0] * x[1] + self.n * x[1] * x[1]
+        return kronecker(x, self.p) != -1
 
     def div(self, x, y):
         return self.mul(x, self.pow(y, self.q - 2))
@@ -141,6 +149,7 @@ class LocalField:
         # places above 2: unit residue mod 8 -> unit class
         self._unit_classes: Optional[dict] = None
         self._hilbert_matrix: Optional[list] = None
+        self._minus_one_row: Optional[list] = None
 
     # -- identification -------------------------------------------------------
     def key(self):
@@ -208,13 +217,17 @@ class LocalField:
         return self._square_classes
 
     def minus_one_row(self) -> list[int]:
-        """Class index c -> chi_c(-1) = (-1, reps[c])_v."""
-        return self.hilbert_matrix()[square_class_index(self.field.elem(-1), self)]
+        """Class index c -> chi_c(-1) = (-1, reps[c])_v, kept with the matrix."""
+        if self._minus_one_row is None:
+            self.hilbert_matrix()
+        return self._minus_one_row
 
     def hilbert_matrix(self) -> list[list[int]]:
         """(reps[i], reps[j])_v over the class indices."""
         if self._hilbert_matrix is None:
-            self._hilbert_matrix = _build_hilbert_matrix(self)
+            H = _build_hilbert_matrix(self)
+            self._minus_one_row = H[square_class_index(self.field.elem(-1), self)]
+            self._hilbert_matrix = H
         return self._hilbert_matrix
 
     def characters(self) -> list["LocalCharacter"]:
@@ -272,7 +285,7 @@ def completion(K: Field, v: Place) -> LocalField:
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _completion_cached(field_key, place_key) -> LocalField:
-    from .numberfield import _make_field, archimedean_places, places_above
+    from .numberfield import _make_field
 
     K = _make_field(*field_key)
     if place_key[0] in ("real", "complex"):
@@ -320,8 +333,7 @@ def is_square_local(x: NFElem, v: LocalField) -> bool:
 # O_v / p^k in coordinates. A v-integral element is its image in Z/p^k, paired
 # with 0, when K_v = Q_p (K = Q, or p splits); it is the pair of its
 # omega-coordinates when [K_v : Q_p] = 2 (p has one place, so O_v is
-# Z_p + Z_p omega). Above 2 the unit-class table and the Hilbert search read
-# these pairs mod 2^3 and mod 2^5.
+# Z_p + Z_p omega). Above 2 the unit-class table reads these pairs mod 2^3.
 
 
 def _reduce_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, int]:
@@ -339,17 +351,16 @@ def _reduce_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, int]:
     return c0 // d * Dinv % M, c1 // d * Dinv % M
 
 
-def _residue_ring(v: LocalField, bits: int):
-    """(elements, product) of O_v / 2^bits, with omega^2 = t omega - n."""
+def _residue_ring(v: LocalField):
+    """(elements, product) of O_v / 8, with omega^2 = t omega - n."""
     t, n = v.field.omega_trace_norm()
-    M = 1 << bits
 
     def mul(x, y):
         c = x[1] * y[1]
-        return (x[0] * y[0] - n * c) % M, (x[0] * y[1] + x[1] * y[0] + t * c) % M
+        return (x[0] * y[0] - n * c) % 8, (x[0] * y[1] + x[1] * y[0] + t * c) % 8
 
-    second = range(M) if v.degree_over_qp == 2 else (0,)
-    return [(a, b) for a in range(M) for b in second], mul
+    second = range(8) if v.degree_over_qp == 2 else (0,)
+    return [(a, b) for a in range(8) for b in second], mul
 
 
 def _is_unit(c: tuple[int, int], v: LocalField) -> bool:
@@ -358,57 +369,49 @@ def _is_unit(c: tuple[int, int], v: LocalField) -> bool:
     return (c[0] * c[0] + t * c[0] * c[1] + n * c[1] * c[1]) % 2 == 1
 
 
-def _hilbert_search(x: NFElem, y: NFElem, v: LocalField) -> int:
-    """(x, y)_v at a place above 2, for class representatives x, y (v(x), v(y) <= 1).
-
-    A primitive zero of z^2 - x u^2 - y w^2 mod pi^(2e+3) lifts by Hensel's
-    lemma: the derivative in a unit coordinate has valuation at most e + 1. For
-    e <= 2, 2^5 O_v lies in pi^(2e+3) O_v, so the search compares residues in
-    O_v / 2^5 exactly. In a primitive zero z is a unit, or z is not and u is
-    (z, u in pi O would give v(y w^2) >= 2 > v(y)); scaling that unit to 1, the
-    two sides of the equation meet in a set.
-    """
-    if max(valuation(x, v), valuation(y, v)) > 1:
-        raise InternalInvariantError("Hilbert search needs arguments of valuation 0 or 1")
-    bits = 5
-    ring, mul = _residue_ring(v, bits)
-    X, Y, P = (_reduce_coords(z, v, bits) for z in (x, y, v.uniformizer))
-
-    def sub(a, b):
-        return (a[0] - b[0]) % (1 << bits), (a[1] - b[1]) % (1 << bits)
-
-    sq = {mul(r, r) for r in ring}
-    y_sq = {mul(Y, s) for s in sq}
-    if not y_sq.isdisjoint(sub((1, 0), mul(X, s)) for s in sq):
-        return 1  # z = 1: 1 - x u^2 = y w^2
-    pi_sq = {mul(mul(P, P), s) for s in sq}  # squares of elements of pi O_v
-    if not y_sq.isdisjoint(sub(s, X) for s in pi_sq):
-        return 1  # u = 1, z in pi O: z^2 - x = y w^2
-    return -1
-
-
-def _hilbert_real(x: NFElem, y: NFElem, v: LocalField) -> int:
-    i = v.place.index
-    return -1 if x.sign_at_real(i) < 0 and y.sign_at_real(i) < 0 else 1
+def _basis_gram(v: LocalField, basis: list[NFElem]) -> list[list[bool]]:
+    """(basis[a], basis[b])_v == -1 for the basis reps[2^a] of the square classes."""
+    if v.place_kind != "finite":
+        return [[True]] * len(basis)  # real: (-1, -1) = -1; complex: no basis
+    if v.p != 2:  # [u, pi]: (u, u) = 1, (u, pi) = -1, (pi, pi) = (-1, pi) = (-1)^((q-1)/2)
+        return [[False, True], [True, v.q % 4 == 3]]
+    if v.degree_over_qp == 1:
+        # (2^a u, 2^b w) = (-1)^(eps(u) eps(w) + a omega(w) + b omega(u)) over Q_2
+        # (Serre III.1.2, Thm 1), read from u, w mod 8
+        parts = []
+        for x in basis:
+            a = valuation(x, v)
+            u = _qp_image(x / 2 ** a, 2, v.place.index, 3)
+            parts.append((a, (u - 1) // 2 % 2, (u * u - 1) // 8 % 2))
+        return [[(eu * ew + a * ow + b * ou) % 2 == 1 for b, ew, ow in parts]
+                for a, eu, ou in parts]
+    # the one place above 2: the product of (x, y)_w over all places w is 1
+    # (Serre III.2, Thm 3), and (x, y)_w = 1 at a complex place and at an odd
+    # place where x and y are both units, so where w divides neither norm
+    K = v.field
+    primes = set()
+    for x in basis:
+        n = x.norm()
+        primes.update(factorint(abs(n.numerator) * n.denominator))
+    primes.discard(2)
+    others = [completion(K, w) for w in archimedean_places(K)
+              + [w for p in sorted(primes) for w in places_above(K, p)]]
+    tables = [(w.hilbert_matrix(), [square_class_index(x, w) for x in basis]) for w in others]
+    return [[math.prod(H[i[a]][i[b]] for H, i in tables) == -1 for b in range(len(basis))]
+            for a in range(len(basis))]
 
 
 def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
-    """(reps[i], reps[j])_v by bimultiplicativity from the pairs of the basis reps[2^a]."""
+    """(reps[i], reps[j])_v by bimultiplicativity from the Gram matrix of the basis reps[2^a]."""
     reps = v.square_class_reps()
-    k = len(reps).bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
-    basis = [reps[1 << a] for a in range(k)]
-    symbol = (_hilbert_real if v.place_kind == "real"
-              else _hilbert_search if v.p == 2 else _hilbert_tame)
-    odd = [[False] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            odd[a][b] = odd[b][a] = symbol(basis[a], basis[b], v) == -1
-
-    def entry(i, j):
-        s = sum(odd[a][b] for a in range(k) if i >> a & 1 for b in range(k) if j >> b & 1)
-        return -1 if s % 2 else 1
-
-    return [[entry(i, j) for j in range(len(reps))] for i in range(len(reps))]
+    n = len(reps)
+    k = n.bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
+    # rows[i]: the bits b with (reps[i], reps[2^b])_v = -1, a linear map of i
+    rows = [0]
+    for gram_row in _basis_gram(v, [reps[1 << a] for a in range(k)]):
+        mask = sum(odd << b for b, odd in enumerate(gram_row))
+        rows += [r ^ mask for r in rows]
+    return [[-1 if (r & j).bit_count() % 2 else 1 for j in range(n)] for r in rows]
 
 
 # ----------------------------------------------------------------------------
@@ -420,20 +423,6 @@ def hilbert_symbol(x: NFElem, y: NFElem, v: LocalField) -> int:
     if x.is_zero() or y.is_zero():
         raise ZeroElement("hilbert symbol with zero argument")
     return v.hilbert_matrix()[square_class_index(x, v)][square_class_index(y, v)]
-
-
-def _hilbert_tame(x: NFElem, y: NFElem, v: LocalField) -> int:
-    a, u = unit_part(x, v)
-    b, w = unit_part(y, v)
-    rf = v.residue_field()
-    sign = 1
-    if (a * b) % 2 == 1 and (v.q - 1) // 2 % 2 == 1:
-        sign = -sign
-    if b % 2 == 1 and not rf.is_square(v.residue(u)):
-        sign = -sign
-    if a % 2 == 1 and not rf.is_square(v.residue(w)):
-        sign = -sign
-    return sign
 
 
 # ----------------------------------------------------------------------------
@@ -456,7 +445,7 @@ def _build_square_classes(v: LocalField) -> list[NFElem]:
     # in a fixed order. One whose residue mod 8 lies outside the classes met so
     # far opens the next bit: its coset times those classes claims the residues
     # of the unit-class table. Each class keeps the first candidate met in it.
-    ring, mul = _residue_ring(v, 3)
+    ring, mul = _residue_ring(v)
     table = dict.fromkeys((mul(y, y) for y in ring if _is_unit(y, v)), 0)
     if v.degree_over_qp == 1:
         cands = [(1, 0), (-1, 0), (5, 0), (-5, 0)]

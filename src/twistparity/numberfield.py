@@ -44,14 +44,6 @@ IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 MEMO_BOUND = 1024
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol for odd prime p via Euler's criterion."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorint(abs(n)).values())
 
@@ -307,14 +299,6 @@ class NFElem:
         """(A, B, D) with self = (A + B*sqrt(m)) / D, D > 0, gcd(A, B, D) = 1."""
         return self.A, self.B, self.D
 
-    def omega_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates in the integral basis {1, omega} of O_K."""
-        m = self.field.m
-        if m is not None and m % 4 == 1:
-            # omega = (1 + sqrt m)/2, so sqrt m = 2*omega - 1
-            return Fraction(self.A - self.B, self.D), Fraction(2 * self.B, self.D)
-        return self.a, self.b
-
     # -- formatting ----------------------------------------------------------
     def __repr__(self):
         return f"NFElem({self})"
@@ -393,10 +377,6 @@ class Field:
     @property
     def key(self):
         return (self.kind, self.m)
-
-    @property
-    def degree(self) -> int:
-        return 1 if self.m is None else 2
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.key == other.key
@@ -780,7 +760,3 @@ def global_sqrt(x: NFElem) -> Optional[NFElem]:
         if d:
             return _make(K, 0, d, 2 * D)
     return None
-
-
-def is_global_square(x: NFElem) -> bool:
-    return global_sqrt(x) is not None

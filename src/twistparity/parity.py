@@ -9,13 +9,13 @@ F_2 coordinate of the class, so the twist chi * eta of rows 4, 8 and 9 has the
 class of the XOR of the two indices. Every consumer reads the table by
 ``square_class_index``: ``parity_change`` at the bad places, and, through
 ``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
-the real ones), ``parity_change_simplified``, ``kappa_v_average`` and the exact
-scan of ``experiments``, which takes the row as a function on F_2^d as it is.
+the real ones), ``kappa_v_average`` and the exact scan of ``experiments``,
+which takes the row as a function on F_2^d as it is.
 At a good place where chi ramifies ``parity_change`` builds no table: n_v is
 row 2, chi_v(-1). That sign, and every chi_v(-1) here, is read from
 ``LocalField.minus_one_row()``, the row of the class of -1 in the completion's
-Hilbert matrix, which depends only on the field. The tables sit in one LRU memo
-of MEMO_BOUND entries.
+Hilbert matrix, kept with the matrix; it depends only on the field. The tables
+sit in one LRU memo of MEMO_BOUND entries.
 
 The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
 can flip a single row and watch the twisted-parity oracle break (all hooks are
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .arith import is_prime
+from .arith import is_prime, kronecker
 from .curves import (
     EllipticCurve,
     PRINCIPAL_RAMIFIED_QUAD,
@@ -60,7 +60,7 @@ from .localfields import (
     eval_local_char,
     square_class_index,
 )
-from .numberfield import Place, archimedean_places, legendre
+from .numberfield import Place, archimedean_places
 
 # Mutation hooks: one multiplicative sign per implemented nontrivial table row.
 TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
@@ -188,14 +188,6 @@ def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
         if v.key() not in bad_keys:
             lv = completion(K, v)
             sign *= TABLE_SIGN_HOOKS[2] * lv.minus_one_row()[square_class_index(chi.delta, lv)]
-    return sign
-
-
-def parity_change_simplified(E: EllipticCurve, chi: QuadChar) -> int:
-    """The reduced product: real chi_v(-1) times m_v over special places only."""
-    sign = 1
-    for v in place_partition(E).reduced_places():
-        sign *= reduced_sign_table(E, v)[square_class_index(chi.delta, completion(E.field, v))]
     return sign
 
 
@@ -422,6 +414,6 @@ def gauss_sum_check(p: int, tol: float = 1e-6) -> bool:
         raise ValueError("p must be an odd prime < 10^4")
     tau = 0 + 0j
     for a in range(1, p):
-        tau += legendre(a, p) * cmath.exp(2j * math.pi * a / p)
-    target = p * legendre(-1, p)
+        tau += kronecker(a, p) * cmath.exp(2j * math.pi * a / p)
+    target = p * kronecker(-1, p)
     return abs(tau * tau - target) < tol

@@ -4,10 +4,12 @@ Nothing here touches the package's decision procedures: squares mod 2^k by
 enumeration, Legendre symbols by squaring residues, the classical epsilon/omega
 formula for Hilbert symbols over Q_2, Q_p symbols through Legendre symbols, and
 square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
-in pure integer arithmetic (``DyadicOracle``). The one exception is
-``per_character_parity_change``: the product of ``n_v`` over localized
-characters that ``parity_change`` computed before the sign tables, kept as
-their reference. ``character_group_generators`` builds the generators of
+in pure integer arithmetic (``DyadicOracle``). The exceptions read the
+package's tables: ``per_character_parity_change`` is the product of ``n_v``
+over localized characters that ``parity_change`` computed before the sign
+tables, kept as their reference, and ``parity_change_simplified`` is the
+reduced product over the real and special places that ``parity_change`` must
+equal. ``character_group_generators`` builds the generators of
 C(K, X) as characters, as the density scan did before it localized bare place
 generators and counted the rest by norm; it pins that count. Likewise
 ``generators_via_make_char`` is the generator path
@@ -247,6 +249,18 @@ def per_character_parity_change(E, chi) -> int:
     sign = 1
     for v in places.values():
         sign *= n_v(local_rep_type(E, v), chi.localize(v))
+    return sign
+
+
+def parity_change_simplified(E, chi) -> int:
+    """The reduced product: real chi_v(-1) times m_v over the special places only,
+    read from ``parity.reduced_sign_table``."""
+    from twistparity.localfields import completion, square_class_index
+    from twistparity.parity import place_partition, reduced_sign_table
+
+    sign = 1
+    for v in place_partition(E).reduced_places():
+        sign *= reduced_sign_table(E, v)[square_class_index(chi.delta, completion(E.field, v))]
     return sign
 
 
@@ -589,16 +603,6 @@ class FractionNFElem:
         B = int(self.b * d)
         g = math.gcd(math.gcd(abs(A), abs(B)), d)
         return A // g, B // g, d // g
-
-    def omega_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates in the integral basis {1, omega} of O_K."""
-        K = self.field
-        if K.m is None:
-            return self.a, Fraction(0)
-        if K.m % 4 == 1:
-            # omega = (1 + sqrt m)/2, so sqrt m = 2*omega - 1
-            return self.a - self.b, 2 * self.b
-        return self.a, self.b
 
     # -- formatting ----------------------------------------------------------
     def __repr__(self):

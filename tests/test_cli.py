@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistparity
 from twistparity.cli import main
 from twistparity.errors import ZeroTwistParameter
 from twistparity.experiments import report_from_json
@@ -52,6 +57,18 @@ def test_predict_gaussian(capsys):
     assert rc == 0
     assert "predicted even density: 1/4" in out
     assert "kappa = -1/2" in out
+
+
+def test_python_m_runs_the_cli(capsys):
+    # `python -m twistparity` runs cli.main: the same output and exit code
+    argv = ["predict", "--field", "Q(sqrt -1)", "--curve", "[0,-1,1,0,0]"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0 and "predicted even density: 1/4" in out
+    src = str(Path(twistparity.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "twistparity", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
 def test_predict_parity_override(capsys):

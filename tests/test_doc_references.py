@@ -17,8 +17,7 @@ import twistparity
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = {name: importlib.import_module(f"twistparity.{name}")
-           for _, name, _ in pkgutil.iter_modules(twistparity.__path__)
-           if not name.startswith("_")}
+           for _, name, _ in pkgutil.iter_modules(twistparity.__path__)}
 CLASSES = {name: obj for mod in MODULES.values() for name, obj in vars(mod).items()
            if inspect.isclass(obj) and obj.__module__.startswith("twistparity.")}
 # a dotted name not inside a path (tests/oracles.x) or a longer dotted name

@@ -12,7 +12,6 @@ from twistparity.heckechars import (
     localization_profile,
     make_char,
     surjectivity_check,
-    trivial_char,
 )
 from twistparity.localfields import completion, eval_local_char, hilbert_symbol
 from twistparity.numberfield import (
@@ -183,7 +182,7 @@ def test_global_minus_one_product(Q, Qi):
 
 
 def test_localize_trivial_everywhere(Q):
-    chi = trivial_char(Q)
+    chi = make_char(Q, Q.one())
     for p in (2, 3, 11):
         assert chi.localize(place(Q, p)).is_trivial()
 

@@ -474,10 +474,11 @@ def test_hilbert_matrix_matches_the_direct_formula(m):
 # ----------------------------------------------------------------------------
 # dyadic tables against the brute-force oracle
 
-# one field for each shape of completion above 2: ramified (e = 2), inert
-# (f = 2), split (two copies of Q_2), and Q itself
+# one field for each shape of completion above 2: ramified (e = 2) with
+# m = 3 mod 4 or m = 2 mod 4, real and imaginary, inert (f = 2), split (two
+# copies of Q_2), and Q itself
 DYADIC_FIELDS = {"Q": None, "Qi": -1, "Q(sqrt2)": 2, "Q(sqrt5)": 5, "Q(sqrt-3)": -3,
-                 "Q(sqrt-7)": -7, "Q(sqrt17)": 17}
+                 "Q(sqrt-7)": -7, "Q(sqrt17)": 17, "Q(sqrt3)": 3, "Q(sqrt-2)": -2}
 
 
 def _dyadic_completions(m):
@@ -535,29 +536,23 @@ def test_dyadic_hilbert_matrix_matches_brute_force(name):
                                   omega_coordinates(m, -x.a, -x.b)) == 1
 
 
-def test_dyadic_tables_take_at_most_ten_pair_searches(Qi, K5, monkeypatch):
-    # the Hilbert matrix is filled from the pairs of an F_2-basis of the (at
-    # most 16) square classes: at most 4 * 5 / 2 searches, not 16 * 17 / 2
+def test_dyadic_tables_are_built_on_first_use(Qi, K5):
+    # the unit-class table comes with the representatives, the Hilbert matrix
+    # and the row of -1 with the first symbol, and later calls read them
     from twistparity import localfields
 
-    searches = []
-    search = localfields._hilbert_search
-
-    def counted(x, y, v):
-        searches.append((x, y))
-        return search(x, y, v)
-
-    monkeypatch.setattr(localfields, "_hilbert_search", counted)
     for K in (Qi, K5):
-        searches.clear()
         v = localfields.LocalField(K, places_above(K, 2)[0])
-        assert v._unit_classes is None and v._hilbert_matrix is None  # built on first use
+        assert v._unit_classes is None and v._hilbert_matrix is None and v._minus_one_row is None
         reps = v.square_class_reps()
+        assert v._unit_classes is not None and v._hilbert_matrix is None
         for x in reps:
             for y in reps:
                 hilbert_symbol(x, y, v)
             is_unramified_class(x, v)
-        assert len(searches) <= 10, (str(K), len(searches))
+        H, row = v._hilbert_matrix, v._minus_one_row
+        assert v.hilbert_matrix() is H and v.minus_one_row() is row
+        assert row == H[square_class_index(K.elem(-1), v)]
 
 
 # The dyadic representatives and their order are pinned: units first, then

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from twistparity.arith import primes_up_to
+from twistparity.arith import kronecker, primes_up_to
 from twistparity.errors import ClassNumberNotOne, Malformed, NotSquarefree, ZeroElement
 from twistparity.heckechars import enumerate_characters, squarefree_deltas
 from twistparity.numberfield import (
@@ -17,10 +17,7 @@ from twistparity.numberfield import (
     _root_of_m,
     archimedean_places,
     global_sqrt,
-    is_global_square,
     is_squarefree,
-    kronecker,
-    legendre,
     parse_element,
     parse_field,
     pell_fundamental_unit,
@@ -201,7 +198,6 @@ def _agree(new, ref):
     # no set or dict order moves
     assert hash(new) == hash(ref) == hash((new.field.key, new.a, new.b))
     assert new.as_integer_triple() == ref.as_integer_triple()
-    assert new.omega_coords() == ref.omega_coords()
     assert new.is_zero() == ref.is_zero() and new.is_rational() == ref.is_rational()
     A, B, D = new.as_integer_triple()
     assert D > 0 and math.gcd(A, B, D) == 1 and (B == 0 or new.field.m is not None)
@@ -252,13 +248,13 @@ def test_nfelem_stores_no_fraction():
 
 
 # ----------------------------------------------------------------------------
-# kronecker / legendre
+# kronecker
 
 
 def test_legendre_matches_brute():
     for p in (3, 5, 7, 11, 13, 17, 19, 23):
         for a in range(1, p):
-            assert legendre(a, p) == brute_legendre(a, p)
+            assert kronecker(a, p) == brute_legendre(a, p)
 
 
 def test_kronecker_special_values():
@@ -429,7 +425,7 @@ def test_global_sqrt_rational():
     Q = rational_field()
     assert global_sqrt(Q.elem(Fraction(9, 4))) == Q.elem(Fraction(3, 2))
     assert global_sqrt(Q.elem(8)) is None
-    assert is_global_square(Q.elem(0))
+    assert global_sqrt(Q.elem(0)) is not None
 
 
 def test_global_sqrt_quadratic():
@@ -447,9 +443,9 @@ def test_unit_square_classes_real_quadratic():
     K = quadratic_field(2)
     assert len(K.unit_square_classes) == 4
     eps = K.fundamental_unit
-    assert not is_global_square(eps)
-    assert not is_global_square(-eps)
-    assert is_global_square(eps * eps)
+    assert global_sqrt(eps) is None
+    assert global_sqrt(-eps) is None
+    assert global_sqrt(eps * eps) is not None
 
 
 def test_archimedean_place_counts():

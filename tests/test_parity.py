@@ -35,14 +35,13 @@ from twistparity.parity import (
     m_v,
     n_v,
     parity_change,
-    parity_change_simplified,
     place_partition,
     predicted_even_density,
     random_gamma_config,
 )
 
 from .conftest import place
-from .oracles import brute_legendre, per_character_parity_change
+from .oracles import brute_legendre, parity_change_simplified, per_character_parity_change
 from .test_acceptance import _mutation_corpus
 
 
