@@ -4,8 +4,10 @@ Subcommands: classify, predict, scan, verify, lemmas.
 Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
 field or singular curve, an integer past the factoring budget, a listing past
 the enumeration guard, or a scan report that cannot be written to --out),
-3 unsupported curve, 4 internal error (a failed invariant or any exception that
-is not a named package error: a bug, not bad input).
+3 unsupported curve, 4 internal error (a failed invariant, a zero where the
+package needs a nonzero element, a multiplier m_v asked of the wrong kind of
+representation, or any exception that is not a named package error: a bug,
+not bad input).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import (
     NotSquarefree,
     ParityUnavailable,
     SingularCurve,
-    TwistParityError,
     UnsupportedRepresentation,
+    WrongRepClass,
+    ZeroElement,
     ZeroTwistParameter,
 )
 from .experiments import (
@@ -276,7 +279,7 @@ def main(argv=None) -> int:
                 "verify": cmd_verify, "lemmas": cmd_lemmas}
     try:
         return commands[args.command](args)
-    except InternalInvariantError as e:
+    except (InternalInvariantError, ZeroElement, WrongRepClass) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except (Malformed, NotSquarefree, ClassNumberNotOne, SingularCurve,
@@ -286,9 +289,6 @@ def main(argv=None) -> int:
     except (UnsupportedRepresentation, ParityUnavailable) as e:
         print(f"unsupported curve: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except TwistParityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_MATH_FAIL
     except Exception as e:
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -440,12 +440,13 @@ def _oracle_worker(args):
 # Demonstration-curve search
 
 
-def find_demo_curve(K: Field, target: str = SPLIT_MULT, coeff_bound: int = 3) -> EllipticCurve:
+def find_demo_curve(K: Field, target: str = SPLIT_MULT) -> EllipticCurve:
     """Smallest integer-coefficient curve over K whose only bad place is a
-    single finite place of odd residue norm with the requested multiplicative type."""
+    single finite place of odd residue norm with the requested multiplicative type,
+    with coefficients of absolute value at most 3."""
     if target not in (SPLIT_MULT, NONSPLIT_MULT):
         raise ValueError(f"target must be {SPLIT_MULT!r} or {NONSPLIT_MULT!r}, not {target!r}")
-    for bound in range(1, coeff_bound + 1):
+    for bound in (1, 2, 3):
         rng = range(-bound, bound + 1)
         for a1 in (0, 1):
             for a2 in rng:
@@ -458,7 +459,7 @@ def find_demo_curve(K: Field, target: str = SPLIT_MULT, coeff_bound: int = 3) ->
                                 continue
                             if _demo_profile_matches(E, target):
                                 return E
-    raise ValueError(f"no demo curve with coefficients up to {coeff_bound}")
+    raise ValueError("no demo curve with coefficients up to 3")
 
 
 def _demo_profile_matches(E: EllipticCurve, target: str) -> bool:

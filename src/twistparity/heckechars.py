@@ -143,7 +143,7 @@ def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> li
     units = K.unit_square_classes
     primes = places_of_norm_up_to(K, X)  # in residue-norm order
     total = len(units) * (1 << len(primes))
-    if guard is not None and total > guard:
+    if total > guard:
         raise ExplosionGuard(total, guard)
     gen_text = {v.key(): str(v.generator) for v in primes}
     products = [(K.one(), ())]  # (product of the generators of S, S in norm order)
@@ -187,14 +187,14 @@ def localization_profile(chi: QuadChar, places) -> tuple:
     return tuple(square_class_index(chi.delta, completion(chi.field, v)) for v in places)
 
 
-def surjectivity_check(K: Field, places, X: int, guard: int = ENUMERATION_GUARD) -> SurjectivityReport:
+def surjectivity_check(K: Field, places, X: int) -> SurjectivityReport:
     """Localize every chi in C(K, X) at the given places; tally the image tuples."""
     places = list(places)
     gamma_size = 1
     for v in places:
         gamma_size *= completion(K, v).num_quadratic_characters
     fibers: dict = {}
-    for chi in enumerate_characters(K, X, guard=guard):
+    for chi in enumerate_characters(K, X):
         key = localization_profile(chi, places)
         fibers[key] = fibers.get(key, 0) + 1
     hit = len(fibers)

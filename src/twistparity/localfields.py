@@ -1,10 +1,13 @@
 """Exact arithmetic in completions K_v: valuations, square classes, Hilbert symbols.
 
-Local elements are global field elements read v-adically, through one
-reduction: _reduce_coords maps a v-integral element to O_v / p^k, as its image
-in Z/p^k when K_v = Q_p and as its omega-coordinates mod p^k when
-[K_v : Q_p] = 2. Residues are its k = 1 case. At a place with K_v = Q_p
-(K = Q, or p splits) sqrt(m) is read as the canonical p-adic root of m.
+Local elements are global field elements read v-adically by one reader:
+_unit_coords writes x = pi^n u and gives u in O_v / p^k, as its image in Z/p^k
+when K_v = Q_p and as its omega-coordinates mod p^k when [K_v : Q_p] = 2.
+Valuations, residues and square classes all read it. At a place with
+K_v = Q_p (K = Q, or p splits) it reads x = p^n u from the integer triple
+(``numberfield._qp_expand``) and, where pi = p w, divides by w^n mod p^k; at an
+inert place pi = p and the coordinates are read directly; only at a ramified
+place is x / pi^n formed as a field element.
 
 K_v^x/K_v^x2 is numbered once: a class index is its F_2 coordinate, so the
 class of x*y is the XOR of the indices. Above 2 a unit is a square iff it is a
@@ -29,7 +32,7 @@ from typing import Optional
 
 from .arith import factorint, kronecker
 from .errors import InternalInvariantError, ZeroElement
-from .numberfield import (MEMO_BOUND, Field, NFElem, Place, _qp_image, _qp_valuation, _vp_int,
+from .numberfield import (MEMO_BOUND, Field, NFElem, Place, _qp_expand, _vp_int,
                           archimedean_places, places_above)
 
 
@@ -194,21 +197,16 @@ class LocalField:
             return K.elem(el)
         return K.elem(el[0]) + K.elem(el[1]) * K.omega()
 
-    def _omega_bar(self) -> int:
-        """Image of omega in the residue field of a ramified place (f = 1, e = 2)."""
-        t, n = self.field.omega_trace_norm()
-        if self.p == 2:
-            return n % 2
-        return (t * pow(2, -1, self.p)) % self.p
-
     def residue(self, x: NFElem):
         """Residue of a v-integral x."""
         if self.place_kind != "finite":
             raise ValueError("residue at an archimedean place")
-        c0, c1 = _reduce_coords(x, self, 1)
-        if self.f == 2:
-            return (c0, c1)
-        return (c0 + c1 * self._omega_bar()) % self.p if c1 else c0
+        if x.is_zero():
+            return self.residue_field().zero()
+        n, c = _unit_coords(x, self, 1)
+        if n < 0:
+            raise InternalInvariantError("residue of a non-integral element")
+        return _unit_residue(c, self) if n == 0 else self.residue_field().zero()
 
     # -- square classes / characters -------------------------------------------
     def square_class_reps(self) -> list[NFElem]:
@@ -306,20 +304,9 @@ def valuation(x: NFElem, v: LocalField) -> int:
         raise ZeroElement("valuation of 0")
     if v.place_kind != "finite":
         raise ValueError("valuation at an archimedean place")
-    if v.degree_over_qp == 1:
-        return _qp_valuation(x, v.p, v.place.index)
-    A, B, D = x.as_integer_triple()  # v_p of the norm (A^2 - m B^2) / D^2
-    nval = _vp_int(A * A - v.field.m * B * B, v.p) - 2 * _vp_int(D, v.p)
-    if v.e == 2:
-        return nval
-    if nval % 2:
-        raise InternalInvariantError("odd norm valuation at an inert place")
-    return nval // 2
-
-
-def unit_part(x: NFElem, v: LocalField) -> tuple[int, NFElem]:
-    n = valuation(x, v)
-    return n, x / v.uniformizer ** n
+    if v.degree_over_qp == 1:  # pi = p w with w a unit, so n needs no unit part
+        return _qp_expand(x, v.p, v.place.index, 1)[0]
+    return _unit_coords(x, v, 1)[0]
 
 
 def is_square_local(x: NFElem, v: LocalField) -> bool:
@@ -330,25 +317,45 @@ def is_square_local(x: NFElem, v: LocalField) -> bool:
 
 
 # ----------------------------------------------------------------------------
-# O_v / p^k in coordinates. A v-integral element is its image in Z/p^k, paired
-# with 0, when K_v = Q_p (K = Q, or p splits); it is the pair of its
+# x = pi^n u, with the unit u read in O_v / p^k: as its image in Z/p^k, paired
+# with 0, when K_v = Q_p (K = Q, or p splits); as the pair of its
 # omega-coordinates when [K_v : Q_p] = 2 (p has one place, so O_v is
 # Z_p + Z_p omega). Above 2 the unit-class table reads these pairs mod 2^3.
 
 
-def _reduce_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, int]:
-    """The image of a v-integral x in O_v / p^k."""
-    if v.degree_over_qp == 1:
-        return _qp_image(x, v.p, v.place.index, k), 0
+def _unit_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, tuple[int, int]]:
+    """(n, c): x = pi^n u with u a unit at v, and c the image of u in O_v / p^k (k >= 1)."""
     p = v.p
-    A, B, D = x.as_integer_triple()
-    c0, c1 = (A - B, 2 * B) if v.field.m % 4 == 1 else (A, B)  # x = (c0 + c1 omega) / D
-    d = p ** _vp_int(D, p)
-    if c0 % d or c1 % d:
-        raise InternalInvariantError("residue of a non-integral element")
     M = p ** k
-    Dinv = pow(D // d, -1, M)
-    return c0 // d * Dinv % M, c1 // d * Dinv % M
+    if v.degree_over_qp == 1:
+        n, u = _qp_expand(x, p, v.place.index, k)
+        if n and v.place.splitting == "split":  # pi = p w with w a unit, so u / w^n
+            w = _qp_expand(v.uniformizer, p, v.place.index, k)[1]
+            u = u * pow(w, -n, M) % M
+        return n, (u, 0)
+    A, B, D = x.as_integer_triple()
+    if v.e == 2:  # ramified: n from the norm, then u = x / pi^n
+        n = _vp_int(A * A - v.field.m * B * B, p) - 2 * _vp_int(D, p)
+        A, B, D = (x / v.uniformizer ** n).as_integer_triple()
+    c0, c1 = (A - B, 2 * B) if v.field.m % 4 == 1 else (A, B)  # x = (c0 + c1 omega) / D
+    # p^a is the largest power of p dividing both coordinates; at a ramified place
+    # u is a unit, so a = d
+    a, d = _vp_int(math.gcd(c0, c1), p), _vp_int(D, p)
+    if v.e == 1:  # inert: pi = p
+        n = a - d
+    s, Dinv = p ** a, pow(D // p ** d, -1, M)
+    return n, (c0 // s * Dinv % M, c1 // s * Dinv % M)
+
+
+def _unit_residue(c: tuple[int, int], v: LocalField):
+    """The residue of the unit whose image in O_v / p is c (``_unit_coords`` with k = 1)."""
+    if v.f == 2:
+        return c
+    if not c[1]:
+        return c[0]
+    # ramified: omega reduces to the double root of X^2 - t X + n mod p
+    t, n = v.field.omega_trace_norm()
+    return (c[0] + c[1] * (n if v.p == 2 else t * pow(2, -1, v.p))) % v.p
 
 
 def _residue_ring(v: LocalField):
@@ -380,8 +387,7 @@ def _basis_gram(v: LocalField, basis: list[NFElem]) -> list[list[bool]]:
         # (Serre III.1.2, Thm 1), read from u, w mod 8
         parts = []
         for x in basis:
-            a = valuation(x, v)
-            u = _qp_image(x / 2 ** a, 2, v.place.index, 3)
+            a, u = _qp_expand(x, 2, v.place.index, 3)
             parts.append((a, (u - 1) // 2 % 2, (u * u - 1) // 8 % 2))
         return [[(eu * ew + a * ow + b * ou) % 2 == 1 for b, ew, ow in parts]
                 for a, eu, ou in parts]
@@ -486,12 +492,12 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
     if v.place_kind != "finite":
         idx = 1 if v.place_kind == "real" and x.sign_at_real(v.place.index) < 0 else 0
     elif v.p != 2:
-        n, u = unit_part(x, v)
-        idx = (0 if v.residue_field().is_square(v.residue(u)) else 1) | (n & 1) << 1
+        n, c = _unit_coords(x, v, 1)
+        idx = (0 if v.residue_field().is_square(_unit_residue(c, v)) else 1) | (n & 1) << 1
     else:
         half = len(v.square_class_reps()) // 2
-        n, u = unit_part(x, v)
-        idx = v._unit_classes[_reduce_coords(u, v, 3)] | (n & 1) * half
+        n, c = _unit_coords(x, v, 3)
+        idx = v._unit_classes[c] | (n & 1) * half
     cache = v._class_index_cache
     if len(cache) >= MEMO_BOUND:
         del cache[next(iter(cache))]  # the oldest insertion

@@ -9,9 +9,9 @@ every field: reduce the norm form of the prime and carry its basis along
 (Cohen, GTM 138, 5.4 for definite and 5.6 for indefinite forms); the same
 reduction step counts the cycles of reduced forms that give the class number
 of a real field, whose fundamental unit comes from a continued fraction (5.7).
-At a place with K_v = Q_p (K = Q, or p splits) an element is read through the
-canonical p-adic root of m: index 1 sends sqrt(m) to that root, index 2 to its
-negative.
+At a place with K_v = Q_p (K = Q, or p splits) an element is read from its
+integer triple as x = p^n u, through A + B*r or A - B*r for the canonical
+p-adic root r of m: index 1 sends sqrt(m) to r, index 2 to -r.
 
 The integer work (primality, the prime sieve, divisors and square roots mod p)
 is done by ``arith``; the package has no runtime dependency.
@@ -38,7 +38,7 @@ from .errors import (
 # Imaginary quadratic fields with class number one (Baker-Heegner-Stark list).
 IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 
-# entries in the places memo here, in the completion memo and each
+# entries in the field and places memos here, in the completion memo and each
 # per-completion class-index cache of ``localfields``, and in each memo of
 # ``curves`` and ``parity``
 MEMO_BOUND = 1024
@@ -90,36 +90,21 @@ def _root_of_m(m: int, p: int, k: int) -> int:
     return r
 
 
-def _qp_valuation(x: NFElem, p: int, index: int = 1) -> int:
-    """v(x) at a place with K_v = Q_p: K = Q, or the place of a split p where
-    sqrt(m) maps to the canonical root (index 1) or to its negative (index 2)."""
+def _qp_expand(x: NFElem, p: int, index: int, k: int) -> tuple[int, int]:
+    """(n, u) with x = p^n u, u a p-adic unit read mod p^k (k >= 1), at a place
+    with K_v = Q_p: K = Q, or the place of a split p where sqrt(m) maps to the
+    canonical root (index 1) or to its negative (index 2)."""
     A, B, D = x.A, x.B, x.D
-    if not B:  # rational x: no root of m
-        return _vp_int(A, p) - _vp_int(D, p)
-    m = x.field.m
-    vn = _vp_int(A * A - m * B * B, p)  # v_1 + v_2 of A + B sqrt(m), both >= 0
-    mod = p ** (vn + 1)
-    r = _root_of_m(m, p, vn + 1)
-    t = (A + B * r if index == 1 else A - B * r) % mod
-    if t == 0:  # v_1 <= v_1 + v_2 = vn, so t != 0 mod p^(vn + 1)
-        raise InternalInvariantError("split valuation did not resolve")
-    return _vp_int(t, p) - _vp_int(D, p)
-
-
-def _qp_image(x: NFElem, p: int, index: int, k: int) -> int:
-    """Image in Z/p^k of an x that is integral at a place with K_v = Q_p (see _qp_valuation)."""
-    mod = p ** k
-    A, B, D = x.A, x.B, x.D
-    if not B:
-        if D % p == 0:
-            raise InternalInvariantError("p-adic image of a non-integral element")
-        return A * pow(D, -1, mod) % mod
-    d = _vp_int(D, p)
-    r = _root_of_m(x.field.m, p, k + d)
-    t = (A + B * r if index == 1 else A - B * r) % (mod * p ** d)
-    if t % p ** d:
-        raise InternalInvariantError("p-adic image of a non-integral element")
-    return t // p ** d * pow(D // p ** d, -1, mod) % mod
+    if B:  # A + B sqrt(m) is integral: v_1 + v_2 = vn, both >= 0, so v_1 <= vn
+        vn = _vp_int(A * A - x.field.m * B * B, p)
+        r = _root_of_m(x.field.m, p, vn + k)
+        A = (A + B * r if index == 1 else A - B * r) % p ** (vn + k)  # nonzero
+    n, mod = _vp_int(A, p), p ** k
+    u = A // p ** n % mod
+    if D > 1:
+        d = _vp_int(D, p)
+        n, u = n - d, u * pow(D // p ** d, -1, mod) % mod
+    return n, u
 
 
 # ----------------------------------------------------------------------------
@@ -370,7 +355,6 @@ class Field:
     kind: str
     m: Optional[int] = None
     disc: int = 1
-    class_number: int = 1
     unit_square_classes: tuple = ()  # transversal of O_K^x / (O_K^x)^2, trivial first
     fundamental_unit: Optional[NFElem] = None
 
@@ -501,7 +485,7 @@ def real_quadratic_class_number(m: int) -> int:
 # Field construction / parsing
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_BOUND)
 def _make_field(kind: str, m: Optional[int]) -> Field:
     # unit_square_classes is built as a group, (1, u) or (1, -1, eps, -eps), so
     # its entries 1 and 2 form an F_2-basis: the density scan reads them as the
@@ -691,7 +675,7 @@ def _places_above(K: Field, p: int) -> list[Place]:
                   generator=gen, residue_norm=p)
         ]
     gen = _find_prime_generator(K, p)
-    first = _qp_valuation(gen, p) == 1
+    first = _qp_expand(gen, p, 1, 1)[0] == 1
     g1, g2 = (gen, gen.conj()) if first else (gen.conj(), gen)
     return [
         Place(kind="finite", index=1, p=p, splitting="split", generator=g1, residue_norm=p),

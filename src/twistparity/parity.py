@@ -408,7 +408,7 @@ def random_gamma_config(rng, max_places: int = 6) -> GammaConfig:
 # Gauss sum spot check
 
 
-def gauss_sum_check(p: int, tol: float = 1e-6) -> bool:
+def gauss_sum_check(p: int) -> bool:
     """tau(chi)^2 = p * chi(-1) for the quadratic character mod an odd prime p."""
     if p == 2 or p >= 10 ** 4 or not is_prime(p):
         raise ValueError("p must be an odd prime < 10^4")
@@ -416,4 +416,4 @@ def gauss_sum_check(p: int, tol: float = 1e-6) -> bool:
     for a in range(1, p):
         tau += kronecker(a, p) * cmath.exp(2j * math.pi * a / p)
     target = p * kronecker(-1, p)
-    return abs(tau * tau - target) < tol
+    return abs(tau * tau - target) < 1e-6

@@ -23,13 +23,20 @@ over (s, t) digits that normalized Tate's models at p = 2 before the residue
 square roots, and ``tate_reduction_search`` is Tate's algorithm as it was
 before its closed forms: the singular point, a root of the tangent cone and
 the triple and double roots found by search over F_q, which
-``_residue_elements`` lists for both.
+``_residue_elements`` lists for both. ``reference_class_index``,
+``reference_valuation`` and ``reference_residue`` read an element at a finite
+place as the local layer did before it read x = pi^n u from the integer
+triple: the valuation first, then u = x / pi^n as a field element, then the
+coordinates of u and a Kronecker symbol of its residue (above 2, the unit-class
+table at u mod 8).
 """
 
 import math
 from fractions import Fraction
 
-from twistparity.errors import Malformed, ZeroElement
+from twistparity.arith import kronecker
+from twistparity.errors import InternalInvariantError, Malformed, ZeroElement
+from twistparity.numberfield import _root_of_m, _vp_int
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -616,3 +623,78 @@ class FractionNFElem:
             return bt
         sign = "+" if self.b > 0 else ""
         return f"{self.a}{sign}{bt}"
+
+
+# ----------------------------------------------------------------------------
+# The reader of an element at a finite place before the integer path
+
+
+def _qp_reference_valuation(x, p, index):
+    """v(x) at a place with K_v = Q_p, from the p-adic root of m mod p^(v(norm) + 1)."""
+    A, B, D = x.as_integer_triple()
+    if not B:
+        return _vp_int(A, p) - _vp_int(D, p)
+    m = x.field.m
+    vn = _vp_int(A * A - m * B * B, p)
+    r = _root_of_m(m, p, vn + 1)
+    t = (A + B * r if index == 1 else A - B * r) % p ** (vn + 1)
+    return _vp_int(t, p) - _vp_int(D, p)
+
+
+def reference_valuation(x, v):
+    """v(x) at the finite completion v: at a Q_p place through the root of m,
+    else from v_p of the norm (halved at an inert place)."""
+    if v.degree_over_qp == 1:
+        return _qp_reference_valuation(x, v.p, v.place.index)
+    A, B, D = x.as_integer_triple()
+    nval = _vp_int(A * A - v.field.m * B * B, v.p) - 2 * _vp_int(D, v.p)
+    return nval if v.e == 2 else nval // 2
+
+
+def reference_coords(x, v, k):
+    """The image (c0, c1) of a v-integral x in O_v / p^k."""
+    p, M = v.p, v.p ** k
+    A, B, D = x.as_integer_triple()
+    d = p ** _vp_int(D, p)
+    if v.degree_over_qp == 1:
+        t = A
+        if B:
+            r = _root_of_m(x.field.m, p, k + _vp_int(D, p))
+            t = (A + B * r if v.place.index == 1 else A - B * r) % (M * d)
+        if t % d:
+            raise InternalInvariantError("p-adic image of a non-integral element")
+        return t // d * pow(D // d, -1, M) % M, 0
+    c0, c1 = (A - B, 2 * B) if v.field.m % 4 == 1 else (A, B)
+    if c0 % d or c1 % d:
+        raise InternalInvariantError("residue of a non-integral element")
+    Dinv = pow(D // d, -1, M)
+    return c0 // d * Dinv % M, c1 // d * Dinv % M
+
+
+def reference_residue(x, v):
+    """The residue of a v-integral x: its coordinates mod p, with omega sent to
+    its image in F_p at a ramified place."""
+    c0, c1 = reference_coords(x, v, 1)
+    if v.f == 2:
+        return c0, c1
+    if v.e == 1 or not c1:
+        return c0
+    t, n = v.field.omega_trace_norm()
+    omega_bar = n % 2 if v.p == 2 else t * pow(2, -1, v.p) % v.p
+    return (c0 + c1 * omega_bar) % v.p
+
+
+def reference_class_index(x, v):
+    """The square class index of x at a finite place: u = x / pi^n, then the
+    Kronecker symbol of its residue (of the residue's norm when f = 2) at an odd
+    place, or the unit-class table at u mod 8 above 2."""
+    n = reference_valuation(x, v)
+    u = x / v.uniformizer ** n
+    if v.p == 2:
+        half = len(v.square_class_reps()) // 2
+        return v._unit_classes[reference_coords(u, v, 3)] | (n & 1) * half
+    r = reference_residue(u, v)
+    if v.f == 2:
+        t, nm = v.field.omega_trace_norm()
+        r = r[0] * r[0] + t * r[0] * r[1] + nm * r[1] * r[1]
+    return (0 if kronecker(r, v.p) == 1 else 1) | (n & 1) << 1

@@ -263,6 +263,37 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: broken invariant")
 
 
+# every exception class of the package, by the exit code main() reports it with:
+# 2 input error, 3 unsupported curve, 4 internal error (a fault of the package)
+EXIT_BY_ERROR = {
+    "Malformed": 2, "NotSquarefree": 2, "ClassNumberNotOne": 2, "SingularCurve": 2,
+    "ZeroTwistParameter": 2, "FactorizationBudgetExceeded": 2, "ExplosionGuard": 2,
+    "UnsupportedRepresentation": 3, "ParityUnavailable": 3,
+    "InternalInvariantError": 4, "ZeroElement": 4, "WrongRepClass": 4, "TwistParityError": 4,
+}
+ERROR_ARGS = {"ClassNumberNotOne": (10, 2), "FactorizationBudgetExceeded": (10 ** 40, 100),
+              "ExplosionGuard": (2 ** 26, 2 ** 20), "UnsupportedRepresentation": ()}
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_BY_ERROR))
+def test_exit_code_of_every_package_error(capsys, monkeypatch, name):
+    import twistparity.cli as cli
+    import twistparity.errors as errors
+
+    classes = {k for k, c in vars(errors).items() if isinstance(c, type) and issubclass(c, Exception)}
+    assert classes == EXIT_BY_ERROR.keys()
+
+    def broken(args):
+        raise getattr(errors, name)(*ERROR_ARGS.get(name, ("detail",)))
+
+    monkeypatch.setattr(cli, "cmd_predict", broken)
+    rc, out, err = run(capsys, "predict", "--field", "Q", "--curve", "[0,-1,1,-10,-20]")
+    assert rc == EXIT_BY_ERROR[name]
+    assert out == ""
+    prefix = {2: "input error: ", 3: "unsupported curve: ", 4: "internal error: "}[rc]
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_unknown_flag_is_error(capsys):
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[1,0]", "--bogus")
     assert rc == 2

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from twistparity.arith import primes_up_to
-from twistparity.errors import ZeroElement
+from twistparity.errors import InternalInvariantError, ZeroElement
 from twistparity.localfields import (
     MEMO_BOUND,
     LocalCharacter,
     _completion_cached,
-    _reduce_coords,
+    _unit_coords,
     completion,
     eval_local_char,
     hilbert_symbol,
@@ -37,6 +37,9 @@ from .oracles import (
     hilbert_qp_formula,
     hilbert_real,
     omega_coordinates,
+    reference_class_index,
+    reference_residue,
+    reference_valuation,
     support_primes,
 )
 
@@ -134,27 +137,68 @@ REDUCTION_PLACES = [(-1, 5, 1), (-1, 5, 2), (5, 11, 2), (None, 2, 1), (None, 7, 
 
 @pytest.mark.parametrize("m,p,idx", REDUCTION_PLACES)
 def test_reduce_coords_is_a_ring_map(m, p, idx):
+    # x = pi^n u: n is the valuation, (n, u) is multiplicative, and the residue
+    # of an integral element is additive
     K = rational_field() if m is None else quadratic_field(m)
     v = lf(K, p, idx)
+    rf = v.residue_field()
     rng = random.Random(repr((m, p, idx)))
 
-    def integral():
-        # a unit at v times pi^j / p^i with v(p^i) <= j: integral, often with p | denominator
+    def element(lo):
+        # a random element times pi^j / p^i, often with p | denominator
         den = rng.choice([d for d in range(1, 40) if d % p])
         z = K.elem(rng.randint(-500, 500), rng.randint(-500, 500) if K.m else 0) / den
         i = rng.randint(0, 2)
-        return z * v.uniformizer ** (v.e * i + rng.randint(0, 2)) / p ** i
+        return z * v.uniformizer ** (v.e * i + rng.randint(lo, 2)) / p ** i
 
     for k in range(1, 7):
         M = p ** k
+        assert _unit_coords(v.uniformizer, v, k) == (1, (1, 0))  # u = x / pi^n, not x / p^n
         for _ in range(40):
-            x, y = integral(), integral()
-            X, Y = _reduce_coords(x, v, k), _reduce_coords(y, v, k)
-            assert _reduce_coords(x + y, v, k) == ((X[0] + Y[0]) % M, (X[1] + Y[1]) % M)
-            if v.degree_over_qp == 1:
-                assert _reduce_coords(x * y, v, k) == (X[0] * Y[0] % M, 0)
-            else:
-                assert _reduce_coords(x * y, v, k) == _coords_mul(v, X, Y, M)
+            x, y = element(-2), element(-2)
+            if x.is_zero() or y.is_zero():
+                continue
+            (nx, X), (ny, Y) = _unit_coords(x, v, k), _unit_coords(y, v, k)
+            assert (nx, ny) == (valuation(x, v), valuation(y, v))
+            XY = (X[0] * Y[0] % M, 0) if v.degree_over_qp == 1 else _coords_mul(v, X, Y, M)
+            assert _unit_coords(x * y, v, k) == (nx + ny, XY)
+        for _ in range(10):
+            x, y = element(0), element(0)
+            assert v.residue(x + y) == rf.add(v.residue(x), v.residue(y))
+
+
+# (m or None for Q, p, place index): Q_p; split, with the split 2 of Q(sqrt -7)
+# and Q(sqrt 17), where pi != 2; inert; ramified, with m = 1, 2, 3 mod 4
+READER_PLACES = [(None, 2, 1), (None, 3, 1), (None, 7, 1), (-7, 2, 1), (-7, 2, 2), (17, 2, 1),
+                 (17, 2, 2), (-1, 5, 1), (-1, 5, 2), (5, 11, 2), (-2, 5, 1), (2, 3, 1), (-1, 3, 1),
+                 (5, 2, 1), (-3, 2, 1), (-1, 2, 1), (2, 2, 1), (3, 2, 1), (3, 3, 1), (5, 5, 1),
+                 (-3, 3, 1), (-7, 7, 1)]
+
+
+@pytest.mark.parametrize("m,p,idx", READER_PLACES)
+def test_reader_matches_the_division_reference(m, p, idx):
+    # square_class_index, valuation and residue against valuation, then
+    # x / pi^n as a field element, then coordinates and a Kronecker symbol
+    K = rational_field() if m is None else quadratic_field(m)
+    v = lf(K, p, idx)
+    rng = random.Random(repr(("reader", m, p, idx)))
+    kinds = set()
+    for _ in range(150):
+        den = rng.choice(range(1, 60))
+        x = K.elem(Fraction(rng.randint(-900, 900), den), rng.randint(-900, 900) if K.m else 0)
+        if x.is_zero():
+            continue
+        x = x * v.uniformizer ** rng.randint(-3, 4) * p ** rng.randint(-1, 1)
+        n = reference_valuation(x, v)
+        kinds.add((n > 0) - (n < 0))
+        assert valuation(x, v) == n, str(x)
+        assert square_class_index(x, v) == reference_class_index(x, v), str(x)
+        if n >= 0:
+            assert v.residue(x) == reference_residue(x, v), str(x)
+        else:
+            with pytest.raises(InternalInvariantError):
+                v.residue(x)
+    assert kinds == {-1, 0, 1}
 
 
 # ----------------------------------------------------------------------------

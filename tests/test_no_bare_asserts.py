@@ -1,11 +1,14 @@
 """Runtime invariants raise named errors: ``python -O`` strips ``assert`` statements,
 and ``raise AssertionError`` reports a package fault under a generic name. Every
 named error is raised somewhere: a class that nothing raises is dead API.
+Every ``lru_cache`` has an integer ``maxsize``: a module memo grows for the
+life of the process unless it is bounded.
 
 Every module of the package is checked, including any added later.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,29 @@ def test_every_named_error_is_raised():
     assert {"TwistParityError", "InternalInvariantError"} <= classes
     dead = classes - raised - {"TwistParityError"}
     assert not dead, f"errors.py defines classes that nothing raises: {sorted(dead)}"
+
+
+def test_every_lru_cache_is_bounded():
+    caches, unbounded = 0, []
+    for module in MODULES:
+        path = PACKAGE / f"{module}.py"
+        namespace = vars(importlib.import_module(f"twistparity.{module}"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            for dec in getattr(node, "decorator_list", ()):
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) \
+                        not in ("lru_cache", "cache"):
+                    continue
+                caches += 1
+                size = None
+                if isinstance(dec, ast.Call):
+                    size = dec.args[0] if dec.args else next(
+                        (kw.value for kw in dec.keywords if kw.arg == "maxsize"), None)
+                if isinstance(size, ast.Name):
+                    size = namespace.get(size.id)
+                elif isinstance(size, ast.Constant):
+                    size = size.value
+                if type(size) is not int:
+                    unbounded.append(f"{path.name}:{node.lineno}")
+    assert caches >= 5
+    assert not unbounded, f"lru_cache without an integer maxsize at {unbounded}"

@@ -13,7 +13,7 @@ from twistparity.numberfield import (
     IMAGINARY_CLASS_NUMBER_ONE,
     NFElem,
     _find_prime_generator,
-    _qp_valuation,
+    _qp_expand,
     _root_of_m,
     archimedean_places,
     global_sqrt,
@@ -371,8 +371,8 @@ def test_places_above_every_small_class_number_one_field():
                     continue
                 assert abs(v.generator.norm()) == p and v.residue_norm == p, (K.m, p)
                 if v.splitting == "split":
-                    assert _qp_valuation(v.generator, p, v.index) == 1, (K.m, p)
-                    assert _qp_valuation(v.generator, p, 3 - v.index) == 0, (K.m, p)
+                    assert _qp_expand(v.generator, p, v.index, 1)[0] == 1, (K.m, p)
+                    assert _qp_expand(v.generator, p, 3 - v.index, 1)[0] == 0, (K.m, p)
                     assert v.generator.conj() == pls[2 - v.index].generator
     assert time.perf_counter() - t0 < 20.0
 
