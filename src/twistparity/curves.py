@@ -10,10 +10,20 @@ describes E twisted by ``completion(K, v).square_class_reps()[c]``, and c = 0
 is E itself. The reduction data, the LocalRepType and the local root number of
 E^c are each computed once; the rep type reads its certifying twists
 (E^c)^eta from the entries at the class of c * eta, which is exact because the
-two models are isomorphic over K_v. Reduction data is also memoized per
-literal model, so Tate's algorithm or the fast path runs once per model and
-place, and ``bad_places`` once per curve. The five memos (``_MEMOS``) are LRU
-caches of MEMO_BOUND entries each.
+two models are isomorphic over K_v, and reads them only until it has its
+certificate. Reduction data is also memoized per literal model, so Tate's
+algorithm or the fast path runs once per model and place, and ``bad_places``
+once per curve. The six memos (``_MEMOS``) are LRU caches of MEMO_BOUND
+entries each.
+
+At residue characteristic >= 5 the reduction type is a function of v(c4),
+v(c6), v(Delta) and the residue of c6 / pi^v(c6) (``_classify``), and these
+are kept per (curve, place). The fast path feeds it the invariants of a literal
+model and also builds the minimal model. A class twist c >= 1 feeds it E's
+invariants shifted by the class representative, and builds no twisted model:
+its ``minimal_model`` is None. At residue characteristic 2 and 3 every class
+twist is classified by Tate's algorithm on the literal model
+``quadratic_twist`` builds.
 
 A model that ``quadratic_twist`` or ``transform`` builds carries its c4, c6
 and Delta, scaled from those of its source, so neither the fast path nor the
@@ -41,9 +51,9 @@ from .errors import (
 from .localfields import (
     MEMO_BOUND,
     LocalField,
+    _unit_residue,
     completion,
     hilbert_symbol,
-    is_unramified_class,
     valuation,
 )
 from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
@@ -228,7 +238,7 @@ class ReductionData:
     v_disc: int
     v_c4: object  # int or math.inf
     split_sign: Optional[int]  # +1 split / -1 nonsplit, multiplicative only
-    minimal_model: EllipticCurve
+    minimal_model: Optional[EllipticCurve]  # None for a class twist read from invariants
 
     def is_good(self):
         return self.red_type == GOOD
@@ -255,10 +265,28 @@ def _reduction(E: EllipticCurve, v: Place) -> ReductionData:
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
-    """Reduction data at v of E twisted by square class c of K_v (c = 0: E)."""
+    """Reduction data at v of E twisted by square class c of K_v (c = 0: E).
+
+    At residue characteristic >= 5 a class c >= 1 is read from E's invariants:
+    the twist by eta = reps[c] = pi^n u (reps = [1, u, pi, u pi], so n = c >> 1
+    and u = reps[c & 1]) multiplies c4, c6 and Delta by 6^4 eta^2, 6^6 eta^3 and
+    6^12 eta^6, which shifts their valuations by (2n, 3n, 6n) and multiplies
+    the residue of c6 / pi^v(c6) by 6^6 u^3. No twisted model is built, so
+    ``minimal_model`` is None there. At 2 and 3 Tate's algorithm runs on the
+    literal twisted model.
+    """
     if c == 0:
         return reduction_type(E, v)
-    return reduction_type(quadratic_twist(E, completion(E.field, v).square_class_reps()[c]), v)
+    lv = completion(E.field, v)
+    reps = lv.square_class_reps()
+    if lv.p in (2, 3):
+        return reduction_type(quadratic_twist(E, reps[c]), v)
+    vd, vc4, vc6, r6 = _local_invariants(E, v)
+    n = c >> 1
+    rf = lv.residue_field()
+    s = lv.residue(36 * reps[c & 1])  # 6^6 u^3 = (36 u)^3
+    return _classify(v, lv, vd + 6 * n, vc4 + 2 * n, vc6 + 3 * n,
+                     rf.mul(rf.mul(s, rf.mul(s, s)), r6))
 
 
 def _pot_kind(vc4, vd: int) -> str:
@@ -266,25 +294,47 @@ def _pot_kind(vc4, vd: int) -> str:
     return ADDITIVE_POT_MULT if 3 * vc4 - vd < 0 else ADDITIVE_POT_GOOD
 
 
-def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
-    """Residue characteristic >= 5: minimality from (c4, c6, Delta) valuations."""
+@lru_cache(maxsize=MEMO_BOUND)
+def _local_invariants(E: EllipticCurve, v: Place) -> tuple:
+    """(v(Delta), v(c4), v(c6), residue of c6 / pi^v(c6)) at v; a zero c4 or c6
+    has valuation INF, and c6 = 0 the residue 0."""
+    lv = completion(E.field, v)
     vd = valuation(E.disc, lv)
     vc4 = _val0(E.c4, lv)
-    vc6 = _val0(E.c6, lv)
+    if E.c6.is_zero():
+        return vd, vc4, INF, lv.residue_field().zero()
+    return (vd, vc4) + _unit_residue(E.c6, lv)
+
+
+def _classify(v: Place, lv: LocalField, vd: int, vc4, vc6, r6) -> ReductionData:
+    """Residue characteristic >= 5: the type from v(Delta), v(c4), v(c6) and the
+    residue r6 of c6 / pi^v(c6) (Silverman, AEC VII.1 and VII.5). The model
+    scaled by pi^k, k = min(v(Delta) // 12, v(c4) // 4, v(c6) // 6), is minimal;
+    it is multiplicative when its c4 is a unit, then so is its c6 (1728 Delta =
+    c4^3 - c6^2), and split iff -c6 is a square in F_q."""
     k = min(vd // 12, vc4 // 4, vc6 // 6)  # INF // w is INF, and vd is finite
+    vdm, vc4m = vd - 12 * k, vc4 - 4 * k  # INF - 4 k is INF
+    if vdm == 0:
+        return ReductionData(v, GOOD, 0, vc4m, None, None)
+    if vc4m == 0:
+        rf = lv.residue_field()
+        split = rf.is_square(rf.neg(r6))
+        return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
+                             vdm, 0, 1 if split else -1, None)
+    return ReductionData(v, _pot_kind(vc4, vd), vdm, vc4m, None, None)
+
+
+def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
+    """Residue characteristic >= 5: the classifier on E's invariants, and the
+    minimal model y^2 = x^3 - 27 c4 pi^-4k x - 54 c6 pi^-6k."""
+    inv = _local_invariants(E, v)
+    rd = _classify(v, lv, *inv)
+    k = (inv[0] - rd.v_disc) // 12
     pi = lv.uniformizer
     c4m = E.c4 / pi ** (4 * k)
     c6m = E.c6 / pi ** (6 * k)
-    Emin = EllipticCurve(E.field, 0, 0, 0, -27 * c4m, -54 * c6m, check=False)
-    vdm = vd - 12 * k
-    vc4m = INF if c4m.is_zero() else vc4 - 4 * k
-    if vdm == 0:
-        return ReductionData(v, GOOD, 0, vc4m, None, Emin)
-    if vc4m == 0:
-        split = lv.residue_field().is_square(lv.residue(-c6m))
-        return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
-                             vdm, 0, 1 if split else -1, Emin)
-    return ReductionData(v, _pot_kind(vc4, vd), vdm, vc4m, None, Emin)
+    rd.minimal_model = EllipticCurve(E.field, 0, 0, 0, -27 * c4m, -54 * c6m, check=False)
+    return rd
 
 
 # -- Tate's algorithm for residue characteristic 2 and 3 ----------------------
@@ -445,18 +495,24 @@ def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
         return LocalRepType(SPECIAL_UNRAMIFIED, v, split_sign=rd.split_sign)
     lv = completion(E.field, v)
     reps = lv.square_class_reps()
-    # (eta, reduction of (E^c)^eta) over the ramified eta = reps[e]; (E^c)^eta
-    # is isomorphic over K_v to E twisted by the class of index c ^ e
-    twists = [(eta, _twist_reduction(E, v, c ^ e))
-              for e, eta in enumerate(reps) if not is_unramified_class(eta, lv)]
+    unramified = lv.unramified_classes()
+    # (eta, reduction of (E^c)^eta) over the ramified eta = reps[e], walked in
+    # index order as needed; (E^c)^eta is isomorphic over K_v to E twisted by
+    # the class of index c ^ e
+    twists = ((eta, _twist_reduction(E, v, c ^ e))
+              for e, eta in enumerate(reps) if e not in unramified)
     if rd.red_type == ADDITIVE_POT_MULT:
+        # exactly two classes make E^c multiplicative, eta and eta times the
+        # unramified nonsquare class, one split and one nonsplit
         split_tw = nonsplit_tw = None
         for eta, rde in twists:
             if rde.red_type == SPLIT_MULT:
                 split_tw = eta
             elif rde.red_type == NONSPLIT_MULT:
                 nonsplit_tw = eta
-        if split_tw is None or nonsplit_tw is None:
+            if split_tw is not None and nonsplit_tw is not None:
+                break
+        else:
             raise InternalInvariantError(
                 "potentially multiplicative place without its two multiplicative twists")
         return LocalRepType(SPECIAL_RAMIFIED_QUAD, v,
@@ -518,7 +574,8 @@ def _bad_places(E: EllipticCurve) -> tuple:
     return tuple(v for v in bad_place_candidates(E) if not reduction_type(E, v).is_good())
 
 
-_MEMOS = (_reduction, _twist_reduction, _twist_rep_type, _twist_root_number, _bad_places)
+_MEMOS = (_reduction, _local_invariants, _twist_reduction, _twist_rep_type, _twist_root_number,
+          _bad_places)
 
 
 def root_number(E: EllipticCurve) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -398,7 +399,10 @@ def oracle_crosscheck(E: EllipticCurve,
                 for i in range(0, len(deltas), size)]
         tested = unsupported = 0
         mismatches = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once: no more than chunks or usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        processes = max(1, min(workers, len(args), cpus or 1))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
                 tested += sub_tested
                 unsupported += sub_unsup

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import factorint
 from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
+    MEMO_BOUND,
     LocalCharacter,
     completion,
     is_unramified_class,
@@ -28,10 +30,10 @@ from .numberfield import (
     Field,
     NFElem,
     Place,
+    _places_above_cached,
     archimedean_places,
     global_sqrt,
     is_squarefree,
-    places_above,
     places_of_norm_up_to,
 )
 
@@ -70,15 +72,17 @@ class QuadChar:
 
 
 def _support_places(delta: NFElem) -> list[tuple[Place, int]]:
-    """(place, valuation) over the primes dividing the norm of delta or the
-    denominator D of its integer triple. D is needed: at a split p with
-    valuations n and -n, p divides neither side of the norm."""
+    """(place, valuation) over the primes dividing A^2 - m B^2 (A over Q) or the
+    denominator D of the integer triple (A, B, D) of delta. D is needed: at a
+    split p with valuations n and -n, p divides neither side of the norm."""
     K = delta.field
-    _, _, D = delta.as_integer_triple()
-    primes = set(factorint(abs(delta.norm().numerator))) | set(factorint(D))
+    A, B, D = delta.as_integer_triple()
+    primes = set(factorint(abs(A if K.m is None else A * A - K.m * B * B)))
+    if D > 1:
+        primes.update(factorint(D))
     out = []
     for p in sorted(primes):
-        for v in places_above(K, p):
+        for v in _places_above_cached(K.key, p):
             lv = completion(K, v)
             n = valuation(delta, lv)
             if n != 0:
@@ -103,13 +107,16 @@ def make_char(K: Field, delta: NFElem) -> QuadChar:
         raise ZeroElement("character of delta = 0")
     sup = _support_places(delta)
     # delta = u * sqfree * g^2: sqfree the generators of odd valuation,
-    # g = prod pi_v^(n // 2), and u a unit
-    sqfree = g = K.one()
+    # g = prod pi_v^(n // 2), and u a unit; g^2 has a factor only where n // 2 != 0
+    sqfree = K.one()
     for v, n in sup:
         if n % 2 != 0:
             sqfree = sqfree * v.generator
-        g = g * v.generator ** (n // 2)
-    u = delta / (sqfree * g * g)
+    den = sqfree
+    for v, n in sup:
+        if n // 2:
+            den = den * v.generator ** (n // 2 * 2)
+    u = delta / den
     canonical = _unit_class_rep(u) * sqfree
     return _char_of(K, canonical, tuple(v for v, n in sup if n % 2 != 0))
 
@@ -119,12 +126,19 @@ def _char_of(K: Field, delta: NFElem, support: tuple) -> QuadChar:
     ``support``: adds the places above 2 and the real places where it ramifies."""
     ram = list(support)
     seen = {v.key() for v in support}
-    for v in places_above(K, 2) + archimedean_places(K):
+    for v in _places_off_support(K):
         if v.key() not in seen and not is_unramified_class(delta, completion(K, v)):
             ram.append(v)
     ram.sort(key=lambda v: v.sort_key())
     norm = max((v.residue_norm for v in ram if v.is_finite()), default=1)
     return QuadChar(K, delta, support, tuple(ram), norm)
+
+
+@lru_cache(maxsize=MEMO_BOUND)
+def _places_off_support(K: Field) -> tuple:
+    """The places above 2 and the archimedean places of K: where a canonical
+    delta can ramify off its support."""
+    return _places_above_cached(K.key, 2) + tuple(archimedean_places(K))
 
 
 # ----------------------------------------------------------------------------

@@ -5,9 +5,11 @@ _unit_coords writes x = pi^n u and gives u in O_v / p^k, as its image in Z/p^k
 when K_v = Q_p and as its omega-coordinates mod p^k when [K_v : Q_p] = 2.
 Valuations, residues and square classes all read it. At a place with
 K_v = Q_p (K = Q, or p splits) it reads x = p^n u from the integer triple
-(``numberfield._qp_expand``) and, where pi = p w, divides by w^n mod p^k; at an
-inert place pi = p and the coordinates are read directly; only at a ramified
-place is x / pi^n formed as a field element.
+(``numberfield._qp_expand``) and, where pi = p w, multiplies by w^-n mod p^k
+(w^-1 is kept per completion); at an inert place pi = p and the coordinates are
+read directly; only at a ramified place is x / pi^n formed as a field element,
+and only for a unit part: there n is v_p of the norm, so the valuation, and a
+residue at n > 0, need no division.
 
 K_v^x/K_v^x2 is numbered once: a class index is its F_2 coordinate, so the
 class of x*y is the XOR of the indices. Above 2 a unit is a square iff it is a
@@ -153,6 +155,9 @@ class LocalField:
         self._unit_classes: Optional[dict] = None
         self._hilbert_matrix: Optional[list] = None
         self._minus_one_row: Optional[list] = None
+        self._unramified: Optional[frozenset] = None
+        # split places: k -> w^-1 mod p^k, for the uniformizer pi = p w
+        self._w_inverse: dict = {}
 
     # -- identification -------------------------------------------------------
     def key(self):
@@ -201,12 +206,12 @@ class LocalField:
         """Residue of a v-integral x."""
         if self.place_kind != "finite":
             raise ValueError("residue at an archimedean place")
-        if x.is_zero():
+        if x.is_zero() or self.e == 2 and valuation(x, self) > 0:  # no x / pi^n to form
             return self.residue_field().zero()
-        n, c = _unit_coords(x, self, 1)
+        n, r = _unit_residue(x, self)
         if n < 0:
             raise InternalInvariantError("residue of a non-integral element")
-        return _unit_residue(c, self) if n == 0 else self.residue_field().zero()
+        return r if n == 0 else self.residue_field().zero()
 
     # -- square classes / characters -------------------------------------------
     def square_class_reps(self) -> list[NFElem]:
@@ -220,11 +225,23 @@ class LocalField:
             self.hilbert_matrix()
         return self._minus_one_row
 
+    def unramified_classes(self) -> frozenset:
+        """The class indices c with K_v(sqrt reps[c]) / K_v unramified, kept with the matrix."""
+        if self._unramified is None:
+            self.hilbert_matrix()
+        return self._unramified
+
     def hilbert_matrix(self) -> list[list[int]]:
         """(reps[i], reps[j])_v over the class indices."""
         if self._hilbert_matrix is None:
             H = _build_hilbert_matrix(self)
             self._minus_one_row = H[square_class_index(self.field.elem(-1), self)]
+            if self.place_kind == "finite":  # (., reps[c])_v is trivial on the unit
+                half = len(H) // 2           # classes, the first half of the indices
+                self._unramified = frozenset(
+                    c for c, row in enumerate(H) if all(s == 1 for s in row[:half]))
+            else:
+                self._unramified = frozenset({0})
             self._hilbert_matrix = H
         return self._hilbert_matrix
 
@@ -306,7 +323,15 @@ def valuation(x: NFElem, v: LocalField) -> int:
         raise ValueError("valuation at an archimedean place")
     if v.degree_over_qp == 1:  # pi = p w with w a unit, so n needs no unit part
         return _qp_expand(x, v.p, v.place.index, 1)[0]
+    if v.e == 2:
+        return _ramified_valuation(x, v)
     return _unit_coords(x, v, 1)[0]
+
+
+def _ramified_valuation(x: NFElem, v: LocalField) -> int:
+    """v(x) at a ramified place: v_p of the norm (A^2 - m B^2) / D^2."""
+    A, B, D = x.as_integer_triple()
+    return _vp_int(A * A - v.field.m * B * B, v.p) - 2 * _vp_int(D, v.p)
 
 
 def is_square_local(x: NFElem, v: LocalField) -> bool:
@@ -329,14 +354,18 @@ def _unit_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, tuple[int, int]
     M = p ** k
     if v.degree_over_qp == 1:
         n, u = _qp_expand(x, p, v.place.index, k)
-        if n and v.place.splitting == "split":  # pi = p w with w a unit, so u / w^n
-            w = _qp_expand(v.uniformizer, p, v.place.index, k)[1]
-            u = u * pow(w, -n, M) % M
+        if n and v.place.splitting == "split":  # pi = p w with w a unit, so u w^-n
+            w_inv = v._w_inverse.get(k)
+            if w_inv is None:
+                w = _qp_expand(v.uniformizer, p, v.place.index, k)[1]
+                w_inv = v._w_inverse[k] = pow(w, -1, M)
+            u = u * pow(w_inv, n, M) % M
         return n, (u, 0)
     A, B, D = x.as_integer_triple()
     if v.e == 2:  # ramified: n from the norm, then u = x / pi^n
-        n = _vp_int(A * A - v.field.m * B * B, p) - 2 * _vp_int(D, p)
-        A, B, D = (x / v.uniformizer ** n).as_integer_triple()
+        n = _ramified_valuation(x, v)
+        if n:
+            A, B, D = (x / v.uniformizer ** n).as_integer_triple()
     c0, c1 = (A - B, 2 * B) if v.field.m % 4 == 1 else (A, B)  # x = (c0 + c1 omega) / D
     # p^a is the largest power of p dividing both coordinates; at a ramified place
     # u is a unit, so a = d
@@ -347,15 +376,16 @@ def _unit_coords(x: NFElem, v: LocalField, k: int) -> tuple[int, tuple[int, int]
     return n, (c0 // s * Dinv % M, c1 // s * Dinv % M)
 
 
-def _unit_residue(c: tuple[int, int], v: LocalField):
-    """The residue of the unit whose image in O_v / p is c (``_unit_coords`` with k = 1)."""
+def _unit_residue(x: NFElem, v: LocalField) -> tuple:
+    """(n, r): x = pi^n u with u a unit at v, and r the residue of u in F_q."""
+    n, c = _unit_coords(x, v, 1)
     if v.f == 2:
-        return c
+        return n, c
     if not c[1]:
-        return c[0]
-    # ramified: omega reduces to the double root of X^2 - t X + n mod p
-    t, n = v.field.omega_trace_norm()
-    return (c[0] + c[1] * (n if v.p == 2 else t * pow(2, -1, v.p))) % v.p
+        return n, c[0]
+    # ramified: omega reduces to the double root of X^2 - t X + nm mod p
+    t, nm = v.field.omega_trace_norm()
+    return n, (c[0] + c[1] * (nm if v.p == 2 else t * pow(2, -1, v.p))) % v.p
 
 
 def _residue_ring(v: LocalField):
@@ -492,8 +522,8 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
     if v.place_kind != "finite":
         idx = 1 if v.place_kind == "real" and x.sign_at_real(v.place.index) < 0 else 0
     elif v.p != 2:
-        n, c = _unit_coords(x, v, 1)
-        idx = (0 if v.residue_field().is_square(_unit_residue(c, v)) else 1) | (n & 1) << 1
+        n, r = _unit_residue(x, v)
+        idx = (0 if v.residue_field().is_square(r) else 1) | (n & 1) << 1
     else:
         half = len(v.square_class_reps()) // 2
         n, c = _unit_coords(x, v, 3)
@@ -517,10 +547,5 @@ def eval_local_char(chi: LocalCharacter, x: NFElem) -> int:
 
 
 def is_unramified_class(delta: NFElem, v: LocalField) -> bool:
-    """True iff K_v(sqrt delta)/K_v is unramified: at a finite place, iff
-    (., delta)_v is trivial on the unit classes, the first half of the indices."""
-    i = square_class_index(delta, v)
-    if v.place_kind != "finite":
-        return i == 0
-    row = v.hilbert_matrix()[i]
-    return all(s == 1 for s in row[:len(row) // 2])
+    """True iff K_v(sqrt delta)/K_v is unramified (``LocalField.unramified_classes``)."""
+    return square_class_index(delta, v) in v.unramified_classes()

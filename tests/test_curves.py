@@ -429,6 +429,63 @@ def test_per_class_rep_type_matches_literal_twist(case):
         assert got == want, (str(E), str(v), c)
 
 
+def _twist_class_cases(K, rng):
+    """Seeded random models over K, one with c4 = 0, one with c6 = 0, and two
+    scalings of a random model: non-minimal at 5 and 7, and non-integral there."""
+    cases = []
+    while len(cases) < 6:
+        coeffs = [rng.randint(0, 1), rng.randint(-30, 30), rng.randint(0, 1),
+                  rng.randint(-30, 30), rng.randint(-30, 30)]
+        if K.m is not None and rng.random() < 0.5:
+            coeffs[rng.choice((1, 3, 4))] += rng.randint(1, 9) * K.sqrt_m()
+        try:
+            cases.append(curve(K, coeffs))
+        except SingularCurve:
+            pass
+    E = cases[0]
+    return cases + [curve(K, [0, 77]), curve(K, [-65, 0]),
+                    E.transform(u=K.elem(Fraction(1, 35))), E.transform(u=K.elem(35))]
+
+
+def test_twist_classes_at_p_at_least_5_match_the_literal_twist(monkeypatch):
+    # at residue characteristic >= 5 a class twist is read from the curve's
+    # invariants with no twisted model; it must classify as the literal twist by
+    # the class representative does, at Q_p, split, inert and ramified places
+    fields = [rational_field()] + [quadratic_field(m) for m in (-1, -3, -7, 2, 5)]
+    triples = []
+    for K in fields:
+        rng = random.Random(5040 + (K.m or 0))
+        for E in _twist_class_cases(K, rng):
+            for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                for v in places_above(K, p):
+                    for c in range(1, len(completion(K, v).square_class_reps())):
+                        triples.append((E, v, c))
+
+    def no_model(E, delta):
+        raise AssertionError("a twisted model built at residue characteristic >= 5")
+
+    _clear_curve_memos()
+    got = []
+    with monkeypatch.context() as mp:
+        mp.setattr(curves, "quadratic_twist", no_model)
+        for E, v, c in triples:
+            rd = curves._twist_reduction(E, v, c)
+            assert rd.minimal_model is None
+            got.append((rd.red_type, rd.v_disc, rd.v_c4, rd.split_sign))
+    seen = set()
+    for (E, v, c), have in zip(triples, got):
+        lv = completion(E.field, v)
+        want = reduction_type(quadratic_twist(E, lv.square_class_reps()[c]), v)
+        assert have == (want.red_type, want.v_disc, want.v_c4, want.split_sign), \
+            (str(E), str(E.field), str(v), c)
+        seen.add(("type", want.red_type))
+        seen.add(("place", v.splitting if E.field.m else "Q_p"))
+    assert len(triples) > 2400
+    assert seen == {("type", t) for t in (GOOD, SPLIT_MULT, NONSPLIT_MULT, ADDITIVE_POT_MULT,
+                                          ADDITIVE_POT_GOOD)} | \
+        {("place", k) for k in ("Q_p", "split", "inert", "ramified")}
+
+
 def test_tate_normalization_matches_the_digit_search(monkeypatch):
     # at p = 2 the residue square roots give the (s, t) that the search over
     # digit lifts found first, with one transform per call; F_2 and F_4, e = 1, 2.

@@ -319,6 +319,72 @@ def test_oracle_runs_tate_once_per_place_and_class(Q, e11a1, monkeypatch):
     assert len(runs) <= 12
 
 
+def test_oracle_twists_models_only_above_2_and_3(Q, e11a1, monkeypatch):
+    # at residue characteristic >= 5 the class twists are read from the curve's
+    # invariants, so quadratic_twist runs only for Tate's algorithm at 2 and 3
+    from twistparity import curves
+
+    for memo in curves._MEMOS:
+        memo.cache_clear()
+    at, classes, twisted = [], [], []
+    twist_reduction, quadratic_twist_ = curves._twist_reduction, curves.quadratic_twist
+
+    def traced(E, v, c):
+        at.append(v)
+        classes.append((v.p, c))
+        try:
+            return twist_reduction(E, v, c)
+        finally:
+            at.pop()
+
+    def counted(E, delta):
+        twisted.append(at[-1].p if at else None)
+        return quadratic_twist_(E, delta)
+
+    monkeypatch.setattr(curves, "_twist_reduction", traced)
+    monkeypatch.setattr(curves, "quadratic_twist", counted)
+    rep = oracle_crosscheck(e11a1, delta_bound=200)
+    assert rep.clean and rep.tested == 244
+    assert set(twisted) == {2, 3}
+    assert len([1 for p, c in classes if p >= 5 and c >= 1]) > 100
+
+
+def test_verify_pool_is_bounded_by_chunks_and_cpus(Q, e11a1, monkeypatch):
+    # a pool starts all of its processes at once, so it gets no more than the
+    # chunks and the usable CPUs, whatever --workers says; a serial stand-in
+    # records the size and starts no process
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, list(args))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)  # mismatches whose order is compared
+    seq = oracle_crosscheck(e11a1, delta_bound=30)
+    assert len(seq.mismatches) > 10
+    for workers, size in ((2, 2), (5, 3), (10 ** 6, 3)):  # 38 deltas, in 2, 5 and 38 chunks
+        par = oracle_crosscheck(e11a1, delta_bound=30, workers=workers)
+        assert (par.tested, par.unsupported, par.mismatches) == \
+            (seq.tested, seq.unsupported, seq.mismatches)
+        assert sizes.pop() == size
+    oracle_crosscheck(e11a1, delta_bound=1, workers=10 ** 6)  # 2 deltas, 2 chunks
+    assert sizes == [2]
+
+
 def test_oracle_crosscheck_norm_family(Qi):
     E = curve(Qi, [0, -1, 1, 0, 0])
     rep = oracle_crosscheck(E, X=5)

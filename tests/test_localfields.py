@@ -419,6 +419,26 @@ def test_unramified_classification(Q, Qi):
     assert len(unram) == 2  # trivial and the unramified-quadratic unit class
 
 
+@pytest.mark.parametrize("m", [None, -1, -3, -7, 2, 5])
+def test_unramified_classes_are_the_rows_trivial_on_units(m):
+    # the set kept with the Hilbert matrix is the definition read from its rows:
+    # two classes at every finite place (1 and the unramified unit class), only
+    # the trivial class at an infinite place
+    K = rational_field() if m is None else quadratic_field(m)
+    for v in [w for p in (2, 3, 5, 7) for w in places_above(K, p)] + archimedean_places(K):
+        lv = completion(K, v)
+        H = lv.hilbert_matrix()
+        if v.is_finite():
+            half = len(H) // 2
+            want = {c for c, row in enumerate(H) if all(s == 1 for s in row[:half])}
+            assert len(want) == 2 and 0 in want
+        else:
+            want = {0}
+        assert lv.unramified_classes() == want
+        for c, rep in enumerate(lv.square_class_reps()):
+            assert is_unramified_class(rep, lv) == (c in want)
+
+
 def test_completion_data(Q, Qi):
     v7 = lf(Q, 7)
     assert (v7.e, v7.f, v7.q) == (1, 1, 7) and v7.uniformizer == Q.elem(7)
