@@ -16,14 +16,23 @@ algorithm or the fast path runs once per model and place, and ``bad_places``
 once per curve. The six memos (``_MEMOS``) are LRU caches of MEMO_BOUND
 entries each.
 
+The classes of K_v^x / K_v^x2 pair up as {c, c ^ ur}, ur the unramified
+nonsquare class, at every finite place. Twisting by ur keeps the type, the
+minimal v(Delta) and v(c4), and swaps split and nonsplit multiplicative
+reduction, because E^ur and E become isomorphic over the unramified quadratic
+extension and Neron models commute with etale base change
+(Bosch-Lutkebohmert-Raynaud, Neron Models, 7.2/1; Silverman, Advanced Topics,
+IV.9). So the higher class of each pair is read from the lower one, and only
+the lower classes are classified.
+
 At residue characteristic >= 5 the reduction type is a function of v(c4),
 v(c6), v(Delta) and the residue of c6 / pi^v(c6) (``_classify``), and these
 are kept per (curve, place). The fast path feeds it the invariants of a literal
-model and also builds the minimal model. A class twist c >= 1 feeds it E's
-invariants shifted by the class representative, and builds no twisted model:
-its ``minimal_model`` is None. At residue characteristic 2 and 3 every class
-twist is classified by Tate's algorithm on the literal model
-``quadratic_twist`` builds.
+model; only ``minimal_model_at`` builds the minimal model there. A lower class
+twist c >= 1 feeds it E's invariants shifted by the class representative, and
+builds no twisted model. At residue characteristic 2 and 3 each lower class
+twist c >= 1 is classified by Tate's algorithm on the literal model
+``quadratic_twist`` builds, so Tate runs on half the classes.
 
 A model that ``quadratic_twist`` or ``transform`` builds carries its c4, c6
 and Delta, scaled from those of its source, so neither the fast path nor the
@@ -238,7 +247,9 @@ class ReductionData:
     v_disc: int
     v_c4: object  # int or math.inf
     split_sign: Optional[int]  # +1 split / -1 nonsplit, multiplicative only
-    minimal_model: Optional[EllipticCurve]  # None for a class twist read from invariants
+    # Tate's model at residue characteristic 2 and 3 (``minimal_model_at`` builds
+    # the one at p >= 5); None at p >= 5 and for a class twist read from its pair
+    minimal_model: Optional[EllipticCurve]
 
     def is_good(self):
         return self.red_type == GOOD
@@ -263,21 +274,40 @@ def _reduction(E: EllipticCurve, v: Place) -> ReductionData:
     return _fast_reduction(E, v, lv)
 
 
+_SWAPPED = {SPLIT_MULT: NONSPLIT_MULT, NONSPLIT_MULT: SPLIT_MULT}
+
+
 @lru_cache(maxsize=MEMO_BOUND)
 def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     """Reduction data at v of E twisted by square class c of K_v (c = 0: E).
 
-    At residue characteristic >= 5 a class c >= 1 is read from E's invariants:
-    the twist by eta = reps[c] = pi^n u (reps = [1, u, pi, u pi], so n = c >> 1
-    and u = reps[c & 1]) multiplies c4, c6 and Delta by 6^4 eta^2, 6^6 eta^3 and
-    6^12 eta^6, which shifts their valuations by (2n, 3n, 6n) and multiplies
-    the residue of c6 / pi^v(c6) by 6^6 u^3. No twisted model is built, so
-    ``minimal_model`` is None there. At 2 and 3 Tate's algorithm runs on the
-    literal twisted model.
+    Classes pair up as {c, c ^ ur}, ur the unramified nonsquare class, and the
+    higher class of a pair is read from the lower one: E^(c ^ ur) and E^c become
+    isomorphic over the unramified quadratic extension, and Neron models commute
+    with that etale base change (Bosch-Lutkebohmert-Raynaud, Neron Models,
+    7.2/1; Silverman, Advanced Topics, IV.9). So the type, the minimal v(Delta)
+    and v(c4) are the same, and split and nonsplit multiplicative reduction swap.
+
+    At residue characteristic >= 5 a lower class c >= 1 is read from E's
+    invariants: the twist by eta = reps[c] = pi^n u (reps = [1, u, pi, u pi],
+    so n = c >> 1 and u = reps[c & 1]) multiplies c4, c6 and Delta by
+    6^4 eta^2, 6^6 eta^3 and 6^12 eta^6, which shifts their valuations by
+    (2n, 3n, 6n) and multiplies the residue of c6 / pi^v(c6) by 6^6 u^3. At 2
+    and 3 Tate's algorithm runs on the literal twisted model. A class c >= 1
+    carries a ``minimal_model`` only when Tate's algorithm built it.
     """
     if c == 0:
         return reduction_type(E, v)
     lv = completion(E.field, v)
+    unramified = lv.unramified_classes()
+    if len(unramified) != 2 or 0 not in unramified:
+        raise InternalInvariantError(f"unramified classes {sorted(unramified)} at {lv}")
+    ur = max(unramified)
+    if c ^ ur < c:
+        rd = _twist_reduction(E, v, c ^ ur)
+        sign = None if rd.split_sign is None else -rd.split_sign
+        return ReductionData(v, _SWAPPED.get(rd.red_type, rd.red_type), rd.v_disc, rd.v_c4,
+                             sign, None)
     reps = lv.square_class_reps()
     if lv.p in (2, 3):
         return reduction_type(quadratic_twist(E, reps[c]), v)
@@ -325,16 +355,9 @@ def _classify(v: Place, lv: LocalField, vd: int, vc4, vc6, r6) -> ReductionData:
 
 
 def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
-    """Residue characteristic >= 5: the classifier on E's invariants, and the
-    minimal model y^2 = x^3 - 27 c4 pi^-4k x - 54 c6 pi^-6k."""
-    inv = _local_invariants(E, v)
-    rd = _classify(v, lv, *inv)
-    k = (inv[0] - rd.v_disc) // 12
-    pi = lv.uniformizer
-    c4m = E.c4 / pi ** (4 * k)
-    c6m = E.c6 / pi ** (6 * k)
-    rd.minimal_model = EllipticCurve(E.field, 0, 0, 0, -27 * c4m, -54 * c6m, check=False)
-    return rd
+    """Residue characteristic >= 5: the classifier on E's invariants; the
+    minimal model is left to ``minimal_model_at``."""
+    return _classify(v, lv, *_local_invariants(E, v))
 
 
 # -- Tate's algorithm for residue characteristic 2 and 3 ----------------------
@@ -462,7 +485,17 @@ def _tate_normalized(E: EllipticCurve, lv: LocalField) -> bool:
 
 
 def minimal_model_at(E: EllipticCurve, v: Place) -> EllipticCurve:
-    return reduction_type(E, v).minimal_model
+    """Tate's model at residue characteristic 2 and 3; at p >= 5 the model
+    y^2 = x^3 - 27 c4 pi^-4k x - 54 c6 pi^-6k with 12 k = v(Delta) - minimal v(Delta)."""
+    rd = reduction_type(E, v)
+    lv = completion(E.field, v)
+    if lv.p in (2, 3):
+        return rd.minimal_model
+    k = (_local_invariants(E, v)[0] - rd.v_disc) // 12
+    pi = lv.uniformizer
+    c4m = E.c4 / pi ** (4 * k)
+    c6m = E.c6 / pi ** (6 * k)
+    return EllipticCurve(E.field, 0, 0, 0, -27 * c4m, -54 * c6m, check=False)
 
 
 # ----------------------------------------------------------------------------

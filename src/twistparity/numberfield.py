@@ -323,10 +323,14 @@ class Place:
             return (1, self.p, self.index)
         return (0, 0, self.index)
 
+    def __post_init__(self):
+        # the identity tuple, built once; key(), == and hash read it (a tuple,
+        # not its hash, which differs between processes and would not pickle)
+        object.__setattr__(self, "_key", ("finite", self.p, self.index) if self.kind == "finite"
+                           else (self.kind, self.index))
+
     def key(self):
-        if self.kind == "finite":
-            return ("finite", self.p, self.index)
-        return (self.kind, self.index)
+        return self._key
 
     def __str__(self):
         if self.kind == "real":
@@ -338,10 +342,10 @@ class Place:
         return f"({self.p})"
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __eq__(self, other):
-        return isinstance(other, Place) and self.key() == other.key()
+        return isinstance(other, Place) and self._key == other._key
 
 
 # ----------------------------------------------------------------------------
@@ -358,9 +362,8 @@ class Field:
     unit_square_classes: tuple = ()  # transversal of O_K^x / (O_K^x)^2, trivial first
     fundamental_unit: Optional[NFElem] = None
 
-    @property
-    def key(self):
-        return (self.kind, self.m)
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.kind, self.m))  # the identity tuple, built once
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.key == other.key

@@ -486,10 +486,55 @@ def test_twist_classes_at_p_at_least_5_match_the_literal_twist(monkeypatch):
         {("place", k) for k in ("Q_p", "split", "inert", "ramified")}
 
 
+def test_unramified_pairs_read_the_higher_class_from_the_lower(monkeypatch):
+    # classes pair up as {c, c ^ ur}, ur the unramified class: the higher class
+    # keeps the lower one's type, minimal v(Delta) and v(c4), with split and
+    # nonsplit swapped, and must classify as the literal twist by its
+    # representative does. Twisted models are built for the lower classes at 2
+    # and 3 only; every kind of place above 2 and 3, and the places above 5 to 13
+    fields = [rational_field()] + [quadratic_field(m) for m in (-1, -3, -7, 2, 5, -2, 3)]
+    twist = curves.quadratic_twist
+    built = []
+    monkeypatch.setattr(curves, "quadratic_twist", lambda E, d: built.append(d) or twist(E, d))
+    seen, checks = set(), 0
+    for K in fields:
+        rng = random.Random(2020 + (K.m or 0))
+        for E in _twist_class_cases(K, rng):
+            for v in [v for p in (2, 3, 5, 7, 11, 13) for v in places_above(K, p)]:
+                lv = completion(K, v)
+                reps = lv.square_class_reps()
+                ur = max(lv.unramified_classes())
+                _clear_curve_memos()
+                built.clear()
+                got = [curves._twist_reduction(E, v, c) for c in range(len(reps))]
+                lower = [c for c in range(1, len(reps)) if c ^ ur > c]
+                assert [square_class_index(d, lv) for d in built] == \
+                    (lower if lv.p in (2, 3) else [])
+                for c, rd in enumerate(got):
+                    want = reduction_type(twist(E, reps[c]), v)
+                    assert (rd.red_type, rd.v_disc, rd.v_c4, rd.split_sign) == \
+                        (want.red_type, want.v_disc, want.v_c4, want.split_sign), \
+                        (str(E), str(K), str(v), c)
+                    assert (rd.minimal_model is None) == (lv.p >= 5 or c ^ ur < c)
+                    seen.add(("type", rd.red_type))
+                    if c ^ ur < c:
+                        seen.add(("higher", rd.red_type))
+                    checks += 1
+                seen.add(("place", lv.p if lv.p < 5 else 5, v.splitting, lv.e, lv.f))
+    assert checks > 3200
+    assert {("type", t) for t in (GOOD, SPLIT_MULT, NONSPLIT_MULT, ADDITIVE_POT_MULT,
+                                  ADDITIVE_POT_GOOD)} <= seen
+    assert {("higher", SPLIT_MULT), ("higher", NONSPLIT_MULT)} <= seen
+    assert {("place", 2, None, 1, 1), ("place", 2, "split", 1, 1), ("place", 2, "ramified", 2, 1),
+            ("place", 2, "inert", 1, 2), ("place", 3, None, 1, 1), ("place", 3, "split", 1, 1),
+            ("place", 3, "ramified", 2, 1), ("place", 3, "inert", 1, 2)} <= seen
+
+
 def test_tate_normalization_matches_the_digit_search(monkeypatch):
     # at p = 2 the residue square roots give the (s, t) that the search over
     # digit lifts found first, with one transform per call; F_2 and F_4, e = 1, 2.
-    # Classifying each class twist also classifies its ramified twists
+    # Tate's algorithm runs on each literal class twist and on each of its
+    # ramified twists, built as a literal double twist
     from .oracles import tate_normalize_search
 
     transforms = []
@@ -514,9 +559,13 @@ def test_tate_normalization_matches_the_digit_search(monkeypatch):
         K = E.field
         for v in places_above(K, 2):
             lv = completion(K, v)
+            reps = lv.square_class_reps()
+            ramified = [eta for e, eta in enumerate(reps) if e not in lv.unramified_classes()]
             _clear_curve_memos()
-            for rep in lv.square_class_reps():  # the twist and its ramified twists
-                local_rep_type(quadratic_twist(E, rep), v)
+            for rep in reps:
+                T = quadratic_twist(E, rep)
+                for M in [T] + [quadratic_twist(T, eta) for eta in ramified]:
+                    reduction_type(M, v)
     assert len(checked) > 1000
     assert {(e, f) for _, e, f in checked} == {(1, 1), (2, 1), (1, 2)}
     assert {m for m, _, _ in checked} == {None, -1, 5, -3, -7, 2}

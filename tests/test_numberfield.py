@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -453,3 +458,40 @@ def test_archimedean_place_counts():
     real2 = archimedean_places(quadratic_field(2))
     assert [v.kind for v in real2] == ["real", "real"]
     assert [v.kind for v in archimedean_places(quadratic_field(-7))] == ["complex"]
+
+
+def test_places_and_fields_keep_their_keys():
+    # key(), == and hash read the tuple each Place and Field builds once;
+    # dataclasses.replace builds a new one, and a pickled place or field
+    # hashes as its key in a process with another string-hash seed
+    Q, Qi = rational_field(), quadratic_field(-1)
+    finite = [places_above(Q, 5), places_above(Qi, 5), places_above(Qi, 3), places_above(Qi, 2)]
+    assert [v.splitting for vs in finite for v in vs] == [None, "split", "split", "inert",
+                                                          "ramified"]
+    arch = archimedean_places(quadratic_field(2)) + archimedean_places(quadratic_field(-7))
+    for v in [v for vs in finite for v in vs] + arch:
+        want = ("finite", v.p, v.index) if v.kind == "finite" else (v.kind, v.index)
+        rebuilt = dataclasses.replace(v)
+        assert v.key() == rebuilt.key() == want and hash(v) == hash(want)
+        assert v == rebuilt and v is not rebuilt and hash(rebuilt) == hash(v)
+    assert [v.key() for v in arch] == [("real", 1), ("real", 2), ("complex", 1)]
+    split5 = places_above(Qi, 5)
+    moved = dataclasses.replace(split5[0], index=2)
+    assert moved.key() == ("finite", 5, 2) and moved == split5[1] and moved != split5[0]
+    for K in (Q, Qi, quadratic_field(5)):
+        assert K.key == (K.kind, K.m) and hash(K) == hash(K.key)
+    K5 = dataclasses.replace(quadratic_field(5), m=-1)
+    assert K5.key == ("quadratic", -1) and K5 == Qi and hash(K5) == hash(Qi)
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ, PYTHONHASHSEED=str(int(seed) + 1) if seed.isdigit() else "1",
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import pickle, sys; v, K = pickle.loads(sys.stdin.buffer.read()); "
+            "print(hash(v) == hash(v.key()), hash(K) == hash(K.key), v.key(), K.key, "
+            "hash('finite'))")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps((split5[1], Qi)),
+                         env=env, capture_output=True, timeout=60, check=True)
+    *got, child_hash = out.stdout.decode().split()
+    assert " ".join(got) == "True True ('finite', 5, 2) ('quadratic', -1)"
+    assert int(child_hash) != hash("finite")  # the child hashed strings with another seed
