@@ -271,7 +271,7 @@ def _reduction(E: EllipticCurve, v: Place) -> ReductionData:
     lv = completion(E.field, v)
     if lv.p in (2, 3):
         return _tate_reduction(E, v, lv)
-    return _fast_reduction(E, v, lv)
+    return _classify(v, lv, *_local_invariants(E, v))  # the fast path: no model is built
 
 
 _SWAPPED = {SPLIT_MULT: NONSPLIT_MULT, NONSPLIT_MULT: SPLIT_MULT}
@@ -352,12 +352,6 @@ def _classify(v: Place, lv: LocalField, vd: int, vc4, vc6, r6) -> ReductionData:
         return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
                              vdm, 0, 1 if split else -1, None)
     return ReductionData(v, _pot_kind(vc4, vd), vdm, vc4m, None, None)
-
-
-def _fast_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData:
-    """Residue characteristic >= 5: the classifier on E's invariants; the
-    minimal model is left to ``minimal_model_at``."""
-    return _classify(v, lv, *_local_invariants(E, v))
 
 
 # -- Tate's algorithm for residue characteristic 2 and 3 ----------------------
