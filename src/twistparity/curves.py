@@ -282,11 +282,9 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     """Reduction data at v of E twisted by square class c of K_v (c = 0: E).
 
     Classes pair up as {c, c ^ ur}, ur the unramified nonsquare class, and the
-    higher class of a pair is read from the lower one: E^(c ^ ur) and E^c become
-    isomorphic over the unramified quadratic extension, and Neron models commute
-    with that etale base change (Bosch-Lutkebohmert-Raynaud, Neron Models,
-    7.2/1; Silverman, Advanced Topics, IV.9). So the type, the minimal v(Delta)
-    and v(c4) are the same, and split and nonsplit multiplicative reduction swap.
+    higher class of a pair is read from the lower one (see the module
+    docstring): the same type, minimal v(Delta) and v(c4), with split and
+    nonsplit multiplicative reduction swapped.
 
     At residue characteristic >= 5 a lower class c >= 1 is read from E's
     invariants: the twist by eta = reps[c] = pi^n u (reps = [1, u, pi, u pi],
