@@ -5,48 +5,38 @@ v(Delta), v(c4), v(j), and node splitness. Kodaira symbols and conductor
 exponents are deliberately out of scope.
 
 Local data of a twist depends only on the square class of the twist parameter
-at the place, so it is memoized per (curve, place, class index c): entry c
-describes E twisted by ``completion(K, v).square_class_reps()[c]``, and c = 0
-is E itself. The reduction data, the LocalRepType and the local root number of
-E^c are each computed once; the rep type reads its certifying twists
-(E^c)^eta from the entries at the class of c * eta, which is exact because the
-two models are isomorphic over K_v, and reads them only until it has its
-certificate. Reduction data is also memoized per literal model, so Tate's
-algorithm or the fast path runs once per model and place, and ``bad_places``
-once per curve. The six memos (``_MEMOS``) are LRU caches of MEMO_BOUND
-entries each.
+in K_v^x / K_v^x2, so the local data of E at a finite place v is one record
+(``_local_data``), a table over the class indices c: class c is E twisted by
+``completion(K, v).square_class_reps()[c]``, and c = 0 is E itself. Its slots
+are filled on demand, each once: the reduction data, the LocalRepType and the
+local root number of E^c. The rep type reads its certifying twists (E^c)^eta
+from the slots of class c * eta (the two models are isomorphic over K_v), only
+until it has its certificate. The records sit in one LRU memo of MEMO_BOUND
+entries keyed by (curve, place); ``bad_places`` has the other (``_MEMOS``).
 
-The classes of K_v^x / K_v^x2 pair up as {c, c ^ ur}, ur the unramified
-nonsquare class, at every finite place. Twisting by ur keeps the type, the
-minimal v(Delta) and v(c4), and swaps split and nonsplit multiplicative
-reduction, because E^ur and E become isomorphic over the unramified quadratic
-extension and Neron models commute with etale base change
-(Bosch-Lutkebohmert-Raynaud, Neron Models, 7.2/1; Silverman, Advanced Topics,
-IV.9). So the higher class of each pair is read from the lower one, and only
-the lower classes are classified.
+The classes pair up as {c, c ^ ur}, ur the unramified nonsquare class. Twisting
+by ur keeps the type, the minimal v(Delta) and v(c4), and swaps split and
+nonsplit multiplicative reduction, because E^ur and E become isomorphic over
+the unramified quadratic extension and Neron models commute with etale base
+change (Bosch-Lutkebohmert-Raynaud, Neron Models, 7.2/1; Silverman, Advanced
+Topics, IV.9). So the higher class of each pair is read from the lower one.
 
-At residue characteristic >= 5 the reduction type is a function of v(c4),
-v(c6), v(Delta) and the residue of c6 / pi^v(c6) (``_classify``), and these
-are kept per (curve, place). The fast path feeds it the invariants of a literal
-model; only ``minimal_model_at`` builds the minimal model there. A lower class
-twist c >= 1 feeds it E's invariants shifted by the class representative, and
-builds no twisted model. At residue characteristic 2 and 3 each lower class
-twist c >= 1 is classified by Tate's algorithm on the literal model
-``quadratic_twist`` builds, so Tate runs on half the classes.
-
-A model that ``quadratic_twist`` or ``transform`` builds carries its c4, c6
-and Delta, scaled from those of its source, so neither the fast path nor the
-translations of Tate's algorithm recompute them from b2..b8. Tate's algorithm
-(residue characteristic 2 and 3) searches nothing: the singular point, the
-tangent cone's splitting and the triple and double roots over F_q have closed
-forms through the p-th root x -> x^(q/p), each giving the only candidate.
+At residue characteristic >= 5 the type is a function of v(c4), v(c6),
+v(Delta) and the residue of c6 / pi^v(c6) (``_classify``): the record keeps
+E's, and a lower class c >= 1 shifts them by its representative, with no model
+built. At 2 and 3 Tate's algorithm runs on E and on the literal model that
+``quadratic_twist`` builds for each lower class c >= 1; that model gets no
+record. Models from ``quadratic_twist`` and ``transform`` carry their c4, c6
+and Delta, scaled from their source's. Tate's algorithm searches nothing: the
+singular point, the tangent cone's splitting and the triple and double roots
+over F_q have closed forms through the p-th root x -> x^(q/p).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Optional
 
 from .arith import factorint
@@ -262,22 +252,42 @@ def _val0(z: NFElem, lv: LocalField):
     return INF if z.is_zero() else valuation(z, lv)
 
 
-def reduction_type(E: EllipticCurve, v: Place) -> ReductionData:
-    return _reduction(E, v)
-
-
 @lru_cache(maxsize=MEMO_BOUND)
-def _reduction(E: EllipticCurve, v: Place) -> ReductionData:
+def _local_data(E: EllipticCurve, v: Place) -> tuple:
+    """The record of E at a finite place v: (invariants, slots). invariants is
+    (v(Delta), v(c4), v(c6), residue of c6 / pi^v(c6)) at p >= 5 (INF for a
+    zero c4 or c6, residue 0 for c6 = 0) and None at 2 and 3; slots maps (reader,
+    class) to a ``_per_class`` value. It holds no LocalField, so it keeps none alive."""
+    if v.p in (2, 3):
+        return None, {}
     lv = completion(E.field, v)
-    if lv.p in (2, 3):
-        return _tate_reduction(E, v, lv)
-    return _classify(v, lv, *_local_invariants(E, v))  # the fast path: no model is built
+    vd, vc4 = valuation(E.disc, lv), _val0(E.c4, lv)
+    vc6_r6 = (INF, lv.residue_field().zero()) if E.c6.is_zero() else _unit_residue(E.c6, lv)
+    return (vd, vc4) + vc6_r6, {}
+
+
+def _per_class(fn):
+    """Keep fn(E, v, c) in the record of (E, v), so it runs once per class."""
+    @wraps(fn)
+    def read(E: EllipticCurve, v: Place, c: int):
+        slots = _local_data(E, v)[1]
+        try:
+            return slots[fn, c]
+        except KeyError:
+            out = slots[fn, c] = fn(E, v, c)
+            return out
+
+    return read
+
+
+def reduction_type(E: EllipticCurve, v: Place) -> ReductionData:
+    return _twist_reduction(E, v, 0)
 
 
 _SWAPPED = {SPLIT_MULT: NONSPLIT_MULT, NONSPLIT_MULT: SPLIT_MULT}
 
 
-@lru_cache(maxsize=MEMO_BOUND)
+@_per_class
 def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     """Reduction data at v of E twisted by square class c of K_v (c = 0: E).
 
@@ -291,12 +301,15 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     so n = c >> 1 and u = reps[c & 1]) multiplies c4, c6 and Delta by
     6^4 eta^2, 6^6 eta^3 and 6^12 eta^6, which shifts their valuations by
     (2n, 3n, 6n) and multiplies the residue of c6 / pi^v(c6) by 6^6 u^3. At 2
-    and 3 Tate's algorithm runs on the literal twisted model. A class c >= 1
-    carries a ``minimal_model`` only when Tate's algorithm built it.
+    and 3 Tate's algorithm runs on E, and on the literal twisted model for a
+    lower class c >= 1. A class c >= 1 carries a ``minimal_model`` only when
+    Tate's algorithm built it.
     """
-    if c == 0:
-        return reduction_type(E, v)
     lv = completion(E.field, v)
+    if c == 0:
+        if lv.p in (2, 3):
+            return _tate_reduction(E, v, lv)
+        return _classify(v, lv, *_local_data(E, v)[0])
     unramified = lv.unramified_classes()
     if len(unramified) != 2 or 0 not in unramified:
         raise InternalInvariantError(f"unramified classes {sorted(unramified)} at {lv}")
@@ -308,8 +321,8 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
                              sign, None)
     reps = lv.square_class_reps()
     if lv.p in (2, 3):
-        return reduction_type(quadratic_twist(E, reps[c]), v)
-    vd, vc4, vc6, r6 = _local_invariants(E, v)
+        return _tate_reduction(quadratic_twist(E, reps[c]), v, lv)
+    vd, vc4, vc6, r6 = _local_data(E, v)[0]
     n = c >> 1
     rf = lv.residue_field()
     s = lv.residue(36 * reps[c & 1])  # 6^6 u^3 = (36 u)^3
@@ -320,18 +333,6 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
 def _pot_kind(vc4, vd: int) -> str:
     """Potentially multiplicative iff v(j) = 3 v(c4) - v(Delta) < 0 (c4 = 0: j = 0)."""
     return ADDITIVE_POT_MULT if 3 * vc4 - vd < 0 else ADDITIVE_POT_GOOD
-
-
-@lru_cache(maxsize=MEMO_BOUND)
-def _local_invariants(E: EllipticCurve, v: Place) -> tuple:
-    """(v(Delta), v(c4), v(c6), residue of c6 / pi^v(c6)) at v; a zero c4 or c6
-    has valuation INF, and c6 = 0 the residue 0."""
-    lv = completion(E.field, v)
-    vd = valuation(E.disc, lv)
-    vc4 = _val0(E.c4, lv)
-    if E.c6.is_zero():
-        return vd, vc4, INF, lv.residue_field().zero()
-    return (vd, vc4) + _unit_residue(E.c6, lv)
 
 
 def _classify(v: Place, lv: LocalField, vd: int, vc4, vc6, r6) -> ReductionData:
@@ -483,7 +484,7 @@ def minimal_model_at(E: EllipticCurve, v: Place) -> EllipticCurve:
     lv = completion(E.field, v)
     if lv.p in (2, 3):
         return rd.minimal_model
-    k = (_local_invariants(E, v)[0] - rd.v_disc) // 12
+    k = (_local_data(E, v)[0][0] - rd.v_disc) // 12  # from E's own v(Delta)
     pi = lv.uniformizer
     c4m = E.c4 / pi ** (4 * k)
     c6m = E.c6 / pi ** (6 * k)
@@ -510,7 +511,7 @@ def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:
     return _twist_rep_type(E, v, 0)
 
 
-@lru_cache(maxsize=MEMO_BOUND)
+@_per_class
 def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
     """LocalRepType at v of E twisted by square class c of K_v (c = 0: E)."""
     rd = _twist_reduction(E, v, c)
@@ -558,7 +559,7 @@ def local_root_number(E: EllipticCurve, v: Place, twist_class: int = 0) -> int:
     return _twist_root_number(E, v, twist_class)
 
 
-@lru_cache(maxsize=MEMO_BOUND)
+@_per_class
 def _twist_root_number(E: EllipticCurve, v: Place, c: int) -> int:
     rep = _twist_rep_type(E, v, c)
     lv = completion(E.field, v)
@@ -599,8 +600,7 @@ def _bad_places(E: EllipticCurve) -> tuple:
     return tuple(v for v in bad_place_candidates(E) if not reduction_type(E, v).is_good())
 
 
-_MEMOS = (_reduction, _local_invariants, _twist_reduction, _twist_rep_type, _twist_root_number,
-          _bad_places)
+_MEMOS = (_local_data, _bad_places)
 
 
 def root_number(E: EllipticCurve) -> int:

@@ -42,7 +42,7 @@ from .curves import (
     SPLIT_MULT,
     NONSPLIT_MULT,
 )
-from .errors import ExplosionGuard, UnsupportedRepresentation
+from .errors import ExplosionGuard, SingularCurve, UnsupportedRepresentation
 from .heckechars import (
     ENUMERATION_GUARD,
     QuadChar,
@@ -459,7 +459,7 @@ def find_demo_curve(K: Field, target: str = SPLIT_MULT) -> EllipticCurve:
                         for a6 in rng:
                             try:
                                 E = curve(K, [a1, a2, a3, a4, a6])
-                            except Exception:
+                            except SingularCurve:
                                 continue
                             if _demo_profile_matches(E, target):
                                 return E

@@ -641,3 +641,13 @@ def test_curve_memos_stay_bounded(Q, e11a1):
             again = (reduction_type(T, v).red_type, local_rep_type(T, v).kind,
                      local_root_number(T, v))
             assert again == first[i, v.p]
+
+
+def test_every_curve_memo_is_listed():
+    # a memo left out of _MEMOS would escape the memo-clearing helpers and the
+    # bound check above
+    memos = [obj for obj in vars(curves).values() if hasattr(obj, "cache_info")]
+    assert len(memos) == len(curves._MEMOS)
+    for memo in memos:
+        assert any(memo is listed for listed in curves._MEMOS), memo.__name__
+        assert memo.cache_info().maxsize == curves.MEMO_BOUND, memo.__name__

@@ -349,6 +349,21 @@ def test_oracle_twists_models_only_above_2_and_3(Q, e11a1, monkeypatch):
     assert len([1 for p, c in classes if p >= 5 and c >= 1]) > 100
 
 
+def test_oracle_builds_one_local_record_per_curve_and_place(Q, e11a1):
+    # the local data of E at v, over every twist class, is one record per
+    # (curve, place): each is built once, and no literal twisted model gets one
+    from twistparity import curves
+    from twistparity.arith import primes_up_to
+
+    for memo in curves._MEMOS:
+        memo.cache_clear()
+    rep = oracle_crosscheck(e11a1, delta_bound=2000)
+    assert rep.clean and rep.unsupported == 0 and rep.tested == 2430
+    info = curves._local_data.cache_info()
+    assert info.misses == info.currsize
+    assert info.currsize <= len(primes_up_to(2000)) + len(curves.bad_place_candidates(e11a1))
+
+
 def test_verify_pool_is_bounded_by_chunks_and_cpus(Q, e11a1, monkeypatch):
     # a pool starts all of its processes at once, so it gets no more than the
     # chunks and the usable CPUs, whatever --workers says; a serial stand-in
@@ -437,6 +452,20 @@ def test_find_demo_curve_eisenstein():
 
     bads = bad_places(E)
     assert len(bads) == 1 and reduction_type(E, bads[0]).red_type == SPLIT_MULT
+
+
+def test_find_demo_curve_propagates_internal_faults(Qi, monkeypatch):
+    # only a singular model is skipped: a fault raised while building a curve
+    # reaches the caller
+    from twistparity import experiments
+    from twistparity.errors import InternalInvariantError
+
+    def faulty(K, coeffs):
+        raise InternalInvariantError("fault while building a curve")
+
+    monkeypatch.setattr(experiments, "curve", faulty)
+    with pytest.raises(InternalInvariantError):
+        find_demo_curve(Qi)
 
 
 # ----------------------------------------------------------------------------
