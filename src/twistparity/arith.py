@@ -1,5 +1,5 @@
-"""Exact integer arithmetic: primality, a prime sieve, factorization and square
-roots mod p.
+"""Exact integer arithmetic: primality, a prime sieve, a sieve of the squarefree
+integers with their primes, factorization and square roots mod p.
 
 Pure Python on built-in ints, with no module state. ``is_prime`` is
 deterministic: Miller-Rabin on the smallest base set that is exact for the
@@ -134,6 +134,36 @@ def primes_up_to(n: int) -> list[int]:
             start = p * p // 2
             sieve[start::p] = bytes((half - 1 - start) // p + 1)
     return [2] + list(compress(range(1, n + 1, 2), sieve))
+
+
+def squarefree_up_to(n: int):
+    """The squarefree k in 1..n, ascending, each as (k, its primes ascending).
+
+    A segmented sieve by the primes up to sqrt(n) (Crandall-Pomerance, Prime
+    Numbers, 3.2): in each segment of about sqrt(n) numbers, a multiple of p
+    is divided by p and notes p, and a multiple of p^2 is dropped. What is left
+    of a squarefree k is 1 or its one prime above sqrt(n). It keeps those
+    primes and one segment, so its state is O(sqrt(n)).
+    """
+    root = math.isqrt(max(n, 0))
+    small = primes_up_to(root)
+    size = max(root, 1024)
+    for lo in range(1, n + 1, size):
+        hi = min(lo + size, n + 1)
+        rest = list(range(lo, hi))
+        primes: list[list[int]] = [[] for _ in rest]
+        square = bytearray(hi - lo)
+        for p in small:
+            for i in range(-lo % p, hi - lo, p):
+                rest[i] //= p
+                primes[i].append(p)
+            marks = range(-lo % (p * p), hi - lo, p * p)
+            square[marks.start::p * p] = b"\1" * len(marks)
+        for i, k in enumerate(rest):
+            if not square[i]:
+                if k > 1:
+                    primes[i].append(k)
+                yield lo + i, primes[i]
 
 
 def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:

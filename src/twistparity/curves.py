@@ -52,7 +52,7 @@ from .localfields import (
     LocalField,
     _unit_residue,
     completion,
-    hilbert_symbol,
+    square_class_index,
     valuation,
 )
 from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
@@ -254,7 +254,8 @@ def _val0(z: NFElem, lv: LocalField):
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _local_data(E: EllipticCurve, v: Place) -> tuple:
-    """The record of E at a finite place v: (invariants, slots). invariants is
+    """The record of E at a finite place v that is not good (``_per_class``):
+    (invariants, slots). invariants is
     (v(Delta), v(c4), v(c6), residue of c6 / pi^v(c6)) at p >= 5 (INF for a
     zero c4 or c6, residue 0 for c6 = 0) and None at 2 and 3; slots maps (reader,
     class) to a ``_per_class`` value. It holds no LocalField, so it keeps none alive."""
@@ -267,17 +268,28 @@ def _local_data(E: EllipticCurve, v: Place) -> tuple:
 
 
 def _per_class(fn):
-    """Keep fn(E, v, c) in the record of (E, v), so it runs once per class."""
+    """Keep fn(E, v, c, record) in slot (fn, c) of the record of (E, v), so it
+    runs once per class. A good place keeps no record: there fn runs on every
+    call, with record None. A place is good when it lies above a prime p >= 5
+    with no bad-place candidate of E above it: then v(Delta) = 0 and the model
+    is integral at v, and each class is read from n = c >> 1 alone."""
     @wraps(fn)
     def read(E: EllipticCurve, v: Place, c: int):
-        slots = _local_data(E, v)[1]
-        try:
-            return slots[fn, c]
-        except KeyError:
-            out = slots[fn, c] = fn(E, v, c)
-            return out
+        if v.p >= 5 and v.p not in _bad_places(E)[1]:
+            return fn(E, v, c, None)
+        return _in_record(fn, E, v, c)
 
     return read
+
+
+def _in_record(fn, E: EllipticCurve, v: Place, c: int):
+    """Slot (fn, c) of the record of (E, v), filled by fn(E, v, c, record) on first use."""
+    record = _local_data(E, v)
+    try:
+        return record[1][fn, c]
+    except KeyError:
+        out = record[1][fn, c] = fn(E, v, c, record)
+        return out
 
 
 def reduction_type(E: EllipticCurve, v: Place) -> ReductionData:
@@ -287,8 +299,7 @@ def reduction_type(E: EllipticCurve, v: Place) -> ReductionData:
 _SWAPPED = {SPLIT_MULT: NONSPLIT_MULT, NONSPLIT_MULT: SPLIT_MULT}
 
 
-@_per_class
-def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
+def _class_reduction(E: EllipticCurve, v: Place, c: int, record) -> ReductionData:
     """Reduction data at v of E twisted by square class c of K_v (c = 0: E).
 
     Classes pair up as {c, c ^ ur}, ur the unramified nonsquare class, and the
@@ -304,12 +315,22 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     and 3 Tate's algorithm runs on E, and on the literal twisted model for a
     lower class c >= 1. A class c >= 1 carries a ``minimal_model`` only when
     Tate's algorithm built it.
+
+    At a good place (``_per_class``) v(Delta) = 0, so ``_classify`` on the
+    shifted invariants (6n, v(c4) + 2n, ...) finds the twist minimal (6n < 12):
+    good at n = 0, and additive, potentially good (v(j) >= 0) with v(Delta) = 6
+    at n = 1. That needs v(c4) alone, and the residue of c6 is never read.
     """
     lv = completion(E.field, v)
+    if record is None:
+        vc4 = _val0(E.c4, lv)
+        if c < 2:
+            return ReductionData(v, GOOD, 0, vc4, None, None)
+        return ReductionData(v, ADDITIVE_POT_GOOD, 6, vc4 + 2, None, None)
     if c == 0:
         if lv.p in (2, 3):
             return _tate_reduction(E, v, lv)
-        return _classify(v, lv, *_local_data(E, v)[0])
+        return _classify(v, lv, *record[0])
     unramified = lv.unramified_classes()
     if len(unramified) != 2 or 0 not in unramified:
         raise InternalInvariantError(f"unramified classes {sorted(unramified)} at {lv}")
@@ -322,12 +343,15 @@ def _twist_reduction(E: EllipticCurve, v: Place, c: int) -> ReductionData:
     reps = lv.square_class_reps()
     if lv.p in (2, 3):
         return _tate_reduction(quadratic_twist(E, reps[c]), v, lv)
-    vd, vc4, vc6, r6 = _local_data(E, v)[0]
+    vd, vc4, vc6, r6 = record[0]
     n = c >> 1
     rf = lv.residue_field()
     s = lv.residue(36 * reps[c & 1])  # 6^6 u^3 = (36 u)^3
     return _classify(v, lv, vd + 6 * n, vc4 + 2 * n, vc6 + 3 * n,
                      rf.mul(rf.mul(s, rf.mul(s, s)), r6))
+
+
+_twist_reduction = _per_class(_class_reduction)
 
 
 def _pot_kind(vc4, vd: int) -> str:
@@ -484,7 +508,7 @@ def minimal_model_at(E: EllipticCurve, v: Place) -> EllipticCurve:
     lv = completion(E.field, v)
     if lv.p in (2, 3):
         return rd.minimal_model
-    k = (_local_data(E, v)[0][0] - rd.v_disc) // 12  # from E's own v(Delta)
+    k = (valuation(E.disc, lv) - rd.v_disc) // 12
     pi = lv.uniformizer
     c4m = E.c4 / pi ** (4 * k)
     c6m = E.c6 / pi ** (6 * k)
@@ -512,7 +536,7 @@ def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:
 
 
 @_per_class
-def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
+def _twist_rep_type(E: EllipticCurve, v: Place, c: int, record) -> LocalRepType:
     """LocalRepType at v of E twisted by square class c of K_v (c = 0: E)."""
     rd = _twist_reduction(E, v, c)
     if rd.red_type == GOOD:
@@ -520,6 +544,8 @@ def _twist_rep_type(E: EllipticCurve, v: Place, c: int) -> LocalRepType:
     if rd.is_multiplicative():
         return LocalRepType(SPECIAL_UNRAMIFIED, v, split_sign=rd.split_sign)
     lv = completion(E.field, v)
+    if record is None:  # a good place, c = 2 or 3: the twist by pi = reps[2] is class c - 2, good
+        return LocalRepType(PRINCIPAL_RAMIFIED_QUAD, v, good_twist=lv.uniformizer)
     reps = lv.square_class_reps()
     unramified = lv.unramified_classes()
     # (eta, reduction of (E^c)^eta) over the ramified eta = reps[e], walked in
@@ -560,18 +586,25 @@ def local_root_number(E: EllipticCurve, v: Place, twist_class: int = 0) -> int:
 
 
 @_per_class
-def _twist_root_number(E: EllipticCurve, v: Place, c: int) -> int:
+def _twist_root_number(E: EllipticCurve, v: Place, c: int, record) -> int:
+    """w_v of class c: 1, -(split sign), or (-1, eta)_v, read from the row of -1
+    in the Hilbert matrix of the completion. At a good place it follows from the
+    reduction: E^c is good, or its twist by eta = reps[2] is, which makes E^c
+    principal ramified with that good twist."""
+    if record is None:
+        if _twist_reduction(E, v, c).is_good():
+            return 1
+        return completion(E.field, v).minus_one_row()[2]
     rep = _twist_rep_type(E, v, c)
-    lv = completion(E.field, v)
     if rep.kind == PRINCIPAL_UNRAMIFIED:
         return 1
     if rep.kind == SPECIAL_UNRAMIFIED:
         return -rep.split_sign  # split -> -1, nonsplit -> +1
-    if rep.kind == SPECIAL_RAMIFIED_QUAD:
-        return hilbert_symbol(E.field.elem(-1), rep.split_twist, lv)
-    if rep.kind == PRINCIPAL_RAMIFIED_QUAD:
-        return hilbert_symbol(E.field.elem(-1), rep.good_twist, lv)
-    raise UnsupportedRepresentation(v, rep.detail)
+    if rep.kind == UNSUPPORTED:
+        raise UnsupportedRepresentation(v, rep.detail)
+    lv = completion(E.field, v)
+    eta = rep.split_twist if rep.kind == SPECIAL_RAMIFIED_QUAD else rep.good_twist
+    return lv.minus_one_row()[square_class_index(eta, lv)]
 
 
 def bad_place_candidates(E: EllipticCurve) -> list[Place]:
@@ -592,12 +625,17 @@ def bad_place_candidates(E: EllipticCurve) -> list[Place]:
 
 
 def bad_places(E: EllipticCurve) -> list[Place]:
-    return list(_bad_places(E))
+    return list(_bad_places(E)[0])
 
 
 @lru_cache(maxsize=MEMO_BOUND)
 def _bad_places(E: EllipticCurve) -> tuple:
-    return tuple(v for v in bad_place_candidates(E) if not reduction_type(E, v).is_good())
+    """(E's bad places, the primes below its bad-place candidates). Each
+    candidate is classified from its record, not by ``reduction_type``, which
+    would ask this memo whether the place is good."""
+    candidates = bad_place_candidates(E)
+    bad = tuple(v for v in candidates if not _in_record(_class_reduction, E, v, 0).is_good())
+    return bad, frozenset(v.p for v in candidates)
 
 
 _MEMOS = (_local_data, _bad_places)

@@ -49,6 +49,7 @@ from .heckechars import (
     enumerate_characters,
     localization_profile,
     make_char,
+    squarefree_characters,
     squarefree_deltas,
 )
 from .localfields import completion, square_class_index
@@ -295,8 +296,8 @@ def scan_density(E: EllipticCurve, X: int,
     method = "exhaustive" if last.total <= EXHAUSTIVE_CAP else "fibers"
     mismatches = None
     if oracle_sample > 0:
-        sample_chars = enumerate_characters(K, min(X, 20))[:oracle_sample]
-        mismatches = len(oracle_crosscheck(E, deltas=[c.delta for c in sample_chars]).mismatches)
+        sample = enumerate_characters(K, min(X, 20))[:oracle_sample]
+        mismatches = len(_check_twists(E, ((chi.delta, chi) for chi in sample))[2])
     return DensityReport(
         curve=str(E), field=str(K), X=X, parity=parity, kappa=krep.kappa,
         predicted=predicted, total=last.total, even=last.even, fraction=last.fraction,
@@ -374,51 +375,65 @@ def oracle_crosscheck(E: EllipticCurve,
                       workers: int = 1) -> OracleReport:
     """Compare parity_change * w(E) against w(E^delta) recomputed from scratch.
 
-    The family is C(K, X) when X is given, rational squarefree |delta| <=
-    delta_bound when that is given, or an explicit delta iterable. Mismatches
-    come in the family's order, with any number of workers.
+    The family is exactly one of: C(K, X), rational squarefree |delta| <=
+    delta_bound, or an explicit delta iterable. A family carries its
+    characters: C(K, X) as ``enumerate_characters`` builds them, and the
+    squarefree family over Q from its sieve (``squarefree_characters``); explicit
+    deltas, the squarefree family over K != Q and the text a worker receives go
+    through ``make_char``. Mismatches come in the family's order, labelled by
+    delta, with any number of workers.
     """
     K = E.field
-    if deltas is None:
-        if delta_bound is not None:
-            deltas = list(squarefree_deltas(K, delta_bound))
-        elif X is not None:
-            deltas = [chi.delta for chi in enumerate_characters(K, X)]
-        else:
-            raise ValueError("need X, delta_bound, or deltas")
-    else:
-        deltas = list(deltas)
+    given = [name for name, arg in (("X", X), ("delta_bound", delta_bound), ("deltas", deltas))
+             if arg is not None]
+    if not given:
+        raise ValueError("need X, delta_bound, or deltas")
+    if len(given) > 1:
+        raise ValueError(f"need one of X, delta_bound, or deltas, not {' and '.join(given)}")
 
     if workers <= 1:
-        tested, unsupported, mismatches = _check_deltas(E, deltas)
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
+        if X is not None:
+            twists = ((chi.delta, chi) for chi in enumerate_characters(K, X))
+        elif deltas is None and K.m is None:
+            twists = ((chi.delta, chi) for chi in squarefree_characters(K, delta_bound))
+        else:
+            twists = ((d, make_char(K, d))
+                      for d in (squarefree_deltas(K, delta_bound) if deltas is None else deltas))
+        tested, unsupported, mismatches = _check_twists(E, twists)
+        return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
-        size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
-        args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
-                for i in range(0, len(deltas), size)]
-        tested = unsupported = 0
-        mismatches = []
-        # the pool starts all its processes at once: no more than chunks or usable CPUs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        processes = max(1, min(workers, len(args), cpus or 1))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
-                tested += sub_tested
-                unsupported += sub_unsup
-                mismatches.extend(sub_mm)
+    from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
+
+    if X is not None:
+        deltas = [chi.delta for chi in enumerate_characters(K, X)]
+    elif deltas is None:
+        deltas = list(squarefree_deltas(K, delta_bound))
+    else:
+        deltas = list(deltas)
+    size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
+    args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
+            for i in range(0, len(deltas), size)]
+    tested = unsupported = 0
+    mismatches = []
+    # the pool starts all its processes at once: no more than chunks or usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    processes = max(1, min(workers, len(args), cpus or 1))
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
+            tested += sub_tested
+            unsupported += sub_unsup
+            mismatches.extend(sub_mm)
     return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 
-def _check_deltas(E: EllipticCurve, deltas) -> tuple[int, int, list]:
-    """The oracle loop over the twists by ``deltas``: (tested, unsupported, mismatches)."""
-    K = E.field
+def _check_twists(E: EllipticCurve, twists) -> tuple[int, int, list]:
+    """The oracle loop over ``twists``, pairs (delta, the character of delta):
+    (tested, unsupported, mismatches), each mismatch labelled by str(delta)."""
     wE = root_number(E)
     oracle = TwistRootNumberOracle(E)
     tested = unsupported = 0
     mismatches = []
-    for delta in deltas:
-        chi = make_char(K, delta)
+    for delta, chi in twists:
         try:
             a = parity_change(E, chi) * wE
             b = oracle.root_number_of_twist(chi)
@@ -437,7 +452,8 @@ def _oracle_worker(args):
 
     field_spec, curve_text, delta_texts = args
     K = parse_field(field_spec)
-    return _check_deltas(parse_curve(K, curve_text), [parse_element(K, dt) for dt in delta_texts])
+    deltas = [parse_element(K, dt) for dt in delta_texts]
+    return _check_twists(parse_curve(K, curve_text), ((d, make_char(K, d)) for d in deltas))
 
 
 # ----------------------------------------------------------------------------

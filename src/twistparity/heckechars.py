@@ -6,8 +6,10 @@ places, and the ordering norm Nchi = max residue norm over ramified finite
 places (1 when none).
 
 ``make_char`` canonicalizes an arbitrary delta and factors it once. Characters
-known canonical with known support (the generators of C(K, X) and their
-products) are built by ``_char_of`` with no factorization.
+known canonical with known support are built by ``_char_of`` with no
+factorization: the products of the generators of C(K, X)
+(``enumerate_characters``), and over Q the squarefree +-n, whose primes come
+from a sieve (``squarefree_characters``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorint
+from .arith import factorint, squarefree_up_to
 from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     MEMO_BOUND,
@@ -33,7 +35,6 @@ from .numberfield import (
     _places_above_cached,
     archimedean_places,
     global_sqrt,
-    is_squarefree,
     places_of_norm_up_to,
 )
 
@@ -48,11 +49,16 @@ class QuadChar:
     ramified: tuple                 # ramified places (finite and real)
     norm: int                       # Nchi
 
+    def __post_init__(self):
+        # the finite ramified places, read by parity_change and the oracle on every twist
+        object.__setattr__(self, "_ramified_finite",
+                           tuple(v for v in self.ramified if v.kind == "finite"))
+
     def is_trivial(self) -> bool:
         return self.delta == self.field.one()
 
     def ramified_finite(self):
-        return tuple(v for v in self.ramified if v.is_finite())
+        return self._ramified_finite
 
     def localize(self, v: Place) -> LocalCharacter:
         lv = completion(self.field, v)
@@ -129,7 +135,7 @@ def _char_of(K: Field, delta: NFElem, support: tuple) -> QuadChar:
     for v in _places_off_support(K):
         if v.key() not in seen and not is_unramified_class(delta, completion(K, v)):
             ram.append(v)
-    ram.sort(key=lambda v: v.sort_key())
+    ram.sort(key=Place.sort_key)
     norm = max((v.residue_norm for v in ram if v.is_finite()), default=1)
     return QuadChar(K, delta, support, tuple(ram), norm)
 
@@ -222,8 +228,22 @@ def surjectivity_check(K: Field, places, X: int) -> SurjectivityReport:
 
 
 def squarefree_deltas(K: Field, bound: int):
-    """Rational squarefree twist parameters delta with 1 <= |delta| <= bound."""
-    for n in range(1, bound + 1):
-        if is_squarefree(n):
-            yield K.elem(n)
-            yield K.elem(-n)
+    """Rational squarefree twist parameters delta with 1 <= |delta| <= bound:
+    n, then -n, for the squarefree n in ascending order."""
+    for n, _ in squarefree_up_to(bound):
+        yield K.elem(n)
+        yield K.elem(-n)
+
+
+def squarefree_characters(K: Field, bound: int):
+    """The characters of ``squarefree_deltas(K, bound)`` over K = Q, in its order.
+
+    Over Q the units mod squares are +-1 and each prime's generator is p, so
+    +-n squarefree is canonical, with support the places above n's primes, which
+    the sieve gives: no delta is factored."""
+    if K.m is not None:
+        raise ValueError(f"squarefree_characters needs K = Q, not {K}")
+    for n, primes in squarefree_up_to(bound):
+        support = tuple(_places_above_cached(K.key, p)[0] for p in primes)
+        yield _char_of(K, K.elem(n), support)
+        yield _char_of(K, K.elem(-n), support)

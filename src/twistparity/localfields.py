@@ -23,6 +23,9 @@ That Gram matrix comes from one rule per kind of place, with no search:
 closed formula in epsilon and omega (III.1.2, Thm 1); and at the one place
 above 2 of degree 2, Hilbert reciprocity (III.2, Thm 3), the product of the
 symbols at the real places and at the odd places that divide the basis norms.
+The odd rule depends only on q mod 4, so an odd completion takes its matrix,
+the row of -1 and its unramified classes from one of two module constants
+(``_ODD_TABLES``) and builds nothing.
 """
 
 from __future__ import annotations
@@ -158,6 +161,8 @@ class LocalField:
         self._unramified: Optional[frozenset] = None
         # split places: k -> w^-1 mod p^k, for the uniformizer pi = p w
         self._w_inverse: dict = {}
+        if self.p is not None and self.p != 2:
+            self._hilbert_matrix, self._minus_one_row, self._unramified = _ODD_TABLES[self.q % 4]
 
     # -- identification -------------------------------------------------------
     def key(self):
@@ -295,7 +300,7 @@ class LocalCharacter:
 
 
 def completion(K: Field, v: Place) -> LocalField:
-    return _completion_cached(K.key, v.key())
+    return _completion_cached(K.key, v._key)
 
 
 @lru_cache(maxsize=MEMO_BOUND)
@@ -321,6 +326,10 @@ def valuation(x: NFElem, v: LocalField) -> int:
         raise ZeroElement("valuation of 0")
     if v.place_kind != "finite":
         raise ValueError("valuation at an archimedean place")
+    A, B, D = x.A, x.B, x.D
+    p = v.p
+    if D % p and (A if not B else A * A - v.field.m * B * B) % p:
+        return 0  # p divides neither D nor the norm of the integer A + B sqrt(m)
     if v.degree_over_qp == 1:  # pi = p w with w a unit, so n needs no unit part
         return _qp_expand(x, v.p, v.place.index, 1)[0]
     if v.e == 2:
@@ -407,11 +416,10 @@ def _is_unit(c: tuple[int, int], v: LocalField) -> bool:
 
 
 def _basis_gram(v: LocalField, basis: list[NFElem]) -> list[list[bool]]:
-    """(basis[a], basis[b])_v == -1 for the basis reps[2^a] of the square classes."""
+    """(basis[a], basis[b])_v == -1 for the basis reps[2^a] of the square classes
+    at a real, complex or dyadic place (odd places read ``_ODD_TABLES``)."""
     if v.place_kind != "finite":
         return [[True]] * len(basis)  # real: (-1, -1) = -1; complex: no basis
-    if v.p != 2:  # [u, pi]: (u, u) = 1, (u, pi) = -1, (pi, pi) = (-1, pi) = (-1)^((q-1)/2)
-        return [[False, True], [True, v.q % 4 == 3]]
     if v.degree_over_qp == 1:
         # (2^a u, 2^b w) = (-1)^(eps(u) eps(w) + a omega(w) + b omega(u)) over Q_2
         # (Serre III.1.2, Thm 1), read from u, w mod 8
@@ -438,16 +446,33 @@ def _basis_gram(v: LocalField, basis: list[NFElem]) -> list[list[bool]]:
 
 
 def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
-    """(reps[i], reps[j])_v by bimultiplicativity from the Gram matrix of the basis reps[2^a]."""
+    """(reps[i], reps[j])_v from the Gram matrix of the basis reps[2^a]."""
     reps = v.square_class_reps()
-    n = len(reps)
-    k = n.bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
+    k = len(reps).bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
+    return _matrix_of_gram(_basis_gram(v, [reps[1 << a] for a in range(k)]))
+
+
+def _matrix_of_gram(gram: list[list[bool]]) -> list[list[int]]:
+    """The symbols between the 2^k classes, by bimultiplicativity from the Gram
+    matrix of a basis of k classes (True for -1)."""
     # rows[i]: the bits b with (reps[i], reps[2^b])_v = -1, a linear map of i
     rows = [0]
-    for gram_row in _basis_gram(v, [reps[1 << a] for a in range(k)]):
+    for gram_row in gram:
         mask = sum(odd << b for b, odd in enumerate(gram_row))
         rows += [r ^ mask for r in rows]
-    return [[-1 if (r & j).bit_count() % 2 else 1 for j in range(n)] for r in rows]
+    return [[-1 if (r & j).bit_count() % 2 else 1 for j in range(len(rows))] for r in rows]
+
+
+def _odd_tables(q4: int) -> tuple:
+    """(Hilbert matrix, row of -1, unramified classes) at an odd place with
+    q = q4 mod 4, over reps [1, u, pi, u pi]: the Gram matrix of [u, pi] is
+    (u, u) = 1, (u, pi) = -1 and (pi, pi) = (-1, pi) = (-1)^((q-1)/2); -1 is a
+    unit, a square iff q = 1 mod 4; and the classes 1 and u are unramified."""
+    H = _matrix_of_gram([[False, True], [True, q4 == 3]])
+    return H, H[0 if q4 == 1 else 1], frozenset({0, 1})
+
+
+_ODD_TABLES = {1: _odd_tables(1), 3: _odd_tables(3)}
 
 
 # ----------------------------------------------------------------------------
@@ -513,12 +538,12 @@ def _build_square_classes(v: LocalField) -> list[NFElem]:
 
 def square_class_index(x: NFElem, v: LocalField) -> int:
     """Index of the square class of x in square_class_reps(v)."""
-    if x.is_zero():
-        raise ZeroElement("square class of 0")
-    key = x.as_integer_triple()
+    key = (x.A, x.B, x.D)
     hit = v._class_index_cache.get(key)
     if hit is not None:
         return hit
+    if x.is_zero():  # never cached
+        raise ZeroElement("square class of 0")
     if v.place_kind != "finite":
         idx = 1 if v.place_kind == "real" and x.sign_at_real(v.place.index) < 0 else 0
     elif v.p != 2:

@@ -324,10 +324,16 @@ class Place:
         return (0, 0, self.index)
 
     def __post_init__(self):
-        # the identity tuple, built once; key(), == and hash read it (a tuple,
-        # not its hash, which differs between processes and would not pickle)
-        object.__setattr__(self, "_key", ("finite", self.p, self.index) if self.kind == "finite"
-                           else (self.kind, self.index))
+        # the identity tuple and its hash, built once; key(), == and hash read
+        # them. The hash of a str differs between processes, so a pickled place
+        # is rebuilt by the constructor (__reduce__), which hashes again
+        key = ("finite", self.p, self.index) if self.kind == "finite" else (self.kind, self.index)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __reduce__(self):
+        return Place, (self.kind, self.index, self.p, self.splitting, self.generator,
+                       self.residue_norm)
 
     def key(self):
         return self._key
@@ -342,7 +348,7 @@ class Place:
         return f"({self.p})"
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __eq__(self, other):
         return isinstance(other, Place) and self._key == other._key

@@ -2,6 +2,7 @@
 
 import math
 import os
+from bisect import bisect_right
 import random
 import subprocess
 import sys
@@ -49,6 +50,19 @@ def test_factorint_seeded():
     for n in ns:
         assert arith.factorint(n) == sympy.factorint(n), n
         assert list(arith.factorint(n)) == sorted(arith.factorint(n)), n
+
+
+def test_squarefree_sieve_matches_sympy():
+    # every bound up to 2000 (one segment of 1024 numbers, then two), and
+    # bounds at the end of a later segment: the squarefree n in order, with
+    # their primes
+    factored = [(n, sympy.factorint(n)) for n in range(1, 10 * 1024 + 3)]
+    reference = [(n, sorted(f)) for n, f in factored if all(e == 1 for e in f.values())]
+    ns = [n for n, _ in reference]
+    bounds = list(range(-2, 2001)) + [10 * 1024 + d for d in (-1, 0, 1, 2)]
+    for bound in bounds:
+        want = reference[:bisect_right(ns, bound)]
+        assert list(arith.squarefree_up_to(bound)) == want, bound
 
 
 def test_factorint_rejects_nonpositive():

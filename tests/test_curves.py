@@ -530,6 +530,48 @@ def test_unramified_pairs_read_the_higher_class_from_the_lower(monkeypatch):
             ("place", 3, "ramified", 2, 1), ("place", 3, "inert", 1, 2)} <= seen
 
 
+def test_good_places_keep_no_record_and_match_the_literal_twist():
+    # at a place above p >= 5 with no bad-place candidate above it, each class
+    # is read from n = c >> 1 alone, with no record: it must agree with the
+    # literal twist by the class representative in every ReductionData field,
+    # the rep type with its good twist, and the local root number
+    seen = set()
+    for m in (None, -1, 5, -7):
+        K = rational_field() if m is None else quadratic_field(m)
+        cases = [curve(K, [0, -1, 1, -10, -20]), curve(K, [0, 0, 1, -1, 0]),
+                 curve(K, [0, 0, 1, 0, 0]), curve(K, [-1, 0]), curve(K, [1, -1, 1, 0, 5])]
+        if m is not None:
+            cases.append(curve(K, [0, K.sqrt_m(), 1, 2, -K.sqrt_m()]))
+        for E in cases:
+            _clear_curve_memos()
+            primes = {v.p for v in curves.bad_place_candidates(E)}
+            bad_places(E)
+            records = curves._local_data.cache_info().currsize  # the candidates'
+            good = [v for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+                    if p not in primes for v in places_above(K, p)]
+            got = [(v, c, curves._twist_reduction(E, v, c), curves._twist_rep_type(E, v, c),
+                    local_root_number(E, v, c)) for v in good for c in range(4)]
+            assert curves._local_data.cache_info().currsize == records, str(E)
+            for v, c, rd, rep, w in got:
+                T = quadratic_twist(E, completion(K, v).square_class_reps()[c])
+                want_rd, want_rep = reduction_type(T, v), local_rep_type(T, v)
+                assert (rd.place, rd.red_type, rd.v_disc, rd.v_c4, rd.split_sign,
+                        rd.minimal_model) == \
+                    (want_rd.place, want_rd.red_type, want_rd.v_disc, want_rd.v_c4,
+                     want_rd.split_sign, want_rd.minimal_model), (str(E), str(v), c)
+                assert (rep.kind, rep.split_sign, rep.split_twist, rep.nonsplit_twist,
+                        rep.good_twist, rep.detail) == \
+                    (want_rep.kind, want_rep.split_sign, want_rep.split_twist,
+                     want_rep.nonsplit_twist, want_rep.good_twist, want_rep.detail), \
+                    (str(E), str(v), c)
+                assert w == local_root_number(T, v), (str(E), str(v), c)
+                seen.update({("type", rd.red_type), ("w", w), ("place", v.splitting),
+                             ("v_c4 > 0", rd.v_c4 > 2 * (c >> 1))})
+    assert seen == {("type", GOOD), ("type", ADDITIVE_POT_GOOD), ("w", 1), ("w", -1),
+                    ("v_c4 > 0", True), ("v_c4 > 0", False)} | \
+        {("place", k) for k in (None, "split", "inert", "ramified")}
+
+
 def test_tate_normalization_matches_the_digit_search(monkeypatch):
     # at p = 2 the residue square roots give the (s, t) that the search over
     # digit lifts found first, with one transform per call; F_2 and F_4, e = 1, 2.

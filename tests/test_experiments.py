@@ -364,6 +364,65 @@ def test_oracle_builds_one_local_record_per_curve_and_place(Q, e11a1):
     assert info.currsize <= len(primes_up_to(2000)) + len(curves.bad_place_candidates(e11a1))
 
 
+def test_oracle_keeps_records_only_at_bad_places_and_above_2_and_3(Q, e11a1):
+    # a good place (p >= 5, no bad-place candidate above p) is read from its
+    # class alone and keeps no record, however many twists visit it
+    from twistparity import curves
+
+    for memo in curves._MEMOS:
+        memo.cache_clear()
+    rep = oracle_crosscheck(e11a1, delta_bound=2000)
+    assert rep.clean and rep.unsupported == 0 and rep.tested == 2430
+    above_2_and_3 = place(Q, 2), place(Q, 3)
+    assert curves._local_data.cache_info().currsize <= \
+        len(curves.bad_place_candidates(e11a1)) + len(above_2_and_3)
+
+
+def _count_make_char(monkeypatch):
+    from twistparity import experiments, heckechars
+
+    calls = []
+    build = heckechars.make_char
+    counted = lambda K, delta: calls.append(delta) or build(K, delta)
+    monkeypatch.setattr(experiments, "make_char", counted)
+    monkeypatch.setattr(heckechars, "make_char", counted)
+    return calls
+
+
+def test_families_carry_their_characters(Q, Qi, e11a1, monkeypatch):
+    # the squarefree family over Q and C(K, X) reach the oracle with the
+    # characters they built; explicit deltas are canonicalized one by one
+    calls = _count_make_char(monkeypatch)
+    assert oracle_crosscheck(e11a1, delta_bound=200).tested == 244
+    assert oracle_crosscheck(curve(Qi, [0, -1, 1, 0, 0]), X=20).tested > 100
+    assert calls == []
+    deltas = [Q.elem(d) for d in (1, -3, 12, 50, -98, 7)]
+    rep = oracle_crosscheck(e11a1, deltas=deltas)
+    assert rep.tested == len(calls) == len(deltas) and rep.clean
+
+
+def test_oracle_labels_mismatches_by_the_given_delta(Q, e11a1, monkeypatch):
+    # an explicit delta is labelled as given, not by its canonical class
+    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
+    family = oracle_crosscheck(e11a1, delta_bound=20).mismatches
+    squares = [Q.elem(4 * int(m.delta)) for m in family]
+    given = oracle_crosscheck(e11a1, deltas=squares).mismatches
+    assert [m.delta for m in given] == [str(d) for d in squares]
+    assert [(m.table_path, m.reduction_path) for m in given] == \
+        [(m.table_path, m.reduction_path) for m in family]
+
+
+@pytest.mark.parametrize("families", [("X", "delta_bound"), ("X", "deltas"),
+                                      ("delta_bound", "deltas"),
+                                      ("X", "delta_bound", "deltas")])
+def test_oracle_rejects_more_than_one_family(Q, e11a1, families):
+    args = {"X": 5, "delta_bound": 5, "deltas": [Q.elem(2)]}
+    with pytest.raises(ValueError, match="one of"):
+        oracle_crosscheck(e11a1, **{name: args[name] for name in families})
+    with pytest.raises(ValueError, match="need"):
+        oracle_crosscheck(e11a1)
+
+
 def test_verify_pool_is_bounded_by_chunks_and_cpus(Q, e11a1, monkeypatch):
     # a pool starts all of its processes at once, so it gets no more than the
     # chunks and the usable CPUs, whatever --workers says; a serial stand-in
@@ -426,6 +485,17 @@ def test_mutation_detected(Q, e11a1, monkeypatch):
 def test_scan_with_oracle_sample(Q, e11a1):
     r = scan_density(e11a1, 30, oracle_sample=8)
     assert r.oracle_mismatches == 0
+
+
+def test_scan_oracle_sample_passes_its_characters(Q, e11a1, monkeypatch):
+    # the sampled characters go to the oracle as built, and count the
+    # mismatches that rebuilding each from its delta counted
+    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
+    sample = [chi.delta for chi in enumerate_characters(Q, 20)[:12]]
+    want = len(oracle_crosscheck(e11a1, deltas=sample).mismatches)
+    calls = _count_make_char(monkeypatch)
+    assert scan_density(e11a1, 30, oracle_sample=12).oracle_mismatches == want > 0
+    assert calls == []
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from twistparity.heckechars import (
     enumerate_characters,
     localization_profile,
     make_char,
+    squarefree_characters,
+    squarefree_deltas,
     surjectivity_check,
 )
 from twistparity.localfields import completion, eval_local_char, hilbert_symbol
@@ -277,6 +279,40 @@ def test_enumerate_matches_make_char_path(m, X):
         assert [v.key() for v in a.support] == [v.key() for v in b.support]
         assert [v.key() for v in a.ramified] == [v.key() for v in b.ramified]
         assert a.norm == b.norm
+
+
+def test_squarefree_deltas_keep_their_order(Q, Qi):
+    # the sieve gives the deltas that testing each n for squarefreeness gave,
+    # in the same order (tests/test_arith.py checks the sieve at every bound
+    # up to 2000)
+    for K in (Q, Qi):
+        want = [K.elem(s * n) for n in range(1, 2001) if is_squarefree(n) for s in (1, -1)]
+        for bound in (0, 1, 2, 3, 4, 1023, 1024, 1025, 1026, 2000):
+            got = list(squarefree_deltas(K, bound))
+            assert got == want[:len(got)] and len(got) == 2 * sum(
+                1 for n in range(1, bound + 1) if is_squarefree(n)), (str(K), bound)
+    with pytest.raises(ValueError):
+        next(squarefree_characters(Qi, 10))
+
+
+def _same_character(a, b):
+    return (a.delta == b.delta and a.norm == b.norm
+            and [v.key() for v in a.support] == [v.key() for v in b.support]
+            and [v.key() for v in a.ramified] == [v.key() for v in b.ramified])
+
+
+def test_family_characters_are_make_char_characters(Q):
+    # the characters a family carries to the oracle are the ones make_char
+    # rebuilt from their deltas: over Q from the squarefree sieve, both signs
+    # (test_enumerate_matches_make_char_path compares C(K, 30) over Q(i),
+    # Q(sqrt 5), Q(sqrt -7) and Q(sqrt 13) the same way)
+    deltas = list(squarefree_deltas(Q, 2000))
+    chars = list(squarefree_characters(Q, 2000))
+    assert len(chars) == len(deltas) == 2430
+    assert {chi.delta.A > 0 for chi in chars} == {True, False}
+    for delta, chi in zip(deltas, chars):
+        assert _same_character(chi, make_char(Q, delta)), str(delta)
+        assert str(chi.delta) == str(delta)
 
 
 def test_enumeration_guard(Q):
