@@ -5,14 +5,20 @@ v(Delta), v(c4), v(j), and node splitness. Kodaira symbols and conductor
 exponents are deliberately out of scope.
 
 Local data of a twist depends only on the square class of the twist parameter
-in K_v^x / K_v^x2, so the local data of E at a finite place v is one record
-(``_local_data``), a table over the class indices c: class c is E twisted by
-``completion(K, v).square_class_reps()[c]``, and c = 0 is E itself. Its slots
-are filled on demand, each once: the reduction data, the LocalRepType and the
-local root number of E^c. The rep type reads its certifying twists (E^c)^eta
-from the slots of class c * eta (the two models are isomorphic over K_v), only
-until it has its certificate. The records sit in one LRU memo of MEMO_BOUND
-entries keyed by (curve, place); ``bad_places`` has the other (``_MEMOS``).
+in K_v^x / K_v^x2. Class c is E twisted by
+``completion(K, v).square_class_reps()[c]``, and c = 0 is E itself. At a good
+place, above a prime p >= 5 with no bad-place candidate of E above it, v(Delta)
+= 0 and the model is integral, so n = c >> 1 decides everything: E^c is good
+for even n, and additive, potentially good, made good by pi = reps[2], with
+w_v = (-1, pi)_v, for odd n. That is computed on every call, and no state is
+kept. At the bad places and above 2 and 3 the local data of E at v is one
+record (``_local_data``), a table over the class indices. Its slots are filled
+on demand, each once: the reduction data, the LocalRepType and the local root
+number of E^c. The rep type reads its certifying twists (E^c)^eta from the
+slots of class c * eta (the two models are isomorphic over K_v), only until it
+has its certificate. The records sit in one LRU memo of MEMO_BOUND entries
+keyed by (curve, place); the bad places of each curve, with the primes below
+its bad-place candidates, sit in the other (``_MEMOS``).
 
 The classes pair up as {c, c ^ ur}, ur the unramified nonsquare class. Twisting
 by ur keeps the type, the minimal v(Delta) and v(c4), and swaps split and
@@ -255,10 +261,10 @@ def _val0(z: NFElem, lv: LocalField):
 @lru_cache(maxsize=MEMO_BOUND)
 def _local_data(E: EllipticCurve, v: Place) -> tuple:
     """The record of E at a finite place v that is not good (``_per_class``):
-    (invariants, slots). invariants is
-    (v(Delta), v(c4), v(c6), residue of c6 / pi^v(c6)) at p >= 5 (INF for a
-    zero c4 or c6, residue 0 for c6 = 0) and None at 2 and 3; slots maps (reader,
-    class) to a ``_per_class`` value. It holds no LocalField, so it keeps none alive."""
+    (invariants, slots). invariants is (v(Delta), v(c4), v(c6), residue of
+    c6 / pi^v(c6)) at p >= 5 (INF for a zero c4 or c6, residue 0 for c6 = 0)
+    and None at 2 and 3; slots maps (reader, class) to a ``_per_class`` value.
+    It holds no LocalField, so it keeps none alive."""
     if v.p in (2, 3):
         return None, {}
     lv = completion(E.field, v)
@@ -269,10 +275,9 @@ def _local_data(E: EllipticCurve, v: Place) -> tuple:
 
 def _per_class(fn):
     """Keep fn(E, v, c, record) in slot (fn, c) of the record of (E, v), so it
-    runs once per class. A good place keeps no record: there fn runs on every
-    call, with record None. A place is good when it lies above a prime p >= 5
-    with no bad-place candidate of E above it: then v(Delta) = 0 and the model
-    is integral at v, and each class is read from n = c >> 1 alone."""
+    runs once per class. A good place, above a prime p >= 5 with no bad-place
+    candidate of E above it, keeps no record: there fn runs on every call, with
+    record None."""
     @wraps(fn)
     def read(E: EllipticCurve, v: Place, c: int):
         if v.p >= 5 and v.p not in _bad_places(E)[1]:
@@ -316,10 +321,10 @@ def _class_reduction(E: EllipticCurve, v: Place, c: int, record) -> ReductionDat
     lower class c >= 1. A class c >= 1 carries a ``minimal_model`` only when
     Tate's algorithm built it.
 
-    At a good place (``_per_class``) v(Delta) = 0, so ``_classify`` on the
-    shifted invariants (6n, v(c4) + 2n, ...) finds the twist minimal (6n < 12):
-    good at n = 0, and additive, potentially good (v(j) >= 0) with v(Delta) = 6
-    at n = 1. That needs v(c4) alone, and the residue of c6 is never read.
+    At a good place (``_per_class``) v(Delta) = 0 and the model is integral, so
+    ``_classify`` on the shifted invariants (6n, v(c4) + 2n, ...) finds the twist
+    minimal (6n < 12): good at n = 0, and additive, potentially good with
+    v(Delta) = 6 at n = 1. That is written out here; it needs v(c4) alone.
     """
     lv = completion(E.field, v)
     if record is None:
@@ -587,10 +592,9 @@ def local_root_number(E: EllipticCurve, v: Place, twist_class: int = 0) -> int:
 
 @_per_class
 def _twist_root_number(E: EllipticCurve, v: Place, c: int, record) -> int:
-    """w_v of class c: 1, -(split sign), or (-1, eta)_v, read from the row of -1
-    in the Hilbert matrix of the completion. At a good place it follows from the
-    reduction: E^c is good, or its twist by eta = reps[2] is, which makes E^c
-    principal ramified with that good twist."""
+    """w_v of class c: 1, -(split sign), or (-1, eta)_v from the row of -1 in the
+    Hilbert matrix. At a good place E^c is good, or principal ramified with
+    good twist eta = reps[2] (class 2)."""
     if record is None:
         if _twist_reduction(E, v, c).is_good():
             return 1

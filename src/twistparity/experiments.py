@@ -400,29 +400,26 @@ def oracle_crosscheck(E: EllipticCurve,
             twists = ((d, make_char(K, d))
                       for d in (squarefree_deltas(K, delta_bound) if deltas is None else deltas))
         tested, unsupported, mismatches = _check_twists(E, twists)
-        return OracleReport(str(E), str(K), tested, mismatches, unsupported)
-
-    from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
-
-    if X is not None:
-        deltas = [chi.delta for chi in enumerate_characters(K, X)]
-    elif deltas is None:
-        deltas = list(squarefree_deltas(K, delta_bound))
     else:
-        deltas = list(deltas)
-    size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
-    args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
-            for i in range(0, len(deltas), size)]
-    tested = unsupported = 0
-    mismatches = []
-    # the pool starts all its processes at once: no more than chunks or usable CPUs
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    processes = max(1, min(workers, len(args), cpus or 1))
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
-            tested += sub_tested
-            unsupported += sub_unsup
-            mismatches.extend(sub_mm)
+        from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
+
+        if X is not None:
+            deltas = [chi.delta for chi in enumerate_characters(K, X)]
+        else:
+            deltas = list(squarefree_deltas(K, delta_bound) if deltas is None else deltas)
+        size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
+        args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
+                for i in range(0, len(deltas), size)]
+        tested = unsupported = 0
+        mismatches = []
+        # the pool starts all its processes at once: no more than chunks or usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        processes = max(1, min(workers, len(args), cpus or 1))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
+                tested += sub_tested
+                unsupported += sub_unsup
+                mismatches.extend(sub_mm)
     return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 

@@ -467,8 +467,9 @@ def _odd_tables(q4: int) -> tuple:
     """(Hilbert matrix, row of -1, unramified classes) at an odd place with
     q = q4 mod 4, over reps [1, u, pi, u pi]: the Gram matrix of [u, pi] is
     (u, u) = 1, (u, pi) = -1 and (pi, pi) = (-1, pi) = (-1)^((q-1)/2); -1 is a
-    unit, a square iff q = 1 mod 4; and the classes 1 and u are unramified."""
-    H = _matrix_of_gram([[False, True], [True, q4 == 3]])
+    unit, a square iff q = 1 mod 4; and the classes 1 and u are unramified.
+    Every odd completion shares them, so they are tuples."""
+    H = tuple(map(tuple, _matrix_of_gram([[False, True], [True, q4 == 3]])))
     return H, H[0 if q4 == 1 else 1], frozenset({0, 1})
 
 

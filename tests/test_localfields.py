@@ -724,9 +724,8 @@ def test_class_index_is_the_f2_coordinate(m):
 
 def test_odd_place_tables_are_the_tame_symbols_of_the_reps():
     # an odd completion reads its Hilbert matrix, row of -1 and unramified
-    # classes from the constant for q mod 4; the Gram rule gives them from the
-    # reps [1, u, pi, u pi] themselves: (x, y)_v is the Legendre symbol of
-    # (-1)^(a b) x0^b / y0^a in F_q, for x = pi^a x0 and y = pi^b y0
+    # classes from the constant for q mod 4: they must be the symbols of its
+    # own reps [1, u, pi, u pi] by the tame formula, at every odd p < 1000
     from twistparity.localfields import LocalField
 
     fields = [rational_field()] + [quadratic_field(m) for m in IMAGINARY_CLASS_NUMBER_ONE + (2, 5)]
@@ -735,15 +734,10 @@ def test_odd_place_tables_are_the_tame_symbols_of_the_reps():
         for p in primes_up_to(1000)[1:]:
             for v in places_above(K, p):
                 lv = LocalField(K, v)  # not through the memo: 3000 completions would churn it
-                reps, pi, rf = lv.square_class_reps(), lv.uniformizer, lv.residue_field()
-                units = [lv.residue(x / pi ** (c >> 1)) for c, x in enumerate(reps)]
-                legendre = lambda z: 1 if rf.pow(z, (lv.q - 1) // 2) == rf.one() else -1
-                H = [[legendre(rf.div(rf.mul(rf.pow(rf.neg(rf.one()), (i >> 1) * (j >> 1)),
-                                             rf.pow(units[i], j >> 1)),
-                                      rf.pow(units[j], i >> 1)))
-                      for j in range(4)] for i in range(4)]
-                assert lv.hilbert_matrix() == H, (str(K), str(v))
-                assert lv.minus_one_row() == H[square_class_index(K.elem(-1), lv)]
+                reps = lv.square_class_reps()
+                H = [[_tame_formula(x, y, lv) for y in reps] for x in reps]
+                assert [list(row) for row in lv.hilbert_matrix()] == H, (str(K), str(v))
+                assert list(lv.minus_one_row()) == H[square_class_index(K.elem(-1), lv)]
                 assert lv.unramified_classes() == {0, 1}
                 kinds.add((v.splitting, lv.q % 4))
     assert kinds == {(None, 1), (None, 3), ("split", 1), ("split", 3), ("inert", 1),
