@@ -549,8 +549,6 @@ def _twist_rep_type(E: EllipticCurve, v: Place, c: int, record) -> LocalRepType:
     if rd.is_multiplicative():
         return LocalRepType(SPECIAL_UNRAMIFIED, v, split_sign=rd.split_sign)
     lv = completion(E.field, v)
-    if record is None:  # a good place, c = 2 or 3: the twist by pi = reps[2] is class c - 2, good
-        return LocalRepType(PRINCIPAL_RAMIFIED_QUAD, v, good_twist=lv.uniformizer)
     reps = lv.square_class_reps()
     unramified = lv.unramified_classes()
     # (eta, reduction of (E^c)^eta) over the ramified eta = reps[e], walked in
