@@ -49,16 +49,11 @@ class QuadChar:
     ramified: tuple                 # ramified places (finite and real)
     norm: int                       # Nchi
 
-    def __post_init__(self):
-        # the finite ramified places, read by parity_change and the oracle on every twist
-        object.__setattr__(self, "_ramified_finite",
-                           tuple(v for v in self.ramified if v.kind == "finite"))
-
     def is_trivial(self) -> bool:
         return self.delta == self.field.one()
 
     def ramified_finite(self):
-        return self._ramified_finite
+        return tuple([v for v in self.ramified if v.kind == "finite"])
 
     def localize(self, v: Place) -> LocalCharacter:
         lv = completion(self.field, v)
