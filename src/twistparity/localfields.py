@@ -446,34 +446,29 @@ def _basis_gram(v: LocalField, basis: list[NFElem]) -> list[list[bool]]:
 
 
 def _build_hilbert_matrix(v: LocalField) -> list[list[int]]:
-    """(reps[i], reps[j])_v from the Gram matrix of the basis reps[2^a]."""
+    """(reps[i], reps[j])_v by bimultiplicativity from the Gram matrix of the basis reps[2^a]."""
     reps = v.square_class_reps()
-    k = len(reps).bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
-    return _matrix_of_gram(_basis_gram(v, [reps[1 << a] for a in range(k)]))
-
-
-def _matrix_of_gram(gram: list[list[bool]]) -> list[list[int]]:
-    """The symbols between the 2^k classes, by bimultiplicativity from the Gram
-    matrix of a basis of k classes (True for -1)."""
+    n = len(reps)
+    k = n.bit_length() - 1  # 0 at a complex place: the matrix is [[1]]
     # rows[i]: the bits b with (reps[i], reps[2^b])_v = -1, a linear map of i
     rows = [0]
-    for gram_row in gram:
+    for gram_row in _basis_gram(v, [reps[1 << a] for a in range(k)]):
         mask = sum(odd << b for b, odd in enumerate(gram_row))
         rows += [r ^ mask for r in rows]
-    return [[-1 if (r & j).bit_count() % 2 else 1 for j in range(len(rows))] for r in rows]
+    return [[-1 if (r & j).bit_count() % 2 else 1 for j in range(n)] for r in rows]
 
 
-def _odd_tables(q4: int) -> tuple:
-    """(Hilbert matrix, row of -1, unramified classes) at an odd place with
-    q = q4 mod 4, over reps [1, u, pi, u pi]: the Gram matrix of [u, pi] is
-    (u, u) = 1, (u, pi) = -1 and (pi, pi) = (-1, pi) = (-1)^((q-1)/2); -1 is a
-    unit, a square iff q = 1 mod 4; and the classes 1 and u are unramified.
-    Every odd completion shares them, so they are tuples."""
-    H = tuple(map(tuple, _matrix_of_gram([[False, True], [True, q4 == 3]])))
-    return H, H[0 if q4 == 1 else 1], frozenset({0, 1})
-
-
-_ODD_TABLES = {1: _odd_tables(1), 3: _odd_tables(3)}
+# (Hilbert matrix, row of -1, unramified classes) at an odd place, by q mod 4.
+# Over reps [1, u, pi, u pi] the Gram matrix of [u, pi] is (u, u) = 1,
+# (u, pi) = -1 and (pi, pi) = (-1, pi) = (-1)^((q-1)/2); -1 is a unit, a square
+# iff q = 1 mod 4; and the classes 1 and u are unramified. Every odd completion
+# shares these, so they are tuples.
+_ODD_TABLES = {
+    1: (((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)),
+        (1, 1, 1, 1), frozenset({0, 1})),
+    3: (((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, -1, 1), (1, -1, 1, -1)),
+        (1, 1, -1, -1), frozenset({0, 1})),
+}
 
 
 # ----------------------------------------------------------------------------
