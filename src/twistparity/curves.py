@@ -11,14 +11,15 @@ place, above a prime p >= 5 with no bad-place candidate of E above it, v(Delta)
 = 0 and the model is integral, so n = c >> 1 decides everything: E^c is good
 for even n, and additive, potentially good, made good by pi = reps[2], with
 w_v = (-1, pi)_v, for odd n. That is computed on every call, and no state is
-kept. At the bad places and above 2 and 3 the local data of E at v is one
-record (``_local_data``), a table over the class indices. Its slots are filled
-on demand, each once: the reduction data, the LocalRepType and the local root
-number of E^c. The rep type reads its certifying twists (E^c)^eta from the
-slots of class c * eta (the two models are isomorphic over K_v), only until it
-has its certificate. The records sit in one LRU memo of MEMO_BOUND entries
-keyed by (curve, place); the bad places of each curve, with the primes below
-its bad-place candidates, sit in the other (``_MEMOS``).
+kept. Above 2 and 3 and above the primes of the bad-place candidates the local
+data of E at v is one record (``_local_data``), a table over the class
+indices. Its slots are filled on demand, each once: the reduction data, the
+LocalRepType and the local root number of E^c. The rep type reads its
+certifying twists (E^c)^eta from the slots of class c * eta (the two models are
+isomorphic over K_v), only until it has its certificate. The records sit in
+one LRU memo of MEMO_BOUND entries keyed by (curve, place); the bad places of
+each curve, with the primes below its bad-place candidates, sit in the other
+(``_MEMOS``).
 
 The classes pair up as {c, c ^ ur}, ur the unramified nonsquare class. Twisting
 by ur keeps the type, the minimal v(Delta) and v(c4), and swaps split and
