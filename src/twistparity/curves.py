@@ -281,7 +281,7 @@ def _per_class(fn):
     record None."""
     @wraps(fn)
     def read(E: EllipticCurve, v: Place, c: int):
-        if v.p >= 5 and v.p not in _bad_places(E)[1]:
+        if (v.p or 0) >= 5 and v.p not in _bad_places(E)[1]:  # an infinite place has p None
             return fn(E, v, c, None)
         return _in_record(fn, E, v, c)
 

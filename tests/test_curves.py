@@ -317,6 +317,16 @@ def test_local_root_numbers(Q, e11a1, e37a1):
     assert local_root_number(e11a1, archimedean_places(Q)[0]) == -1
 
 
+def test_reduction_data_at_an_infinite_place_is_a_value_error(Q, e11a1):
+    # reduction data exists at finite places only: asking at an infinite place
+    # raises ValueError, not a comparison with its missing residue characteristic
+    from twistparity.numberfield import archimedean_places
+
+    for read in (reduction_type, local_rep_type):
+        with pytest.raises(ValueError):
+            read(e11a1, archimedean_places(Q)[0])
+
+
 def test_pot_mult_root_number_example(Q, e11a1):
     # twist of the split-mult curve by -11: w_v = eta(-1) = (-1/11) = -1
     tw = quadratic_twist(e11a1, Q.elem(-11))
