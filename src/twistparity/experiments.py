@@ -99,6 +99,7 @@ class DensityReport:
     fraction: Fraction
     buckets: tuple
     method: str
+    # always None: kept, like ``method``, so the JSON reports stay byte-identical
     oracle_mismatches: Optional[int] = None
 
 
@@ -232,9 +233,11 @@ def _sign_sum(image: list, perp: list, tables: list) -> int:
 
 def scan_density(E: EllipticCurve, X: int,
                  parity_override: Optional[str] = None,
-                 assume_principal_series: bool = False,
-                 oracle_sample: int = 0) -> DensityReport:
-    """Exact even-rank fraction among twists ordered by Nchi, with convergence buckets."""
+                 assume_principal_series: bool = False) -> DensityReport:
+    """Exact even-rank fraction among twists ordered by Nchi, with convergence buckets.
+
+    The scan reads only the sign tables; ``oracle_crosscheck`` is the way to
+    compare a family with the reduction-path oracle."""
     if X < 1:
         raise ValueError("X must be >= 1")
     K = E.field
@@ -294,14 +297,10 @@ def scan_density(E: EllipticCurve, X: int,
     # The label of the exhaustive and fiber paths this scan replaced, kept so
     # reports stay byte-identical: "exhaustive" meant |C(K, X)| <= EXHAUSTIVE_CAP.
     method = "exhaustive" if last.total <= EXHAUSTIVE_CAP else "fibers"
-    mismatches = None
-    if oracle_sample > 0:
-        sample = enumerate_characters(K, min(X, 20))[:oracle_sample]
-        mismatches = len(_check_twists(E, ((chi.delta, chi) for chi in sample))[2])
     return DensityReport(
         curve=str(E), field=str(K), X=X, parity=parity, kappa=krep.kappa,
         predicted=predicted, total=last.total, even=last.even, fraction=last.fraction,
-        buckets=tuple(buckets), method=method, oracle_mismatches=mismatches,
+        buckets=tuple(buckets), method=method,
     )
 
 

@@ -146,7 +146,7 @@ def _places_off_support(K: Field) -> tuple:
 # Enumeration of C(K, X)
 
 
-def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> list[QuadChar]:
+def enumerate_characters(K: Field, X: int) -> list[QuadChar]:
     """All characters with Nchi <= X, each once, in deterministic order.
 
     Each character is u * (product of the generators of a set S of primes)
@@ -158,8 +158,8 @@ def enumerate_characters(K: Field, X: int, guard: int = ENUMERATION_GUARD) -> li
     units = K.unit_square_classes
     primes = places_of_norm_up_to(K, X)  # in residue-norm order
     total = len(units) * (1 << len(primes))
-    if total > guard:
-        raise ExplosionGuard(total, guard)
+    if total > ENUMERATION_GUARD:
+        raise ExplosionGuard(total, ENUMERATION_GUARD)
     gen_text = {v.key(): str(v.generator) for v in primes}
     products = [(K.one(), ())]  # (product of the generators of S, S in norm order)
     for v in primes:

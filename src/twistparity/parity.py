@@ -2,11 +2,17 @@
 products, local averages kappa_v, and the predicted even-rank density.
 
 Signs live in {+1, -1} as plain ints. The sign n_v(chi_v) depends only on the
-square class of chi_v in K_v^x/K_v^x2, so each (curve, place) has one finite
-table: ``sign_table(E, v)[c]`` is n_v of the character of class c, in the
-class-index order of ``completion(K, v).characters()``. A class index is the
-F_2 coordinate of the class, so the twist chi * eta of rows 4, 8 and 9 has the
-class of the XOR of the two indices. Every consumer reads the table by
+square class of chi_v in K_v^x/K_v^x2, and a class index c is the F_2
+coordinate of that class, on which the Hilbert symbol is a bilinear form. So
+``n_v`` and ``m_v`` read each of the ten rows from c = ``chi.index()`` and the
+completion's own tables: ``unramified_classes()``, chi(-1) as
+``minus_one_row()[c]``, chi(pi) as the uniformizer's row of
+``hilbert_matrix()``, and the twists of rows 4, 8 and 9 as c ^ e, where e is
+the class of ``good_twist`` or ``split_twist``. The ``LocalCharacter`` they
+take is only the argument type: no character is multiplied or evaluated.
+Each (curve, place) has one finite table: ``sign_table(E, v)[c]`` is n_v of
+the character of class c, in the class-index order of
+``completion(K, v).characters()``. Every consumer reads the table by
 ``square_class_index``: ``parity_change`` at the bad places, and, through
 ``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
 the real ones), ``kappa_v_average`` and the exact scan of ``experiments``,
@@ -46,7 +52,6 @@ from .curves import (
     rank_parity,
 )
 from .errors import (
-    ExplosionGuard,
     InternalInvariantError,
     ParityUnavailable,
     UnsupportedRepresentation,
@@ -57,7 +62,6 @@ from .localfields import (
     MEMO_BOUND,
     LocalCharacter,
     completion,
-    eval_local_char,
     square_class_index,
 )
 from .numberfield import Place, archimedean_places
@@ -66,44 +70,41 @@ from .numberfield import Place, archimedean_places
 TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
 
 
-def _chi_minus_one(chi: LocalCharacter) -> int:
-    return chi.local_field.minus_one_row()[chi.index()]
-
-
-def _chi_pi(chi: LocalCharacter) -> int:
-    return eval_local_char(chi, chi.local_field.uniformizer)
-
-
 def n_v(rep: LocalRepType, chi: LocalCharacter) -> int:
-    """Local root-number change n_v(chi_v) for the given representation type."""
+    """Local root-number change n_v(chi_v) for the given representation type,
+    read from the class index c of chi and the tables of its completion."""
     if rep.kind == UNSUPPORTED:
         raise UnsupportedRepresentation(rep.place, rep.detail)
     h = TABLE_SIGN_HOOKS
-    unram = chi.is_unramified()
+    lv = chi.local_field
+    c = chi.index()
+    unram = lv.unramified_classes()
+    chi_minus_one = lv.minus_one_row()[c]
     if rep.kind == PRINCIPAL_UNRAMIFIED:
-        if unram:
+        if c in unram:
             return 1                                    # row 1
-        return h[2] * _chi_minus_one(chi)               # row 2
+        return h[2] * chi_minus_one                     # row 2
     if rep.kind == PRINCIPAL_RAMIFIED_QUAD:
-        if unram:
+        if c in unram:
             return 1                                    # row 3
-        if (chi * LocalCharacter(chi.local_field, rep.good_twist)).is_unramified():
-            return h[4] * _chi_minus_one(chi)           # row 4
-        return h[5] * _chi_minus_one(chi)               # row 5
+        if (c ^ square_class_index(rep.good_twist, lv)) in unram:
+            return h[4] * chi_minus_one                 # row 4
+        return h[5] * chi_minus_one                     # row 5
     if rep.kind == SPECIAL_UNRAMIFIED:
-        if unram:
-            return h[6] * _chi_pi(chi)                  # row 6
-        return h[7] * (-_chi_minus_one(chi) * rep.split_sign)   # row 7
+        if c in unram:
+            pi = square_class_index(lv.uniformizer, lv)
+            return h[6] * lv.hilbert_matrix()[pi][c]    # row 6: chi(pi)
+        return h[7] * (-chi_minus_one * rep.split_sign)  # row 7
     if rep.kind == SPECIAL_RAMIFIED_QUAD:
-        if unram:
+        if c in unram:
             return 1                                    # row 10
-        mu = LocalCharacter(chi.local_field, rep.split_twist)
-        if (chi * mu).is_unramified():
+        e = square_class_index(rep.split_twist, lv)
+        if (c ^ e) in unram:
             # row 9: -chi(-pi) mu(pi) = chi(-1) * (-(chi mu)(pi)), and
-            # (chi mu)(pi) = +1 iff the chi-twist is split multiplicative
-            twist_split = 1 if chi == mu else -1
-            return h[9] * (_chi_minus_one(chi) * (-twist_split))
-        return h[8] * _chi_minus_one(chi)               # row 8
+            # (chi mu)(pi) = +1 iff the chi-twist is split multiplicative,
+            # that is iff chi = mu
+            return h[9] * chi_minus_one * (-1 if c == e else 1)
+        return h[8] * chi_minus_one                     # row 8
     raise WrongRepClass(f"unknown representation kind {rep.kind}")
 
 
@@ -112,7 +113,7 @@ def m_v(rep: LocalRepType, chi: LocalCharacter) -> int:
     potentially multiplicative places."""
     if rep.kind not in (SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD):
         raise WrongRepClass(f"m_v undefined for {rep.kind}")
-    return _chi_minus_one(chi) * n_v(rep, chi)
+    return chi.local_field.minus_one_row()[chi.index()] * n_v(rep, chi)
 
 
 # ----------------------------------------------------------------------------
@@ -183,9 +184,8 @@ def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
     sign = 1
     for v in bad:
         sign *= sign_table(E, v)[square_class_index(chi.delta, completion(K, v))]
-    bad_keys = {v.key() for v in bad}
     for v in chi.ramified_finite():
-        if v.key() not in bad_keys:
+        if v not in bad:
             lv = completion(K, v)
             sign *= TABLE_SIGN_HOOKS[2] * lv.minus_one_row()[square_class_index(chi.delta, lv)]
     return sign
@@ -366,13 +366,9 @@ class CountingReport:
     equal: bool
 
 
-COUNTING_GUARD = 10 ** 8
-
-
-def counting_check(config: GammaConfig, guard: int = COUNTING_GUARD) -> CountingReport:
-    """Exact fraction of Gamma with parity product +1 versus (1 + prod kappa)/2."""
-    if config.gamma_size > guard:
-        raise ExplosionGuard(config.gamma_size, guard)
+def counting_check(config: GammaConfig) -> CountingReport:
+    """Exact fraction of Gamma with parity product +1 versus (1 + prod kappa)/2,
+    counted by a recurrence over the scenarios that enumerates no character."""
     plus, minus = 1, 0
     kprod = Fraction(1)
     for sc in config.scenarios:

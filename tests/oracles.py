@@ -7,7 +7,9 @@ square classes and Hilbert symbols at the places above 2 of Q(sqrt m) by search
 in pure integer arithmetic (``DyadicOracle``). The exceptions read the
 package's tables: ``per_character_parity_change`` is the product of ``n_v``
 over localized characters that ``parity_change`` computed before the sign
-tables, kept as their reference, and ``parity_change_simplified`` is the
+tables, kept as their reference, ``n_v_by_characters`` is ``n_v`` as it was
+before it read its rows from class indices (products of ``LocalCharacter``s
+and ``eval_local_char``), and ``parity_change_simplified`` is the
 reduced product over the real and special places that ``parity_change`` must
 equal. ``character_group_generators`` builds the generators of
 C(K, X) as characters, as the density scan did before it localized bare place
@@ -242,6 +244,60 @@ def _add(c, d):
 
 def _sub(c, d):
     return (c[0] - d[0], c[1] - d[1])
+
+
+def _chi_minus_one(chi) -> int:
+    return chi.local_field.minus_one_row()[chi.index()]
+
+
+def _chi_pi(chi) -> int:
+    from twistparity.localfields import eval_local_char
+
+    return eval_local_char(chi, chi.local_field.uniformizer)
+
+
+def n_v_by_characters(rep, chi) -> int:
+    """Local root-number change n_v(chi_v) for the given representation type."""
+    from twistparity.curves import (
+        PRINCIPAL_RAMIFIED_QUAD,
+        PRINCIPAL_UNRAMIFIED,
+        SPECIAL_RAMIFIED_QUAD,
+        SPECIAL_UNRAMIFIED,
+        UNSUPPORTED,
+    )
+    from twistparity.errors import UnsupportedRepresentation, WrongRepClass
+    from twistparity.localfields import LocalCharacter
+    from twistparity.parity import TABLE_SIGN_HOOKS
+
+    if rep.kind == UNSUPPORTED:
+        raise UnsupportedRepresentation(rep.place, rep.detail)
+    h = TABLE_SIGN_HOOKS
+    unram = chi.is_unramified()
+    if rep.kind == PRINCIPAL_UNRAMIFIED:
+        if unram:
+            return 1                                    # row 1
+        return h[2] * _chi_minus_one(chi)               # row 2
+    if rep.kind == PRINCIPAL_RAMIFIED_QUAD:
+        if unram:
+            return 1                                    # row 3
+        if (chi * LocalCharacter(chi.local_field, rep.good_twist)).is_unramified():
+            return h[4] * _chi_minus_one(chi)           # row 4
+        return h[5] * _chi_minus_one(chi)               # row 5
+    if rep.kind == SPECIAL_UNRAMIFIED:
+        if unram:
+            return h[6] * _chi_pi(chi)                  # row 6
+        return h[7] * (-_chi_minus_one(chi) * rep.split_sign)   # row 7
+    if rep.kind == SPECIAL_RAMIFIED_QUAD:
+        if unram:
+            return 1                                    # row 10
+        mu = LocalCharacter(chi.local_field, rep.split_twist)
+        if (chi * mu).is_unramified():
+            # row 9: -chi(-pi) mu(pi) = chi(-1) * (-(chi mu)(pi)), and
+            # (chi mu)(pi) = +1 iff the chi-twist is split multiplicative
+            twist_split = 1 if chi == mu else -1
+            return h[9] * (_chi_minus_one(chi) * (-twist_split))
+        return h[8] * _chi_minus_one(chi)               # row 8
+    raise WrongRepClass(f"unknown representation kind {rep.kind}")
 
 
 def per_character_parity_change(E, chi) -> int:

@@ -482,22 +482,6 @@ def test_mutation_detected(Q, e11a1, monkeypatch):
     assert len(rep.mismatches) > 0
 
 
-def test_scan_with_oracle_sample(Q, e11a1):
-    r = scan_density(e11a1, 30, oracle_sample=8)
-    assert r.oracle_mismatches == 0
-
-
-def test_scan_oracle_sample_passes_its_characters(Q, e11a1, monkeypatch):
-    # the sampled characters go to the oracle as built, and count the
-    # mismatches that rebuilding each from its delta counted
-    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
-    sample = [chi.delta for chi in enumerate_characters(Q, 20)[:12]]
-    want = len(oracle_crosscheck(e11a1, deltas=sample).mismatches)
-    calls = _count_make_char(monkeypatch)
-    assert scan_density(e11a1, 30, oracle_sample=12).oracle_mismatches == want > 0
-    assert calls == []
-
-
 # ----------------------------------------------------------------------------
 # demo curve search
 

@@ -317,7 +317,7 @@ def test_family_characters_are_make_char_characters(Q):
 
 def test_enumeration_guard(Q):
     with pytest.raises(ExplosionGuard):
-        enumerate_characters(Q, 10 ** 4, guard=1 << 10)
+        enumerate_characters(Q, 10 ** 4)
 
 
 def test_generators_span_enumeration(Q, Qi):

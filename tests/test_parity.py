@@ -5,13 +5,17 @@ import pytest
 
 from twistparity import parity
 from twistparity.curves import (
+    PRINCIPAL_RAMIFIED_QUAD,
+    PRINCIPAL_UNRAMIFIED,
+    SPECIAL_RAMIFIED_QUAD,
+    SPECIAL_UNRAMIFIED,
     bad_places,
     curve,
     local_rep_type,
     quadratic_twist,
     root_number,
 )
-from twistparity.errors import ExplosionGuard, ParityUnavailable, WrongRepClass
+from twistparity.errors import ParityUnavailable, WrongRepClass
 from twistparity.experiments import oracle_crosscheck
 from twistparity.heckechars import enumerate_characters, make_char
 from twistparity.localfields import LocalCharacter, completion, is_unramified_class
@@ -41,7 +45,12 @@ from twistparity.parity import (
 )
 
 from .conftest import place
-from .oracles import brute_legendre, parity_change_simplified, per_character_parity_change
+from .oracles import (
+    brute_legendre,
+    n_v_by_characters,
+    parity_change_simplified,
+    per_character_parity_change,
+)
 from .test_acceptance import _mutation_corpus
 
 
@@ -133,6 +142,54 @@ def test_rows_3_4_5_principal_ramified(Q, e11a1):
     chim1 = brute_legendre(-1, 5)
     assert n_v(rep, local_char(Q, 5, 5)) == chim1      # row 4 (mu chi unramified)
     assert n_v(rep, local_char(Q, 5, 10)) == chim1     # row 5
+
+
+def _rows_corpus():
+    """(curve, place, rep) at the bad places and the places above 2, 3, 5 and 7
+    of curves over Q (11a1, 37a1, [1,0,0,-1,1] and 15a1, each also twisted by
+    -1, 3, 5 and 11) and over six quadratic fields (two curves each)."""
+    Q = rational_field()
+    curves = []
+    for coeffs in ([0, -1, 1, -10, -20], [0, 0, 1, -1, 0], [1, 0, 0, -1, 1], [1, 1, 1, -10, -10]):
+        E = curve(Q, coeffs)
+        curves += [E] + [quadratic_twist(E, Q.elem(d)) for d in (-1, 3, 5, 11)]
+    for m in (-1, -3, -7, 2, 5, 13):
+        K = quadratic_field(m)
+        curves += [curve(K, [0, -1, 1, 0, 0]), curve(K, [1, -1, 0, -2, -2])]
+    corpus = []
+    for E in curves:
+        places = {v.key(): v for v in bad_places(E)}
+        for p in (2, 3, 5, 7):
+            places.update((v.key(), v) for v in places_above(E.field, p))
+        corpus += [(E, v, local_rep_type(E, v)) for v in places.values()]
+    return corpus
+
+
+def test_rows_match_the_character_reference(monkeypatch):
+    # n_v and m_v read the rows from class indices; the reference multiplies
+    # and evaluates LocalCharacters. Every class at every place of the corpus
+    # agrees, with every hook at +1 and with each row flipped in turn.
+    corpus = _rows_corpus()
+    assert {(min(v.p, 5), rep.kind) for _, v, rep in corpus} == {
+        (p, kind) for p in (2, 3, 5) for kind in (
+            PRINCIPAL_UNRAMIFIED, PRINCIPAL_RAMIFIED_QUAD, SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD)}
+    checked = 0
+    for row in (None,) + tuple(TABLE_SIGN_HOOKS):
+        if row is not None:
+            monkeypatch.setitem(TABLE_SIGN_HOOKS, row, -1)
+        for E, v, rep in corpus:
+            for chi in completion(E.field, v).characters():
+                want = n_v_by_characters(rep, chi)
+                assert n_v(rep, chi) == want, (str(E), str(v), str(chi), row)
+                if rep.kind in (SPECIAL_UNRAMIFIED, SPECIAL_RAMIFIED_QUAD):
+                    assert m_v(rep, chi) == chi(E.field.elem(-1)) * want, (str(E), str(chi))
+                else:
+                    with pytest.raises(WrongRepClass):
+                        m_v(rep, chi)
+                checked += 1
+        if row is not None:
+            monkeypatch.setitem(TABLE_SIGN_HOOKS, row, 1)
+    assert checked > 1000
 
 
 # ----------------------------------------------------------------------------
@@ -385,10 +442,11 @@ def test_counting_randomized():
         assert rep.equal, cfg
 
 
-def test_counting_guard():
-    cfg = GammaConfig(tuple(Scenario(SPLIT, 8) for _ in range(10)))
-    with pytest.raises(ExplosionGuard):
-        counting_check(cfg, guard=10 ** 6)
+def test_counting_needs_no_guard():
+    # the recurrence enumerates nothing: |Gamma| = 8^10 costs ten steps
+    r = counting_check(GammaConfig((Scenario(SPLIT, 8),) * 10))
+    assert r.gamma_size == 8 ** 10
+    assert r.equal and r.fraction == Fraction(1107625, 2097152)
 
 
 def test_counting_matches_brute_enumeration():
