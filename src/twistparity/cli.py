@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, principal=False)
     p.add_argument("--x", type=_at_least(1), required=True,
                    help="|delta| bound over Q; character norm bound otherwise")
-    p.add_argument("--workers", type=_at_least(1), default=1)
 
     p = sub.add_parser("lemmas", help="counting lemma, surjectivity, Gauss sums")
     p.add_argument("--seed", type=int, default=0)
@@ -224,9 +223,9 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     K, E = _load(args)
     if K.m is None:
-        rep = oracle_crosscheck(E, delta_bound=args.x, workers=args.workers)
+        rep = oracle_crosscheck(E, delta_bound=args.x)
     else:
-        rep = oracle_crosscheck(E, X=args.x, workers=args.workers)
+        rep = oracle_crosscheck(E, X=args.x)
     print(f"tested {rep.tested} twists, {rep.unsupported} skipped as unsupported")
     if rep.mismatches:
         for m in rep.mismatches[:20]:

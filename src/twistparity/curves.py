@@ -371,7 +371,8 @@ def _classify(v: Place, lv: LocalField, vd: int, vc4, vc6, r6) -> ReductionData:
     scaled by pi^k, k = min(v(Delta) // 12, v(c4) // 4, v(c6) // 6), is minimal;
     it is multiplicative when its c4 is a unit, then so is its c6 (1728 Delta =
     c4^3 - c6^2), and split iff -c6 is a square in F_q."""
-    k = min(vd // 12, vc4 // 4, vc6 // 6)  # INF // w is INF, and vd is finite
+    # INF // w is nan, not INF: k is read from the finite valuations (vd is finite)
+    k = min(x // w for x, w in ((vd, 12), (vc4, 4), (vc6, 6)) if x != INF)
     vdm, vc4m = vd - 12 * k, vc4 - 4 * k  # INF - 4 k is INF
     if vdm == 0:
         return ReductionData(v, GOOD, 0, vc4m, None, None)
@@ -391,10 +392,13 @@ def _tate_reduction(E: EllipticCurve, v: Place, lv: LocalField) -> ReductionData
     rf = lv.residue_field()
     p = lv.p
 
-    # make the model v-integral
-    kmin = min(0, *(_val0(a, lv) // w for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6))))
-    if kmin < 0:
-        E = E.transform(u=pi ** kmin)
+    # make the model v-integral, and divide out pi^k at once where a pass would only
+    # rescale; at p = 3 with a1 or a3 != 0 the pass completes the square first, and
+    # dividing before it would end at another minimal model
+    k = min(valuation(a, lv) // w
+            for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6)) if not a.is_zero())
+    if k < 0 or (k > 0 and (p == 2 or (E.a1.is_zero() and E.a3.is_zero()))):
+        E = E.transform(u=pi ** k)
 
     while True:
         n = valuation(E.disc, lv)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -57,7 +56,6 @@ from .numberfield import (
     Field,
     NFElem,
     archimedean_places,
-    parse_field,
     place_norms_up_to,
     places_above,
     places_of_norm,
@@ -370,17 +368,15 @@ class OracleReport:
 def oracle_crosscheck(E: EllipticCurve,
                       X: Optional[int] = None,
                       deltas: Optional[Iterable[NFElem]] = None,
-                      delta_bound: Optional[int] = None,
-                      workers: int = 1) -> OracleReport:
+                      delta_bound: Optional[int] = None) -> OracleReport:
     """Compare parity_change * w(E) against w(E^delta) recomputed from scratch.
 
     The family is exactly one of: C(K, X), rational squarefree |delta| <=
     delta_bound, or an explicit delta iterable. A family carries its
     characters: C(K, X) as ``enumerate_characters`` builds them, and the
     squarefree family over Q from its sieve (``squarefree_characters``); explicit
-    deltas, the squarefree family over K != Q and the text a worker receives go
-    through ``make_char``. Mismatches come in the family's order, labelled by
-    delta, with any number of workers.
+    deltas and the squarefree family over K != Q go through ``make_char``.
+    Mismatches come in the family's order, labelled by delta.
     """
     K = E.field
     given = [name for name, arg in (("X", X), ("delta_bound", delta_bound), ("deltas", deltas))
@@ -390,35 +386,14 @@ def oracle_crosscheck(E: EllipticCurve,
     if len(given) > 1:
         raise ValueError(f"need one of X, delta_bound, or deltas, not {' and '.join(given)}")
 
-    if workers <= 1:
-        if X is not None:
-            twists = ((chi.delta, chi) for chi in enumerate_characters(K, X))
-        elif deltas is None and K.m is None:
-            twists = ((chi.delta, chi) for chi in squarefree_characters(K, delta_bound))
-        else:
-            twists = ((d, make_char(K, d))
-                      for d in (squarefree_deltas(K, delta_bound) if deltas is None else deltas))
-        tested, unsupported, mismatches = _check_twists(E, twists)
+    if X is not None:
+        twists = ((chi.delta, chi) for chi in enumerate_characters(K, X))
+    elif deltas is None and K.m is None:
+        twists = ((chi.delta, chi) for chi in squarefree_characters(K, delta_bound))
     else:
-        from concurrent.futures import ProcessPoolExecutor  # only sharded runs pay its import
-
-        if X is not None:
-            deltas = [chi.delta for chi in enumerate_characters(K, X)]
-        else:
-            deltas = list(squarefree_deltas(K, delta_bound) if deltas is None else deltas)
-        size = -(-len(deltas) // workers) or 1  # contiguous chunks keep the family order
-        args = [(str(K), str(E), [str(d) for d in deltas[i:i + size]])
-                for i in range(0, len(deltas), size)]
-        tested = unsupported = 0
-        mismatches = []
-        # the pool starts all its processes at once: no more than chunks or usable CPUs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        processes = max(1, min(workers, len(args), cpus or 1))
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for sub_tested, sub_unsup, sub_mm in pool.map(_oracle_worker, args):
-                tested += sub_tested
-                unsupported += sub_unsup
-                mismatches.extend(sub_mm)
+        twists = ((d, make_char(K, d))
+                  for d in (squarefree_deltas(K, delta_bound) if deltas is None else deltas))
+    tested, unsupported, mismatches = _check_twists(E, twists)
     return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 
@@ -440,16 +415,6 @@ def _check_twists(E: EllipticCurve, twists) -> tuple[int, int, list]:
         if a != b:
             mismatches.append(MismatchRecord(str(delta), a, b))
     return tested, unsupported, mismatches
-
-
-def _oracle_worker(args):
-    from .curves import parse_curve
-    from .numberfield import parse_element
-
-    field_spec, curve_text, delta_texts = args
-    K = parse_field(field_spec)
-    deltas = [parse_element(K, dt) for dt in delta_texts]
-    return _check_twists(parse_curve(K, curve_text), ((d, make_char(K, d)) for d in deltas))
 
 
 # ----------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Optional
 
 from .arith import factorint, kronecker
@@ -551,7 +552,10 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
         idx = v._unit_classes[c] | (n & 1) * half
     cache = v._class_index_cache
     if len(cache) >= MEMO_BOUND:
-        del cache[next(iter(cache))]  # the oldest insertion
+        # drop the older half at once: evicting one key per insertion would walk
+        # the dead slots that deletions leave at the front of the dict
+        for old in list(islice(cache, MEMO_BOUND // 2)):
+            del cache[old]
     cache[key] = idx
     return idx
 

@@ -25,12 +25,13 @@ over (s, t) digits that normalized Tate's models at p = 2 before the residue
 square roots, and ``tate_reduction_search`` is Tate's algorithm as it was
 before its closed forms: the singular point, a root of the tangent cone and
 the triple and double roots found by search over F_q, which
-``_residue_elements`` lists for both. ``reference_class_index``,
-``reference_valuation`` and ``reference_residue`` read an element at a finite
-place as the local layer did before it read x = pi^n u from the integer
-triple: the valuation first, then u = x / pi^n as a field element, then the
-coordinates of u and a Kronecker symbol of its residue (above 2, the unit-class
-table at u mod 8).
+``_residue_elements`` lists for both; ``tate_reduction_unscaled`` is Tate's
+algorithm as it was before it divided out pi^k up front.
+``reference_class_index``, ``reference_valuation`` and ``reference_residue``
+read an element at a finite place as the local layer did before it read
+x = pi^n u from the integer triple: the valuation first, then u = x / pi^n as
+a field element, then the coordinates of u and a Kronecker symbol of its
+residue (above 2, the unit-class table at u mod 8).
 """
 
 import math
@@ -496,6 +497,95 @@ def tate_reduction_search(E, v, lv):
         if _val0(E.a4, lv) < 4:  # III*
             return ReductionData(v, pot, n, vc4, None, E)
         if _val0(E.a6, lv) < 6:  # II*
+            return ReductionData(v, pot, n, vc4, None, E)
+
+        # non-minimal: rescale and loop
+        E = E.transform(u=pi)
+
+
+def tate_reduction_unscaled(E, v, lv):
+    """Tate's algorithm at p = 2, 3 as it was before it divided out pi^k up front:
+    a model divisible by pi^(ik) went through k passes of identity transforms,
+    each ending in E.transform(u=pi). The body is that version's, unedited."""
+    from twistparity.curves import (
+        GOOD,
+        NONSPLIT_MULT,
+        SPLIT_MULT,
+        ReductionData,
+        _pot_kind,
+        _singular_point,
+        _tate_normalize,
+        _val0,
+    )
+    from twistparity.localfields import valuation
+
+    pi = lv.uniformizer
+    rf = lv.residue_field()
+    p = lv.p
+
+    # make the model v-integral
+    kmin = min(0, *(_val0(a, lv) // w for a, w in zip(E.ainvs(), (1, 2, 3, 4, 6))))
+    if kmin < 0:
+        E = E.transform(u=pi ** kmin)
+
+    while True:
+        n = valuation(E.disc, lv)
+        if n == 0:
+            return ReductionData(v, GOOD, 0, _val0(E.c4, lv), None, E)
+
+        # move the singular point of the reduced curve to the origin
+        x0, y0 = _singular_point(rf, *(lv.residue(a) for a in E.ainvs()))
+        E = E.transform(r=lv.lift(x0), t=lv.lift(y0))
+        if not all(rf.is_zero(lv.residue(a)) for a in (E.a3, E.a4, E.a6)):
+            raise InternalInvariantError("no singular point despite v(disc) > 0")
+
+        vc4 = _val0(E.c4, lv)
+        if vc4 == 0:
+            # multiplicative: does the tangent cone T^2 + a1 T - a2 split over k?
+            a1, a2 = lv.residue(E.a1), lv.residue(E.a2)
+            if p == 3:  # its discriminant a1^2 + 4 a2 is b2
+                split = rf.is_square(rf.add(rf.mul(a1, a1), a2))
+            else:  # a1 != 0, and T = a1 S gives S^2 + S + a2/a1^2: split iff its trace is 0
+                z = rf.div(a2, rf.mul(a1, a1))
+                split = rf.is_zero(z if rf.f == 1 else rf.add(z, rf.mul(z, z)))
+            return ReductionData(v, SPLIT_MULT if split else NONSPLIT_MULT,
+                                 n, 0, 1 if split else -1, E)
+
+        pot = _pot_kind(vc4, n)
+        if _val0(E.a6, lv) < 2 or _val0(E.b8, lv) < 3 or _val0(E.b6, lv) < 3:  # II, III, IV
+            return ReductionData(v, pot, n, vc4, None, E)
+
+        # normalize so that pi | a1, a2; pi^2 | a3, a4; pi^3 | a6
+        E = _tate_normalize(E, lv, pi)
+
+        # cubic T^3 + A2 T^2 + A4 T + A6 over k (A_i = a_i / pi^(i/2)): continue past a
+        # triple root c, as (T - c)^3 = T^3 + c T^2 + c^2 T + c^3 at p = 2, T^3 - c^3 at 3
+        A2, A4, A6 = (lv.residue(E.a2 / pi), lv.residue(E.a4 / pi ** 2),
+                      lv.residue(E.a6 / pi ** 3))
+        if p == 2:
+            c = A2 if A4 == rf.mul(A2, A2) and A6 == rf.mul(A2, A4) else None
+        else:
+            c = rf.root(rf.neg(A6)) if rf.is_zero(A2) and rf.is_zero(A4) else None
+        if c is None:  # I0* or In*
+            return ReductionData(v, pot, n, vc4, None, E)
+        E = E.transform(r=pi * lv.lift(c))
+        if not (_val0(E.a2, lv) >= 2 and _val0(E.a4, lv) >= 3 and _val0(E.a6, lv) >= 4):
+            raise InternalInvariantError("triple-root translation left a2, a4, a6 too small")
+
+        # quadratic Y^2 + A3 Y - A6 over k (A3 = a3/pi^2, A6 = a6/pi^4): continue past a
+        # double root y0, as (Y - y0)^2 = Y^2 + y0^2 at p = 2, Y^2 + y0 Y + y0^2 at 3
+        A3, A6 = lv.residue(E.a3 / pi ** 2), lv.residue(E.a6 / pi ** 4)
+        if p == 2:
+            y0 = rf.root(A6) if rf.is_zero(A3) else None
+        else:
+            y0 = A3 if rf.mul(A3, A3) == rf.neg(A6) else None
+        if y0 is None:  # IV*
+            return ReductionData(v, pot, n, vc4, None, E)
+        E = E.transform(t=pi * pi * lv.lift(y0))
+        if not (_val0(E.a3, lv) >= 3 and _val0(E.a6, lv) >= 5):
+            raise InternalInvariantError("double-root translation left a3, a6 too small")
+
+        if _val0(E.a4, lv) < 4 or _val0(E.a6, lv) < 6:  # III*, II*
             return ReductionData(v, pot, n, vc4, None, E)
 
         # non-minimal: rescale and loop

@@ -147,14 +147,6 @@ def test_verify_clean(capsys):
     assert "PASS: 0 mismatches" in out
 
 
-def test_verify_sharded_over_gaussian_field(capsys):
-    # workers receive the deltas as text, among them ones with no rational part
-    rc, out, _ = run(capsys, "verify", "--field", "Q(sqrt -1)", "--curve", "[0,-1,1,0,0]",
-                     "--x", "30", "--workers", "2")
-    assert rc == 0
-    assert "PASS: 0 mismatches" in out
-
-
 def test_lemmas(capsys):
     rc, out, _ = run(capsys, "lemmas", "--seed", "1", "--trials", "25", "--x", "17")
     assert rc == 0
@@ -184,7 +176,6 @@ def test_input_error_exit_codes(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "0"),
     ("scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "-5"),
-    ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "10", "--workers", "0"),
     ("lemmas", "--trials", "-1"),
     ("lemmas", "--x", "0"),
     ("verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]", "--x", "ten"),
@@ -297,10 +288,14 @@ def test_exit_code_of_every_package_error(capsys, monkeypatch, name):
 def test_unknown_flag_is_error(capsys):
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[1,0]", "--bogus")
     assert rc == 2
-    # scans run in one process; --workers belongs to verify only
+    # scans and verify run in one process and take no worker count
     rc, _, _ = run(capsys, "scan", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
                    "--x", "10", "--workers", "2")
     assert rc == 2
+    rc, out, err = run(capsys, "verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
+                       "--x", "10", "--workers", "2")
+    assert rc == 2 and "PASS" not in out
+    assert "unrecognized arguments: --workers 2" in err
     # verify skips unsupported twists and has no use for the principal-series flag
     rc, out, _ = run(capsys, "verify", "--field", "Q", "--curve", "[0,-1,1,-10,-20]",
                      "--x", "20", "--assume-principal-series")

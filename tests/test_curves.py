@@ -496,6 +496,25 @@ def test_twist_classes_at_p_at_least_5_match_the_literal_twist(monkeypatch):
         {("place", k) for k in ("Q_p", "split", "inert", "ramified")}
 
 
+def test_classes_with_a_zero_invariant_match_the_literal_twist(Q):
+    # c6 = 0 and c4 = 0 reach the classifier with an infinite valuation, which
+    # the scaling exponent k must skip: every class at 5 read from the record
+    # classifies as the literal twist by its representative
+    v = place(Q, 5)
+    lv = completion(Q, v)
+    seen = set()
+    for coeffs in ([-25, 0], [0, 5]):
+        E = curve(Q, coeffs)
+        _clear_curve_memos()
+        for c, rep in enumerate(lv.square_class_reps()):
+            have = curves._twist_reduction(E, v, c)
+            want = reduction_type(quadratic_twist(E, rep), v)
+            assert (have.red_type, have.v_disc, have.v_c4, have.split_sign) == \
+                (want.red_type, want.v_disc, want.v_c4, want.split_sign), (coeffs, c)
+            seen.add(want.red_type)
+    assert {GOOD, ADDITIVE_POT_GOOD} <= seen
+
+
 def test_unramified_pairs_read_the_higher_class_from_the_lower(monkeypatch):
     # classes pair up as {c, c ^ ur}, ur the unramified class: the higher class
     # keeps the lower one's type, minimal v(Delta) and v(c4), with split and
@@ -586,7 +605,9 @@ def test_tate_normalization_matches_the_digit_search(monkeypatch):
     # at p = 2 the residue square roots give the (s, t) that the search over
     # digit lifts found first, with one transform per call; F_2 and F_4, e = 1, 2.
     # Tate's algorithm runs on each literal class twist and on each of its
-    # ramified twists, built as a literal double twist
+    # ramified twists, built as a literal double twist. A model divisible by
+    # pi^(ik) is scaled down before any pass, so it reaches no normalization; the
+    # curves past the equivalence cases keep the count above 1000
     from .oracles import tate_normalize_search
 
     transforms = []
@@ -607,6 +628,9 @@ def test_tate_normalization_matches_the_digit_search(monkeypatch):
 
     monkeypatch.setattr(curves, "_tate_normalize", pinned)
     cases = _equivalence_cases() + [curve(quadratic_field(m), [0, -1, 1, 0, 0]) for m in (-7, 2)]
+    cases += [curve(rational_field() if m is None else quadratic_field(m), coeffs)
+              for m in (None, -1, 5, -3, -7, 2)
+              for coeffs in ([1, -1, 1, -10, -20], [0, 0, 0, 0, 2])]
     for E in cases:
         K = E.field
         for v in places_above(K, 2):
@@ -670,6 +694,40 @@ def test_tate_closed_forms_match_the_search(monkeypatch):
     assert models > 1500
     assert {(k, tag, x) for k in kinds for tag, x in (("sign", 1), ("sign", -1))} <= seen
     assert {(k, "branch", x) for k in kinds for x in (True, False)} <= seen
+
+
+def test_tate_scales_as_the_unscaled_reference():
+    # a model divisible by pi^(ik) is scaled down before the first pass (at p = 3
+    # only when a1 = a3 = 0): the same type, valuations, split sign and minimal
+    # model as the passes that only rescale, for models scaled by pi^0, pi and
+    # pi^2 and each of their class twists at the places above 2 and 3
+    from .oracles import tate_reduction_unscaled
+
+    seen = set()
+    models = 0
+    for m in (None, -1, 5, -3, -7, 2, -2, 3, 13):
+        K = rational_field() if m is None else quadratic_field(m)
+        cases = [curve(K, coeffs) for coeffs in ([0, -1, 1, -10, -20], [1, -1, 1, -10, -20],
+                                                 [0, 0, 0, -1, 0], [0, 0, 0, 0, 2])]
+        for v in places_above(K, 2) + places_above(K, 3):
+            lv = completion(K, v)
+            for E in cases:
+                for j in (0, 1, 2):
+                    S = E.transform(u=lv.uniformizer ** -j)
+                    for c, rep in enumerate(lv.square_class_reps()):
+                        T = quadratic_twist(S, rep) if c else S
+                        got = curves._tate_reduction(T, v, lv)
+                        want = tate_reduction_unscaled(T, v, lv)
+                        assert (got.red_type, got.v_disc, got.v_c4, got.split_sign) == \
+                            (want.red_type, want.v_disc, want.v_c4, want.split_sign), \
+                            (str(T), str(v))
+                        assert got.minimal_model.key() == want.minimal_model.key(), \
+                            (str(T), str(v))
+                        seen.add((lv.p, lv.e, lv.f, j))
+                        models += 1
+    assert models > 2000
+    assert seen == {(p, e, f, j) for p in (2, 3) for e, f in ((1, 1), (2, 1), (1, 2))
+                    for j in (0, 1, 2)}
 
 
 def test_curve_memos_stay_bounded(Q, e11a1):

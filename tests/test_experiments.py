@@ -423,57 +423,10 @@ def test_oracle_rejects_more_than_one_family(Q, e11a1, families):
         oracle_crosscheck(e11a1)
 
 
-def test_verify_pool_is_bounded_by_chunks_and_cpus(Q, e11a1, monkeypatch):
-    # a pool starts all of its processes at once, so it gets no more than the
-    # chunks and the usable CPUs, whatever --workers says; a serial stand-in
-    # records the size and starts no process
-    import concurrent.futures
-    import os
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, list(args))
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)  # mismatches whose order is compared
-    seq = oracle_crosscheck(e11a1, delta_bound=30)
-    assert len(seq.mismatches) > 10
-    for workers, size in ((2, 2), (5, 3), (10 ** 6, 3)):  # 38 deltas, in 2, 5 and 38 chunks
-        par = oracle_crosscheck(e11a1, delta_bound=30, workers=workers)
-        assert (par.tested, par.unsupported, par.mismatches) == \
-            (seq.tested, seq.unsupported, seq.mismatches)
-        assert sizes.pop() == size
-    oracle_crosscheck(e11a1, delta_bound=1, workers=10 ** 6)  # 2 deltas, 2 chunks
-    assert sizes == [2]
-
-
 def test_oracle_crosscheck_norm_family(Qi):
     E = curve(Qi, [0, -1, 1, 0, 0])
     rep = oracle_crosscheck(E, X=5)
     assert rep.clean
-
-
-def test_oracle_sharding_independent(Q, e11a1, monkeypatch):
-    # a flipped row gives mismatches to compare; the forked workers see the flip.
-    # Sharded or not, the records come in the family's order
-    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
-    seq = oracle_crosscheck(e11a1, delta_bound=40, workers=1)
-    par = oracle_crosscheck(e11a1, delta_bound=40, workers=2)
-    assert (seq.tested, seq.unsupported) == (par.tested, par.unsupported)
-    assert len(seq.mismatches) > 20
-    assert seq.mismatches == par.mismatches
 
 
 def test_mutation_detected(Q, e11a1, monkeypatch):

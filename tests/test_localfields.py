@@ -647,8 +647,8 @@ def test_dyadic_square_class_reps_are_pinned():
 
 
 def test_class_index_cache_stays_bounded(Q):
-    # 3000 distinct elements overflow each cache: the oldest insertion goes
-    # first, the newest are read back as hits, and no index changes
+    # 3000 distinct elements overflow each cache: a full cache drops its older
+    # half, the newest are read back as hits, and no index changes
     xs = [Q.elem(Fraction(n if n % 3 else -n, 1 + n % 4)) for n in range(1, 3001)]
     assert len(set(xs)) == 3000
     for v in (lf(Q, 2), lf(Q, 7)):
