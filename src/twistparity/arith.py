@@ -166,6 +166,17 @@ def squarefree_up_to(n: int):
                 yield lo + i, primes[i]
 
 
+def squarefree_count(n: int) -> int:
+    """The number of squarefree k in 1..n, as sum_{d <= sqrt(n)} mu(d) floor(n / d^2)
+    with mu from a sieve to sqrt(n): O(sqrt(n)) time and memory."""
+    root = math.isqrt(max(n, 0))
+    mu = [1] * (root + 1)
+    for p in primes_up_to(root):
+        mu[p::p] = [-m for m in mu[p::p]]
+        mu[p * p::p * p] = [0] * len(mu[p * p::p * p])
+    return sum(mu[d] * (n // (d * d)) for d in range(1, root + 1))
+
+
 def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
     """(a proper factor of the odd composite n, budget left), or (None, 0) when
     Brent's rho (Brent, BIT 20 (1980)) used up ``budget`` iterations first."""

@@ -46,7 +46,6 @@ from .heckechars import (
     ENUMERATION_GUARD,
     QuadChar,
     enumerate_characters,
-    localization_profile,
     make_char,
     squarefree_characters,
     squarefree_deltas,
@@ -275,8 +274,7 @@ def scan_density(E: EllipticCurve, X: int,
             chars = enumerate_characters(K, b)
             total = len(chars)
             counted, counted_perp = [], [1 << i for i in range(dim)]
-            _cut(counted, counted_perp,
-                 (profile(localization_profile(chi, places)) for chi in chars))
+            _cut(counted, counted_perp, (localize(chi.delta) for chi in chars))
         else:
             # feed the places in norm order until the image is full (H^perp = 0);
             # past that no place is built or localized

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorint, squarefree_up_to
+from .arith import factorint, squarefree_count, squarefree_up_to
 from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     MEMO_BOUND,
@@ -156,10 +156,17 @@ def enumerate_characters(K: Field, X: int) -> list[QuadChar]:
     if X < 1:
         raise ValueError("X must be >= 1")
     units = K.unit_square_classes
-    primes = places_of_norm_up_to(K, X)  # in residue-norm order
-    total = len(units) * (1 << len(primes))
-    if total > ENUMERATION_GUARD:
-        raise ExplosionGuard(total, ENUMERATION_GUARD)
+    # the places of norm <= N, N = 2, 4, ..., X, so that a huge X is refused
+    # before it is sieved: the size is a lower bound until N = X
+    N = 1
+    while True:
+        N = min(2 * N, X)
+        primes = places_of_norm_up_to(K, N)  # in residue-norm order
+        total = len(units) << len(primes)
+        if total > ENUMERATION_GUARD:
+            raise ExplosionGuard(total, ENUMERATION_GUARD)
+        if N == X:
+            break
     gen_text = {v.key(): str(v.generator) for v in primes}
     products = [(K.one(), ())]  # (product of the generators of S, S in norm order)
     for v in primes:
@@ -222,9 +229,21 @@ def surjectivity_check(K: Field, places, X: int) -> SurjectivityReport:
 # Twist parameter streams (oracle corpora)
 
 
+def _squarefree_guard(bound: int) -> None:
+    """Refuse the 2 Q(bound) squarefree twists past ENUMERATION_GUARD before they
+    are sieved. Q(B) > (1 - sum_p p^-2) B > 0.54 B, so a bound B >= the guard is
+    past it, with B a lower bound on the size; below, Q(B) is counted exactly."""
+    if bound >= ENUMERATION_GUARD:
+        raise ExplosionGuard(bound, ENUMERATION_GUARD)
+    size = 2 * squarefree_count(bound)
+    if size > ENUMERATION_GUARD:
+        raise ExplosionGuard(size, ENUMERATION_GUARD)
+
+
 def squarefree_deltas(K: Field, bound: int):
     """Rational squarefree twist parameters delta with 1 <= |delta| <= bound:
     n, then -n, for the squarefree n in ascending order."""
+    _squarefree_guard(bound)
     for n, _ in squarefree_up_to(bound):
         yield K.elem(n)
         yield K.elem(-n)
@@ -238,6 +257,7 @@ def squarefree_characters(K: Field, bound: int):
     the sieve gives: no delta is factored."""
     if K.m is not None:
         raise ValueError(f"squarefree_characters needs K = Q, not {K}")
+    _squarefree_guard(bound)
     for n, primes in squarefree_up_to(bound):
         support = tuple(_places_above_cached(K.key, p)[0] for p in primes)
         yield _char_of(K, K.elem(n), support)

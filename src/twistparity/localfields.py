@@ -23,9 +23,11 @@ That Gram matrix comes from one rule per kind of place, with no search:
 closed formula in epsilon and omega (III.1.2, Thm 1); and at the one place
 above 2 of degree 2, Hilbert reciprocity (III.2, Thm 3), the product of the
 symbols at the real places and at the odd places that divide the basis norms.
-The odd rule depends only on q mod 4, so an odd completion takes its matrix,
-the row of -1 and its unramified classes from one of two module constants
-(``_ODD_TABLES``) and builds nothing.
+Every completion builds its tables when it is built. The odd rule depends only
+on q mod 4, so an odd completion takes its matrix, the row of -1 and its
+unramified classes from one of two module constants (``_ODD_TABLES``). Only its
+representatives [1, u, pi, u pi] wait for ``square_class_reps()``: naming the
+non-residue u is a search, and a good place never needs it.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ class LocalField:
             self.e = self.f = 0
             self.q = None
             self.uniformizer = None
+            self._residue_field = None
         else:
             self.p = place.p
             if place.splitting == "inert":
@@ -151,19 +154,29 @@ class LocalField:
                 self.uniformizer = K.elem(self.p)
             else:
                 self.uniformizer = place.generator if place.generator is not None else K.elem(self.p)
-        self._residue_field: Optional[ResidueField] = None
-        self._square_classes: Optional[list] = None
+            self._residue_field = ResidueField(self.p, self.f,
+                                               *(K.omega_trace_norm() if self.f == 2 else ()))
+        # an odd place names its reps [1, u, pi, u pi] in square_class_reps(),
+        # since finding u is a search; only above 2 is there a unit-class table
+        # (unit residue mod 8 -> unit class)
+        self._square_classes = self._unit_classes = None
         # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
         self._class_index_cache: dict = {}
-        # places above 2: unit residue mod 8 -> unit class
-        self._unit_classes: Optional[dict] = None
-        self._hilbert_matrix: Optional[list] = None
-        self._minus_one_row: Optional[list] = None
-        self._unramified: Optional[frozenset] = None
         # split places: k -> w^-1 mod p^k, for the uniformizer pi = p w
         self._w_inverse: dict = {}
         if self.p is not None and self.p != 2:
             self._hilbert_matrix, self._minus_one_row, self._unramified = _ODD_TABLES[self.q % 4]
+            return
+        # real, complex and dyadic places
+        self._square_classes, self._unit_classes = _build_square_classes(self)
+        H = self._hilbert_matrix = _build_hilbert_matrix(self)
+        self._minus_one_row = H[square_class_index(K.elem(-1), self)]
+        if self.place_kind == "finite":  # (., reps[c])_v is trivial on the unit
+            half = len(H) // 2           # classes, the first half of the indices
+            self._unramified = frozenset(
+                c for c, row in enumerate(H) if all(s == 1 for s in row[:half]))
+        else:
+            self._unramified = frozenset({0})
 
     # -- identification -------------------------------------------------------
     def key(self):
@@ -175,13 +188,7 @@ class LocalField:
 
     @property
     def num_quadratic_characters(self) -> int:
-        if self.place_kind == "real":
-            return 2
-        if self.place_kind == "complex":
-            return 1
-        if self.p != 2:
-            return 4
-        return 2 ** (self.degree_over_qp + 2)
+        return len(self._hilbert_matrix)
 
     def __str__(self):
         if self.place_kind != "finite":
@@ -192,13 +199,6 @@ class LocalField:
 
     # -- residue machinery ----------------------------------------------------
     def residue_field(self) -> ResidueField:
-        if self._residue_field is None:
-            K = self.field
-            if self.f == 2:
-                t, n = K.omega_trace_norm()
-                self._residue_field = ResidueField(self.p, 2, t, n)
-            else:
-                self._residue_field = ResidueField(self.p, 1)
         return self._residue_field
 
     def lift(self, el) -> NFElem:
@@ -221,34 +221,21 @@ class LocalField:
 
     # -- square classes / characters -------------------------------------------
     def square_class_reps(self) -> list[NFElem]:
-        if self._square_classes is None:
-            self._square_classes = _build_square_classes(self)
+        if self._square_classes is None:  # odd place: reps [1, u, pi, u pi]
+            u = self.lift(self._residue_field.nonsquare())
+            self._square_classes = [self.field.one(), u, self.uniformizer, u * self.uniformizer]
         return self._square_classes
 
     def minus_one_row(self) -> list[int]:
         """Class index c -> chi_c(-1) = (-1, reps[c])_v, kept with the matrix."""
-        if self._minus_one_row is None:
-            self.hilbert_matrix()
         return self._minus_one_row
 
     def unramified_classes(self) -> frozenset:
         """The class indices c with K_v(sqrt reps[c]) / K_v unramified, kept with the matrix."""
-        if self._unramified is None:
-            self.hilbert_matrix()
         return self._unramified
 
     def hilbert_matrix(self) -> list[list[int]]:
         """(reps[i], reps[j])_v over the class indices."""
-        if self._hilbert_matrix is None:
-            H = _build_hilbert_matrix(self)
-            self._minus_one_row = H[square_class_index(self.field.elem(-1), self)]
-            if self.place_kind == "finite":  # (., reps[c])_v is trivial on the unit
-                half = len(H) // 2           # classes, the first half of the indices
-                self._unramified = frozenset(
-                    c for c, row in enumerate(H) if all(s == 1 for s in row[:half]))
-            else:
-                self._unramified = frozenset({0})
-            self._hilbert_matrix = H
         return self._hilbert_matrix
 
     def characters(self) -> list["LocalCharacter"]:
@@ -487,17 +474,14 @@ def hilbert_symbol(x: NFElem, y: NFElem, v: LocalField) -> int:
 # Square classes and character groups
 
 
-def _build_square_classes(v: LocalField) -> list[NFElem]:
-    """Class representatives, units first; above 2 this also fills v._unit_classes."""
+def _build_square_classes(v: LocalField) -> tuple[list[NFElem], Optional[dict]]:
+    """(class representatives, units first; above 2 the table unit residue
+    mod 8 -> unit class, else None) at a real, complex or dyadic place."""
     K = v.field
     if v.place_kind == "complex":
-        return [K.one()]
+        return [K.one()], None
     if v.place_kind == "real":
-        return [K.one(), K.elem(-1)]
-    pi = v.uniformizer
-    if v.p != 2:
-        u = v.lift(v.residue_field().nonsquare())
-        return [K.one(), u, pi, u * pi]
+        return [K.one(), K.elem(-1)], None
     # Above 2 a unit is a square iff it is one mod 4 pi (O'Meara 63:1), and
     # 8 O_v lies in 4 pi O_v. So small candidate units c0 + c1 omega are walked
     # in a fixed order. One whose residue mod 8 lies outside the classes met so
@@ -510,7 +494,7 @@ def _build_square_classes(v: LocalField) -> list[NFElem]:
     else:
         cands = [(1, 0)] + [(c0, c1) for r in range(1, 7) for c0 in range(-r, r + 1)
                             for c1 in range(-r, r + 1) if max(abs(c0), abs(c1)) == r]
-    target = v.num_quadratic_characters // 2
+    target = 2 ** (v.degree_over_qp + 1)
     units: dict = {}  # unit class -> its first candidate
     size = 1
     for c in cands:
@@ -527,10 +511,9 @@ def _build_square_classes(v: LocalField) -> list[NFElem]:
     if len(units) != target or size != target:
         raise InternalInvariantError(
             f"unit classes at {v}: {len(units)} met, {size} numbered, {target} expected")
-    v._unit_classes = table
     om = K.omega()
     unit_reps = [K.elem(c0) + K.elem(c1) * om for _, (c0, c1) in sorted(units.items())]
-    return unit_reps + [r * pi for r in unit_reps]
+    return unit_reps + [r * v.uniformizer for r in unit_reps], table
 
 
 def square_class_index(x: NFElem, v: LocalField) -> int:
@@ -545,9 +528,9 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
         idx = 1 if v.place_kind == "real" and x.sign_at_real(v.place.index) < 0 else 0
     elif v.p != 2:
         n, r = _unit_residue(x, v)
-        idx = (0 if v.residue_field().is_square(r) else 1) | (n & 1) << 1
+        idx = (0 if v._residue_field.is_square(r) else 1) | (n & 1) << 1
     else:
-        half = len(v.square_class_reps()) // 2
+        half = len(v._square_classes) // 2
         n, c = _unit_coords(x, v, 3)
         idx = v._unit_classes[c] | (n & 1) * half
     cache = v._class_index_cache

@@ -55,7 +55,7 @@ def test_factorint_seeded():
 def test_squarefree_sieve_matches_sympy():
     # every bound up to 2000 (one segment of 1024 numbers, then two), and
     # bounds at the end of a later segment: the squarefree n in order, with
-    # their primes
+    # their primes, and their count
     factored = [(n, sympy.factorint(n)) for n in range(1, 10 * 1024 + 3)]
     reference = [(n, sorted(f)) for n, f in factored if all(e == 1 for e in f.values())]
     ns = [n for n, _ in reference]
@@ -63,6 +63,7 @@ def test_squarefree_sieve_matches_sympy():
     for bound in bounds:
         want = reference[:bisect_right(ns, bound)]
         assert list(arith.squarefree_up_to(bound)) == want, bound
+        assert arith.squarefree_count(bound) == len(want), bound
 
 
 def test_factorint_rejects_nonpositive():

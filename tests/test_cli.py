@@ -1,15 +1,12 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import twistparity
 from twistparity.cli import main
 from twistparity.errors import ZeroTwistParameter
 from twistparity.experiments import report_from_json
+
+from .conftest import run_cli_limited
 
 
 def run(capsys, *argv):
@@ -64,10 +61,7 @@ def test_python_m_runs_the_cli(capsys):
     argv = ["predict", "--field", "Q(sqrt -1)", "--curve", "[0,-1,1,0,0]"]
     rc, out, err = run(capsys, *argv)
     assert rc == 0 and "predicted even density: 1/4" in out
-    src = str(Path(twistparity.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "twistparity", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc, _ = run_cli_limited(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
 
 
@@ -283,6 +277,20 @@ def test_exit_code_of_every_package_error(capsys, monkeypatch, name):
     assert out == ""
     prefix = {2: "input error: ", 3: "unsupported curve: ", 4: "internal error: "}[rc]
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,curve,x", [
+    ("Q(sqrt -1)", "[0,-1,1,0,0]", "10000000000000"),
+    ("Q", "[0,-1,1,-10,-20]", "100000000000000000000"),
+])
+def test_verify_refuses_a_huge_bound_before_it_allocates(field, curve, x):
+    # C(K, X) and the squarefree family check ENUMERATION_GUARD before they
+    # sieve to X, so under a 3 GB address-space cap these exit 2 at once
+    proc, cpu_s = run_cli_limited("verify", "--field", field, "--curve", curve, "--x", x)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: enumeration of size ")
+    assert "SystemError" not in proc.stderr and proc.stdout == ""
+    assert cpu_s < 1
 
 
 def test_unknown_flag_is_error(capsys):

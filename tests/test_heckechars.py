@@ -316,8 +316,21 @@ def test_family_characters_are_make_char_characters(Q):
 
 
 def test_enumeration_guard(Q):
-    with pytest.raises(ExplosionGuard):
-        enumerate_characters(Q, 10 ** 4)
+    # C(Q, X) has 2 * 2^pi(X) characters: exact when the places reach X, and
+    # past the guard the count of the first list past it, here to norm 128
+    for X, size in ((100, 2 << 25), (10 ** 4, 2 << 31)):
+        with pytest.raises(ExplosionGuard) as err:
+            enumerate_characters(Q, X)
+        assert err.value.size == size
+    # the squarefree family has 2 Q(B) twists: exactly the guard 2^22 at
+    # B = 3449682 and one pair more at the next B; from B = 2^22 on, B is the
+    # lower bound it reports, before any sieve
+    for family in (squarefree_deltas, squarefree_characters):
+        next(family(Q, 3449682))
+        for B, size in ((3449683, (1 << 22) + 2), (1 << 22, 1 << 22), (10 ** 20, 10 ** 20)):
+            with pytest.raises(ExplosionGuard) as err:
+                next(family(Q, B))
+            assert err.value.size == size
 
 
 def test_generators_span_enumeration(Q, Qi):

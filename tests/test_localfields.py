@@ -601,23 +601,32 @@ def test_dyadic_hilbert_matrix_matches_brute_force(name):
                                   omega_coordinates(m, -x.a, -x.b)) == 1
 
 
-def test_dyadic_tables_are_built_on_first_use(Qi, K5):
-    # the unit-class table comes with the representatives, the Hilbert matrix
-    # and the row of -1 with the first symbol, and later calls read them
+def test_every_table_is_built_with_the_completion(Q, Qi, K5):
+    # the constructor sets the residue field, the Hilbert matrix, the row of -1
+    # and the unramified classes, and the accessors only read them; only an odd
+    # place's representatives [1, u, pi, u pi] wait for square_class_reps()
     from twistparity import localfields
 
-    for K in (Qi, K5):
-        v = localfields.LocalField(K, places_above(K, 2)[0])
-        assert v._unit_classes is None and v._hilbert_matrix is None and v._minus_one_row is None
+    cases = {"real": (K5, archimedean_places(K5)[0]), "complex": (Qi, archimedean_places(Qi)[0]),
+             "odd split": (K5, place(K5, 11)), "odd inert": (Qi, place(Qi, 3)),
+             "odd ramified": (K5, place(K5, 5)), "Q_2": (Q, place(Q, 2)),
+             "e = 2": (Qi, place(Qi, 2)), "f = 2": (K5, place(K5, 2))}
+    for name, (K, w) in cases.items():
+        v = localfields.LocalField(K, w)
+        assert (v.e, v.f) == {"odd split": (1, 1), "odd inert": (1, 2), "odd ramified": (2, 1),
+                              "Q_2": (1, 1), "e = 2": (2, 1), "f = 2": (1, 2)}.get(name, (0, 0))
+        tables = {"residue_field": v._residue_field, "hilbert_matrix": v._hilbert_matrix,
+                  "minus_one_row": v._minus_one_row, "unramified_classes": v._unramified}
+        for accessor, table in tables.items():
+            assert (table is None) == (accessor == "residue_field" and v.p is None), (name, accessor)
+            assert getattr(v, accessor)() is table and getattr(v, accessor)() is table
+        assert (v._unit_classes is None) == (v.p != 2), name
+        assert (v._square_classes is None) == (v.p is not None and v.p != 2), name
+        H = v.hilbert_matrix()
+        assert v.num_quadratic_characters == len(H), name
         reps = v.square_class_reps()
-        assert v._unit_classes is not None and v._hilbert_matrix is None
-        for x in reps:
-            for y in reps:
-                hilbert_symbol(x, y, v)
-            is_unramified_class(x, v)
-        H, row = v._hilbert_matrix, v._minus_one_row
-        assert v.hilbert_matrix() is H and v.minus_one_row() is row
-        assert row == H[square_class_index(K.elem(-1), v)]
+        assert v.square_class_reps() is reps and v._square_classes is reps and len(reps) == len(H)
+        assert list(v.minus_one_row()) == list(H[square_class_index(K.elem(-1), v)]), name
 
 
 # The dyadic representatives and their order are pinned: units first, then
