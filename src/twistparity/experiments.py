@@ -16,7 +16,8 @@ Poisson summation |H|/|G| times prod_v f^_v (Walsh-Hadamard) over H^perp,
 whichever is smaller. Buckets below 4 enumerate C(K, b), which their
 generators need not span. The report's ``method`` is "exhaustive" when
 |C(K, X)| <= EXHAUSTIVE_CAP and "fibers" otherwise: a size label kept from the
-two paths this one replaced.
+two paths this one replaced. The oracle cross-check reads a family's table
+side by XOR too (``parity.GeneratorTable``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .heckechars import (
     ENUMERATION_GUARD,
     QuadChar,
     enumerate_characters,
+    enumerate_with_units,
     make_char,
     squarefree_characters,
     squarefree_deltas,
@@ -60,6 +62,7 @@ from .numberfield import (
     places_of_norm,
 )
 from .parity import (
+    GeneratorTable,
     kappa,
     parity_change,
     place_partition,
@@ -68,6 +71,8 @@ from .parity import (
 )
 
 EXHAUSTIVE_CAP = 4096
+# scan_density refuses X before it sieves if 2 X (>= its generator count) passes this
+SCAN_GENERATOR_GUARD = 1 << 28
 
 
 # ----------------------------------------------------------------------------
@@ -252,16 +257,15 @@ def scan_density(E: EllipticCurve, X: int,
         tables.append((dim, f, _walsh_hadamard(f)))
         dim += len(f).bit_length() - 1
 
-    def profile(classes) -> int:
-        return sum(c << off for c, (off, _, _) in zip(classes, tables))
-
     def localize(x: NFElem) -> int:
-        return profile(square_class_index(x, lv) for lv in local)
+        return sum(square_class_index(x, lv) << off for lv, (off, _, _) in zip(local, tables))
 
     # For b >= 4 the generators of C(K, b) are the unit classes (norm <= 4) and
     # the prime generators of the places of residue norm <= b (norm that residue
     # norm, or a dyadic norm <= 4), so |C(K, b)| is a count of places.
     units = K.unit_square_classes[1:3]
+    if 2 * X > SCAN_GENERATOR_GUARD:
+        raise ExplosionGuard(2 * X, SCAN_GENERATOR_GUARD)
     norms = place_norms_up_to(K, X)
     image, perp = [], [1 << i for i in range(dim)]
     _cut(image, perp, map(localize, units))
@@ -367,14 +371,14 @@ def oracle_crosscheck(E: EllipticCurve,
                       X: Optional[int] = None,
                       deltas: Optional[Iterable[NFElem]] = None,
                       delta_bound: Optional[int] = None) -> OracleReport:
-    """Compare parity_change * w(E) against w(E^delta) recomputed from scratch.
+    """Compare the table side n(chi) * w(E) with w(E^delta) recomputed from scratch.
 
     The family is exactly one of: C(K, X), rational squarefree |delta| <=
-    delta_bound, or an explicit delta iterable. A family carries its
-    characters: C(K, X) as ``enumerate_characters`` builds them, and the
-    squarefree family over Q from its sieve (``squarefree_characters``); explicit
-    deltas and the squarefree family over K != Q go through ``make_char``.
-    Mismatches come in the family's order, labelled by delta.
+    delta_bound, or an explicit delta iterable. C(K, X) and the squarefree
+    family over Q carry their characters and generators, and ``GeneratorTable``
+    reads their table side by XOR; explicit deltas and the squarefree family
+    over K != Q go through ``make_char`` and ``parity_change``. The oracle reads
+    every class of delta. Mismatches come in the family's order, by delta.
     """
     K = E.field
     given = [name for name, arg in (("X", X), ("delta_bound", delta_bound), ("deltas", deltas))
@@ -385,26 +389,22 @@ def oracle_crosscheck(E: EllipticCurve,
         raise ValueError(f"need one of X, delta_bound, or deltas, not {' and '.join(given)}")
 
     if X is not None:
-        twists = ((chi.delta, chi) for chi in enumerate_characters(K, X))
-    elif deltas is None and K.m is None:
-        twists = ((chi.delta, chi) for chi in squarefree_characters(K, delta_bound))
-    else:
-        twists = ((d, make_char(K, d))
-                  for d in (squarefree_deltas(K, delta_bound) if deltas is None else deltas))
-    tested, unsupported, mismatches = _check_twists(E, twists)
-    return OracleReport(str(E), str(K), tested, mismatches, unsupported)
-
-
-def _check_twists(E: EllipticCurve, twists) -> tuple[int, int, list]:
-    """The oracle loop over ``twists``, pairs (delta, the character of delta):
-    (tested, unsupported, mismatches), each mismatch labelled by str(delta)."""
+        twists = ((chi.delta, chi, (u, chi.support)) for u, chi in enumerate_with_units(K, X))
+        table = GeneratorTable(E, X)
+    elif deltas is None and K.m is None:  # the unit classes of Q are (1, -1)
+        twists = ((chi.delta, chi, (chi.delta.A < 0, chi.support))
+                  for chi in squarefree_characters(K, delta_bound))
+        table = GeneratorTable(E, math.isqrt(max(delta_bound, 0)))
+    else:  # no generators: the table side is parity_change
+        twists, table = ((d, make_char(K, d), None) for d in (
+            squarefree_deltas(K, delta_bound) if deltas is None else deltas)), None
     wE = root_number(E)
     oracle = TwistRootNumberOracle(E)
     tested = unsupported = 0
     mismatches = []
-    for delta, chi in twists:
+    for delta, chi, gens in twists:
         try:
-            a = parity_change(E, chi) * wE
+            a = (parity_change(E, chi) if gens is None else table.sign(*gens)) * wE
             b = oracle.root_number_of_twist(chi)
         except UnsupportedRepresentation:
             unsupported += 1
@@ -412,7 +412,7 @@ def _check_twists(E: EllipticCurve, twists) -> tuple[int, int, list]:
         tested += 1
         if a != b:
             mismatches.append(MismatchRecord(str(delta), a, b))
-    return tested, unsupported, mismatches
+    return OracleReport(str(E), str(K), tested, mismatches, unsupported)
 
 
 # ----------------------------------------------------------------------------

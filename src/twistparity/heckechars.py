@@ -153,6 +153,11 @@ def enumerate_characters(K: Field, X: int) -> list[QuadChar]:
     for a unit class u: that product is already canonical, with support S, so
     only the places above 2 and the real places are examined. The order is by
     (index of u, sorted residue norms of S, generators of S as text)."""
+    return [chi for _, chi in enumerate_with_units(K, X)]
+
+
+def enumerate_with_units(K: Field, X: int) -> list[tuple[int, QuadChar]]:
+    """``enumerate_characters``, each with the index of its unit class u."""
     if X < 1:
         raise ValueError("X must be >= 1")
     units = K.unit_square_classes
@@ -182,7 +187,7 @@ def enumerate_characters(K: Field, X: int) -> list[QuadChar]:
                        tuple(gen_text[v.key()] for v in support))
                 keyed.append((key, chi))
     keyed.sort(key=lambda kc: kc[0])
-    return [chi for _, chi in keyed]
+    return [(key[0], chi) for key, chi in keyed]
 
 
 # ----------------------------------------------------------------------------
@@ -254,11 +259,15 @@ def squarefree_characters(K: Field, bound: int):
 
     Over Q the units mod squares are +-1 and each prime's generator is p, so
     +-n squarefree is canonical, with support the places above n's primes, which
-    the sieve gives: no delta is factored."""
+    the sieve gives: no delta is factored, and no class is read. Q(sqrt d)
+    ramifies at 2 iff d != 1 mod 4, and at the real place iff d < 0."""
     if K.m is not None:
         raise ValueError(f"squarefree_characters needs K = Q, not {K}")
     _squarefree_guard(bound)
+    (real,), (two,) = archimedean_places(K), _places_above_cached(K.key, 2)
     for n, primes in squarefree_up_to(bound):
         support = tuple(_places_above_cached(K.key, p)[0] for p in primes)
-        yield _char_of(K, K.elem(n), support)
-        yield _char_of(K, K.elem(-n), support)
+        for d in (n, -n):
+            at_2 = d % 4 != 1 and n % 2 == 1  # off the support
+            yield QuadChar(K, K.elem(d), support, (real,) * (d < 0) + (two,) * at_2 + support,
+                           max(primes[-1] if primes else 1, 2 * at_2))

@@ -12,16 +12,16 @@ the class of ``good_twist`` or ``split_twist``. The ``LocalCharacter`` they
 take is only the argument type: no character is multiplied or evaluated.
 Each (curve, place) has one finite table: ``sign_table(E, v)[c]`` is n_v of
 the character of class c, in the class-index order of
-``completion(K, v).characters()``. Every consumer reads the table by
-``square_class_index``: ``parity_change`` at the bad places, and, through
-``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
-the real ones), ``kappa_v_average`` and the exact scan of ``experiments``,
-which takes the row as a function on F_2^d as it is.
-At a good place where chi ramifies ``parity_change`` builds no table: n_v is
-row 2, chi_v(-1). That sign, and every chi_v(-1) here, is read from
-``LocalField.minus_one_row()``, the row of the class of -1 in the completion's
-Hilbert matrix, kept with the matrix; it depends only on the field. The tables
-sit in one LRU memo of MEMO_BOUND entries.
+``completion(K, v).characters()``. Every consumer reads it by class index:
+``parity_change`` at the bad places by ``square_class_index`` of delta;
+``GeneratorTable``, for a family that names each twist's generators, at the
+XOR of their class vectors; ``kappa_v_average`` and the exact scan of
+``experiments`` through ``reduced_sign_table`` (chi_v(-1) * n_v at the special
+places, chi_v(-1) at the real ones), as a function on F_2^d. At a good place
+where chi ramifies no table is built: n_v is row 2, chi_v(-1). That sign, and
+every chi_v(-1) here, is read from ``LocalField.minus_one_row()``, the row of
+the class of -1 in the completion's Hilbert matrix; it depends only on the
+field. The tables sit in one LRU memo of MEMO_BOUND entries.
 
 The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
 can flip a single row and watch the twisted-parity oracle break (all hooks are
@@ -35,7 +35,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import Optional
 
 from .arith import is_prime, kronecker
@@ -64,7 +65,7 @@ from .localfields import (
     completion,
     square_class_index,
 )
-from .numberfield import Place, archimedean_places
+from .numberfield import NFElem, Place, _places_above_cached, archimedean_places
 
 # Mutation hooks: one multiplicative sign per implemented nontrivial table row.
 TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
@@ -189,6 +190,55 @@ def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
             lv = completion(K, v)
             sign *= TABLE_SIGN_HOOKS[2] * lv.minus_one_row()[square_class_index(chi.delta, lv)]
     return sign
+
+
+class GeneratorTable:
+    """``parity_change`` of delta = u * prod of the prime generators of its
+    support (u a unit class) with no class read of delta: its classes at the bad
+    places and above 2, in bit fields as in ``scan_density``, are the XOR of its
+    generators' vectors, and a good odd place v of the support adds row 2, hook
+    2 * (-1, pi_v)_v = (-1)^((q_v-1)/2). The hooks are read when it is built."""
+
+    def __init__(self, E: EllipticCurve, memo_norm: int):
+        K = E.field
+        self.E, self.h2, self.memo_norm = E, TABLE_SIGN_HOOKS[2], memo_norm
+        self.memo, self.big = {}, None
+        self.bad = bad_places(E)
+        self.places = self.bad + [v for v in _places_above_cached(K.key, 2) if v not in self.bad]
+        self.local = [completion(K, v) for v in self.places]
+        self.offsets = list(accumulate((lv.num_quadratic_characters.bit_length() - 1
+                                        for lv in self.local), initial=0))
+        self.units = [self.vector(u) for u in K.unit_square_classes]
+
+    def vector(self, x: NFElem) -> int:
+        return sum(square_class_index(x, lv) << off for lv, off in zip(self.local, self.offsets))
+
+    @cached_property  # at the first sign: an unsupported place raises there, as in parity_change
+    def rows(self) -> list:
+        """(bit offset, mask, n_v by class) per place."""
+        rows = [sign_table(self.E, v) for v in self.bad] + [
+            tuple(1 if c in lv.unramified_classes() else self.h2 * s
+                  for c, s in enumerate(lv.minus_one_row())) for lv in self.local[len(self.bad):]]
+        return [(off, len(row) - 1, row) for off, row in zip(self.offsets, rows)]
+
+    def generator(self, v: Place) -> tuple[int, int]:
+        """(vector, row-2 sign) of v's generator; above ``memo_norm`` only the last is kept."""
+        if v.residue_norm > self.memo_norm:
+            self.memo.pop(self.big, None)
+            self.big = v
+        s = 1 if v in self.places else self.h2 * (-1 if v.residue_norm % 4 == 3 else 1)
+        self.memo[v] = hit = (self.vector(v.generator), s)
+        return hit
+
+    def sign(self, unit: int, support) -> int:
+        """n(chi) for delta = K.unit_square_classes[unit] * prod of the generators of support."""
+        vec, sign = self.units[unit], 1
+        for v in support:
+            g, s = self.memo.get(v) or self.generator(v)
+            vec, sign = vec ^ g, sign * s
+        for off, mask, row in self.rows:
+            sign *= row[vec >> off & mask]
+        return sign
 
 
 # ----------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from twistparity.cli import main
 from twistparity.errors import ZeroTwistParameter
-from twistparity.experiments import report_from_json
+from twistparity.experiments import SCAN_GENERATOR_GUARD, report_from_json
 
 from .conftest import run_cli_limited
 
@@ -290,6 +290,19 @@ def test_verify_refuses_a_huge_bound_before_it_allocates(field, curve, x):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("input error: enumeration of size ")
     assert "SystemError" not in proc.stderr and proc.stdout == ""
+    assert cpu_s < 1
+
+
+@pytest.mark.parametrize("field,curve", [("Q", "[0,-1,1,-10,-20]"), ("Q(sqrt -1)", "[0,-1,1,0,0]")])
+def test_scan_refuses_a_huge_x_before_it_sieves(field, curve):
+    # 2 X bounds the generator count; past SCAN_GENERATOR_GUARD the scan exits 2
+    # before place_norms_up_to sieves to X, where 10^8 still passes
+    assert 2 * 10 ** 8 <= SCAN_GENERATOR_GUARD < 2 * 10 ** 13
+    proc, cpu_s = run_cli_limited("scan", "--field", field, "--curve", curve,
+                                  "--x", "10000000000000")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("input error: enumeration of size ")
+    assert proc.stdout == ""
     assert cpu_s < 1
 
 

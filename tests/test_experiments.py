@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from twistparity.curves import SPLIT_MULT, curve, quadratic_twist, reduction_type
+from twistparity.arith import primes_up_to
+from twistparity.curves import SPLIT_MULT, curve, quadratic_twist, reduction_type, root_number
 from twistparity.errors import ExplosionGuard
 from twistparity.experiments import (
     BucketRow,
@@ -24,8 +25,9 @@ from twistparity.experiments import (
     report_to_json,
     scan_density,
 )
-from twistparity.heckechars import enumerate_characters, make_char
-from twistparity.parity import TABLE_SIGN_HOOKS
+from twistparity.heckechars import enumerate_characters, make_char, squarefree_characters
+from twistparity.numberfield import quadratic_field, rational_field
+from twistparity.parity import TABLE_SIGN_HOOKS, GeneratorTable, parity_change
 
 from .conftest import place
 from .oracles import character_group_generators
@@ -433,6 +435,105 @@ def test_mutation_detected(Q, e11a1, monkeypatch):
     monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
     rep = oracle_crosscheck(e11a1, delta_bound=20)
     assert len(rep.mismatches) > 0
+
+
+# ----------------------------------------------------------------------------
+# the table side of a family, read by XOR of its generators' class vectors
+
+
+def _xor_families():
+    """(over Q?, curve, X, delta_bound): the squarefree family over Q of 11a1,
+    of its twists by 11 (potentially multiplicative at 11) and by 3, and of
+    [1,0,0,-1,1] (split multiplicative at 2) and its twist by -1 (potentially
+    multiplicative at 2); and C(K, 20) over Q(i), Q(sqrt 5), Q(sqrt -7) and
+    Q(sqrt 13) of [0,-1,1,0,0] and [1,0,0,-1,1] twisted by 3. Together they
+    reach every row of the table over Q and over the quadratic fields."""
+    Q = rational_field()
+    out = []
+    for coeffs, t in (([0, -1, 1, -10, -20], None), ([0, -1, 1, -10, -20], 11),
+                      ([0, -1, 1, -10, -20], 3), ([1, 0, 0, -1, 1], None), ([1, 0, 0, -1, 1], -1)):
+        E = curve(Q, coeffs)
+        out.append((True, E if t is None else quadratic_twist(E, Q.elem(t)), None, 150))
+    for m in (-1, 5, -7, 13):
+        K = quadratic_field(m)
+        for coeffs in ([0, -1, 1, 0, 0], [1, 0, 0, -1, 1]):
+            out.append((False, quadratic_twist(curve(K, coeffs), K.elem(3)), 20, None))
+    return out
+
+
+def _reference_signs(E, X, B):
+    """parity_change over the characters of the family, in its order."""
+    K = E.field
+    chars = enumerate_characters(K, X) if X is not None else squarefree_characters(K, B)
+    return [parity_change(E, chi) for chi in chars]
+
+
+@pytest.mark.parametrize("row", [None, 2, 4, 5, 6, 7, 8, 9])
+def test_xor_table_side_is_parity_change(row, monkeypatch):
+    # with the oracle side replaced by parity_change * w(E), a mismatch is a
+    # twist whose XOR table side is not parity_change; and a flipped row
+    # changes some sign over Q and over the quadratic fields, so it is read
+    families = _xor_families()
+    before = [_reference_signs(E, X, B) for _, E, X, B in families]
+    if row is not None:
+        monkeypatch.setitem(TABLE_SIGN_HOOKS, row, -1)
+    monkeypatch.setattr(TwistRootNumberOracle, "root_number_of_twist",
+                        lambda self, chi: parity_change(self.E, chi) * root_number(self.E))
+    reached = set()
+    for (over_q, E, X, B), signs in zip(families, before):
+        rep = oracle_crosscheck(E, X=X, delta_bound=B)
+        assert rep.clean and rep.tested == len(signs) and rep.unsupported == 0, (str(E), row)
+        if _reference_signs(E, X, B) != signs:
+            reached.add(over_q)
+    assert reached == (set() if row is None else {True, False})
+
+
+@pytest.mark.parametrize("row", [2, 6])
+def test_a_flipped_row_is_reported_by_both_families(row, Q, Qi, e11a1, monkeypatch):
+    # row 2 is read only at good places where chi ramifies, row 6 at 11
+    monkeypatch.setitem(TABLE_SIGN_HOOKS, row, -1)
+    assert oracle_crosscheck(e11a1, delta_bound=60).mismatches
+    assert oracle_crosscheck(curve(Qi, [0, -1, 1, 0, 0]), X=20).mismatches
+
+
+def test_families_verify_without_parity_change(Q, Qi, e11a1, e_mult2, monkeypatch):
+    from twistparity import experiments, parity
+
+    def refused(E, chi):
+        raise AssertionError("parity_change called")
+
+    monkeypatch.setattr(parity, "parity_change", refused)
+    monkeypatch.setattr(experiments, "parity_change", refused)
+    for E in (e11a1, e_mult2):
+        rep = oracle_crosscheck(E, delta_bound=200)
+        assert rep.clean and rep.tested == 244
+    assert oracle_crosscheck(curve(Qi, [0, -1, 1, 0, 0]), X=20).clean
+    with pytest.raises(AssertionError, match="parity_change called"):
+        oracle_crosscheck(e11a1, deltas=[Q.elem(3)])
+
+
+def test_generator_memo_keeps_only_the_primes_up_to_the_root(e11a1, monkeypatch):
+    # the vectors of the primes up to sqrt(B) are kept, and of the primes above
+    # it only the last one read
+    from twistparity import experiments
+
+    tables = []
+
+    class Recorded(GeneratorTable):
+        def __init__(self, E, memo_norm):
+            super().__init__(E, memo_norm)
+            tables.append(self)
+
+        def sign(self, unit, support):  # read, then agree with the stubbed oracle
+            return 0 * super().sign(unit, support)
+
+    monkeypatch.setattr(experiments, "GeneratorTable", Recorded)
+    monkeypatch.setattr(TwistRootNumberOracle, "root_number_of_twist", lambda self, chi: 0)
+    B = 10 ** 5
+    rep = oracle_crosscheck(e11a1, delta_bound=B)
+    assert rep.clean and rep.tested == 121588
+    (table,) = tables
+    assert len(table.memo) <= len(primes_up_to(math.isqrt(B))) + 2
 
 
 # ----------------------------------------------------------------------------
