@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from itertools import compress
-from typing import Optional
 
 from .errors import FactorizationBudgetExceeded, ZeroElement
 
@@ -177,7 +176,7 @@ def squarefree_count(n: int) -> int:
     return sum(mu[d] * (n // (d * d)) for d in range(1, root + 1))
 
 
-def _pollard_brent(n: int, budget: int) -> tuple[Optional[int], int]:
+def _pollard_brent(n: int, budget: int) -> tuple[int | None, int]:
     """(a proper factor of the odd composite n, budget left), or (None, 0) when
     Brent's rho (Brent, BIT 20 (1980)) used up ``budget`` iterations first."""
     c = 0
@@ -253,7 +252,7 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def sqrt_mod(a: int, p: int) -> Optional[int]:
+def sqrt_mod(a: int, p: int) -> int | None:
     """The smaller square root min(r, p - r) of a mod the prime p, or None when
     a is not a square mod p (Tonelli-Shanks)."""
     a %= p

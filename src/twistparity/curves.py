@@ -42,9 +42,7 @@ over F_q have closed forms through the p-th root x -> x^(q/p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from typing import Optional
 
 from .arith import factorint
 from .errors import (
@@ -62,7 +60,8 @@ from .localfields import (
     square_class_index,
     valuation,
 )
-from .numberfield import Field, NFElem, Place, archimedean_places, parse_element, places_above
+from .numberfield import (Field, NFElem, Place, _Record, archimedean_places, parse_element,
+                          places_above)
 
 INF = math.inf
 
@@ -237,16 +236,17 @@ def quadratic_twist(E: EllipticCurve, delta: NFElem) -> EllipticCurve:
 # Reduction classification
 
 
-@dataclass
-class ReductionData:
-    place: Place
-    red_type: str
-    v_disc: int
-    v_c4: object  # int or math.inf
-    split_sign: Optional[int]  # +1 split / -1 nonsplit, multiplicative only
-    # Tate's model at residue characteristic 2 and 3 (``minimal_model_at`` builds
-    # the one at p >= 5); None at p >= 5 and for a class twist read from its pair
-    minimal_model: Optional[EllipticCurve]
+class ReductionData(_Record):
+    __slots__ = _fields = ("place", "red_type", "v_disc", "v_c4", "split_sign", "minimal_model")
+
+    # v_c4 is an int or math.inf; split_sign is +1 split / -1 nonsplit,
+    # multiplicative only. minimal_model is Tate's model at residue
+    # characteristic 2 and 3 (``minimal_model_at`` builds the one at p >= 5);
+    # None at p >= 5 and for a class twist read from its pair
+    def __init__(self, place: Place, red_type: str, v_disc: int, v_c4: object,
+                 split_sign: int | None, minimal_model: EllipticCurve | None):
+        self.place, self.red_type, self.v_disc, self.v_c4 = place, red_type, v_disc, v_c4
+        self.split_sign, self.minimal_model = split_sign, minimal_model
 
     def is_good(self):
         return self.red_type == GOOD
@@ -529,16 +529,20 @@ def minimal_model_at(E: EllipticCurve, v: Place) -> EllipticCurve:
 # Local representation types and root numbers
 
 
-@dataclass
-class LocalRepType:
-    kind: str
-    place: Place
-    split_sign: Optional[int] = None  # special unramified
-    # special ramified quadratic: the two multiplicative-making ramified classes
-    split_twist: Optional[NFElem] = None      # eta with E^eta split multiplicative
-    nonsplit_twist: Optional[NFElem] = None
-    good_twist: Optional[NFElem] = None       # principal ramified: eta with E^eta good
-    detail: str = ""
+class LocalRepType(_Record):
+    __slots__ = _fields = ("kind", "place", "split_sign", "split_twist", "nonsplit_twist",
+                           "good_twist", "detail")
+
+    # split_sign: special unramified. split_twist and nonsplit_twist: special
+    # ramified quadratic, the two multiplicative-making ramified classes, eta
+    # with E^eta split (nonsplit) multiplicative. good_twist: principal
+    # ramified, eta with E^eta good
+    def __init__(self, kind: str, place: Place, split_sign: int | None = None,
+                 split_twist: NFElem | None = None, nonsplit_twist: NFElem | None = None,
+                 good_twist: NFElem | None = None, detail: str = ""):
+        self.kind, self.place, self.split_sign = kind, place, split_sign
+        self.split_twist, self.nonsplit_twist = split_twist, nonsplit_twist
+        self.good_twist, self.detail = good_twist, detail
 
 
 def local_rep_type(E: EllipticCurve, v: Place) -> LocalRepType:

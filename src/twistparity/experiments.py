@@ -22,14 +22,12 @@ side by XOR too (``parity.GeneratorTable``).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from bisect import bisect_right
+from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .curves import (
     EllipticCurve,
@@ -56,6 +54,7 @@ from .localfields import completion, square_class_index
 from .numberfield import (
     Field,
     NFElem,
+    _Record,
     archimedean_places,
     place_norms_up_to,
     places_above,
@@ -79,30 +78,28 @@ SCAN_GENERATOR_GUARD = 1 << 28
 # Reports
 
 
-@dataclass(eq=True)
-class BucketRow:
-    x_bucket: int
-    total: int
-    even: int
-    fraction: Fraction
-    predicted: Fraction
+class BucketRow(_Record):
+    __slots__ = _fields = ("x_bucket", "total", "even", "fraction", "predicted")
+
+    def __init__(self, x_bucket: int, total: int, even: int, fraction: Fraction,
+                 predicted: Fraction):
+        self.x_bucket, self.total, self.even = x_bucket, total, even
+        self.fraction, self.predicted = fraction, predicted
 
 
-@dataclass(eq=True)
-class DensityReport:
-    curve: str
-    field: str
-    X: int
-    parity: str
-    kappa: Fraction
-    predicted: Fraction
-    total: int
-    even: int
-    fraction: Fraction
-    buckets: tuple
-    method: str
-    # always None: kept, like ``method``, so the JSON reports stay byte-identical
-    oracle_mismatches: Optional[int] = None
+class DensityReport(_Record):
+    __slots__ = _fields = ("curve", "field", "X", "parity", "kappa", "predicted", "total", "even",
+                           "fraction", "buckets", "method", "oracle_mismatches")
+
+    # oracle_mismatches is always None: kept, like ``method``, so the JSON
+    # reports stay byte-identical
+    def __init__(self, curve: str, field: str, X: int, parity: str, kappa: Fraction,
+                 predicted: Fraction, total: int, even: int, fraction: Fraction, buckets: tuple,
+                 method: str, oracle_mismatches: int | None = None):
+        self.curve, self.field, self.X, self.parity = curve, field, X, parity
+        self.kappa, self.predicted, self.total, self.even = kappa, predicted, total, even
+        self.fraction, self.buckets, self.method = fraction, buckets, method
+        self.oracle_mismatches = oracle_mismatches
 
 
 def _frac_json(fr: Fraction):
@@ -129,6 +126,8 @@ def _any_int_digits():
 
 @_any_int_digits()
 def report_to_json(report: DensityReport) -> str:
+    import json
+
     doc = {
         "curve": report.curve,
         "field": report.field,
@@ -157,6 +156,8 @@ def report_to_json(report: DensityReport) -> str:
 
 @_any_int_digits()
 def report_from_json(text: str) -> DensityReport:
+    import json
+
     doc = json.loads(text)
     buckets = tuple(
         BucketRow(b["X_bucket"], b["total"], b["even"],
@@ -234,7 +235,7 @@ def _sign_sum(image: list, perp: list, tables: list) -> int:
 
 
 def scan_density(E: EllipticCurve, X: int,
-                 parity_override: Optional[str] = None,
+                 parity_override: str | None = None,
                  assume_principal_series: bool = False) -> DensityReport:
     """Exact even-rank fraction among twists ordered by Nchi, with convergence buckets.
 
@@ -347,20 +348,19 @@ class TwistRootNumberOracle:
         return w
 
 
-@dataclass
-class MismatchRecord:
-    delta: str
-    table_path: int
-    reduction_path: int
+class MismatchRecord(_Record):
+    __slots__ = _fields = ("delta", "table_path", "reduction_path")
+
+    def __init__(self, delta: str, table_path: int, reduction_path: int):
+        self.delta, self.table_path, self.reduction_path = delta, table_path, reduction_path
 
 
-@dataclass
-class OracleReport:
-    curve: str
-    field: str
-    tested: int
-    mismatches: list
-    unsupported: int
+class OracleReport(_Record):
+    __slots__ = _fields = ("curve", "field", "tested", "mismatches", "unsupported")
+
+    def __init__(self, curve: str, field: str, tested: int, mismatches: list, unsupported: int):
+        self.curve, self.field, self.tested = curve, field, tested
+        self.mismatches, self.unsupported = mismatches, unsupported
 
     @property
     def clean(self) -> bool:
@@ -368,9 +368,9 @@ class OracleReport:
 
 
 def oracle_crosscheck(E: EllipticCurve,
-                      X: Optional[int] = None,
-                      deltas: Optional[Iterable[NFElem]] = None,
-                      delta_bound: Optional[int] = None) -> OracleReport:
+                      X: int | None = None,
+                      deltas: Iterable[NFElem] | None = None,
+                      delta_bound: int | None = None) -> OracleReport:
     """Compare the table side n(chi) * w(E) with w(E^delta) recomputed from scratch.
 
     The family is exactly one of: C(K, X), rational squarefree |delta| <=

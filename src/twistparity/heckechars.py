@@ -14,7 +14,6 @@ from a sieve (``squarefree_characters``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +31,9 @@ from .numberfield import (
     Field,
     NFElem,
     Place,
+    _FrozenRecord,
     _places_above_cached,
+    _Record,
     archimedean_places,
     global_sqrt,
     places_of_norm_up_to,
@@ -41,13 +42,15 @@ from .numberfield import (
 ENUMERATION_GUARD = 1 << 22
 
 
-@dataclass(frozen=True, eq=False)
-class QuadChar:
-    field: Field
-    delta: NFElem                   # canonical squarefree representative
-    support: tuple                  # finite places with odd valuation of delta
-    ramified: tuple                 # ramified places (finite and real)
-    norm: int                       # Nchi
+class QuadChar(_FrozenRecord):
+    _fields = ("field", "delta", "support", "ramified", "norm")
+
+    def __init__(self, field: Field, delta: NFElem, support: tuple, ramified: tuple, norm: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "delta", delta)        # canonical squarefree representative
+        object.__setattr__(self, "support", support)    # finite places with odd valuation of delta
+        object.__setattr__(self, "ramified", ramified)  # ramified places (finite and real)
+        object.__setattr__(self, "norm", norm)          # Nchi
 
     def is_trivial(self) -> bool:
         return self.delta == self.field.one()
@@ -194,15 +197,14 @@ def enumerate_with_units(K: Field, X: int) -> list[tuple[int, QuadChar]]:
 # Surjectivity of localization onto a finite product of local character groups
 
 
-@dataclass
-class SurjectivityReport:
-    places: tuple
-    X: int
-    gamma_size: int
-    hit_count: int
-    coverage: Fraction
-    min_fiber: int
-    fibers: dict
+class SurjectivityReport(_Record):
+    __slots__ = _fields = ("places", "X", "gamma_size", "hit_count", "coverage", "min_fiber",
+                           "fibers")
+
+    def __init__(self, places: tuple, X: int, gamma_size: int, hit_count: int,
+                 coverage: Fraction, min_fiber: int, fibers: dict):
+        self.places, self.X, self.gamma_size, self.hit_count = places, X, gamma_size, hit_count
+        self.coverage, self.min_fiber, self.fibers = coverage, min_fiber, fibers
 
     @property
     def surjective(self) -> bool:

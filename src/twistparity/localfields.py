@@ -33,15 +33,13 @@ non-residue u is a search, and a good place never needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Optional
 
 from .arith import factorint, kronecker
 from .errors import InternalInvariantError, ZeroElement
-from .numberfield import (MEMO_BOUND, Field, NFElem, Place, _qp_expand, _vp_int,
-                          archimedean_places, places_above)
+from .numberfield import (MEMO_BOUND, Field, NFElem, Place, _FrozenRecord, _qp_expand,
+                          _vp_int, archimedean_places, places_above)
 
 
 # ----------------------------------------------------------------------------
@@ -242,16 +240,18 @@ class LocalField:
         return [LocalCharacter(self, d) for d in self.square_class_reps()]
 
 
-@dataclass(frozen=True, eq=False)
-class LocalCharacter:
+class LocalCharacter(_FrozenRecord):
     """Quadratic character x -> (x, delta)_v of K_v^x, named by a global delta.
 
     Two characters are equal when their completions have the same key (a
     completion the memo dropped and rebuilt is the same field) and delta has
     the same square class."""
 
-    local_field: LocalField
-    delta: NFElem
+    _fields = ("local_field", "delta")
+
+    def __init__(self, local_field: LocalField, delta: NFElem):
+        object.__setattr__(self, "local_field", local_field)
+        object.__setattr__(self, "delta", delta)
 
     def index(self) -> int:
         return square_class_index(self.delta, self.local_field)
@@ -474,7 +474,7 @@ def hilbert_symbol(x: NFElem, y: NFElem, v: LocalField) -> int:
 # Square classes and character groups
 
 
-def _build_square_classes(v: LocalField) -> tuple[list[NFElem], Optional[dict]]:
+def _build_square_classes(v: LocalField) -> tuple[list[NFElem], dict | None]:
     """(class representatives, units first; above 2 the table unit residue
     mod 8 -> unit class, else None) at a real, complex or dyadic place."""
     K = v.field

@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .arith import divisors, factorint, is_prime, kronecker, primes_up_to, sqrt_mod
 from .errors import (
@@ -48,7 +46,7 @@ def is_squarefree(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorint(abs(n)).values())
 
 
-def _exact_isqrt(n: int) -> Optional[int]:
+def _exact_isqrt(n: int) -> int | None:
     """The square root of the integer n when n is a square, else None."""
     if n < 0:
         return None
@@ -300,20 +298,71 @@ class NFElem:
 
 
 # ----------------------------------------------------------------------------
+# Records, written out by hand: a decorator that generates these methods
+# writes and compiles their source at every import
+
+
+class _Record:
+    """``==`` field by field and the ``Name(field=value, ...)`` repr, over the
+    attributes named in ``_fields``; unhashable."""
+
+    __slots__ = ()
+    _fields = ()
+    __hash__ = None
+
+    def _values(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record hashed by its fields, whose attributes cannot be assigned or
+    deleted; its ``__init__`` sets them with ``object.__setattr__``."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ----------------------------------------------------------------------------
 # Places
 
 
-@dataclass(frozen=True, eq=False)
-class Place:
+class Place(_FrozenRecord):
     """A place of K: a real embedding, the complex place, or a finite prime."""
 
-    kind: str  # "real" | "complex" | "finite"
-    # real places: embedding index; finite split places: conjugate index
-    index: int = 1
-    p: Optional[int] = None
-    splitting: Optional[str] = None  # None over Q, else split | inert | ramified
-    generator: Optional[NFElem] = None
-    residue_norm: Optional[int] = None
+    _fields = ("kind", "index", "p", "splitting", "generator", "residue_norm")
+
+    def __init__(self, kind: str, index: int = 1, p: int | None = None,
+                 splitting: str | None = None, generator: NFElem | None = None,
+                 residue_norm: int | None = None):
+        object.__setattr__(self, "kind", kind)  # "real" | "complex" | "finite"
+        # real places: embedding index; finite split places: conjugate index
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "p", p)
+        # None over Q, else split | inert | ramified
+        object.__setattr__(self, "splitting", splitting)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "residue_norm", residue_norm)
+        # the identity tuple and its hash, built once; key(), == and hash read
+        # them. The hash of a str differs between processes, so a pickled place
+        # is rebuilt by the constructor (__reduce__), which hashes again
+        key = ("finite", p, index) if kind == "finite" else (kind, index)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def is_finite(self) -> bool:
         return self.kind == "finite"
@@ -323,17 +372,8 @@ class Place:
             return (1, self.p, self.index)
         return (0, 0, self.index)
 
-    def __post_init__(self):
-        # the identity tuple and its hash, built once; key(), == and hash read
-        # them. The hash of a str differs between processes, so a pickled place
-        # is rebuilt by the constructor (__reduce__), which hashes again
-        key = ("finite", self.p, self.index) if self.kind == "finite" else (self.kind, self.index)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
     def __reduce__(self):
-        return Place, (self.kind, self.index, self.p, self.splitting, self.generator,
-                       self.residue_norm)
+        return Place, self._values()
 
     def key(self):
         return self._key
@@ -358,18 +398,20 @@ class Place:
 # Field
 
 
-@dataclass(frozen=True, eq=False)
-class Field:
+class Field(_FrozenRecord):
     """Q (kind='rational') or a class-number-1 quadratic field Q(sqrt m)."""
 
-    kind: str
-    m: Optional[int] = None
-    disc: int = 1
-    unit_square_classes: tuple = ()  # transversal of O_K^x / (O_K^x)^2, trivial first
-    fundamental_unit: Optional[NFElem] = None
+    _fields = ("kind", "m", "disc", "unit_square_classes", "fundamental_unit")
 
-    def __post_init__(self):
-        object.__setattr__(self, "key", (self.kind, self.m))  # the identity tuple, built once
+    def __init__(self, kind: str, m: int | None = None, disc: int = 1,
+                 unit_square_classes: tuple = (), fundamental_unit: NFElem | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "disc", disc)
+        # transversal of O_K^x / (O_K^x)^2, trivial first
+        object.__setattr__(self, "unit_square_classes", unit_square_classes)
+        object.__setattr__(self, "fundamental_unit", fundamental_unit)
+        object.__setattr__(self, "key", (kind, m))  # the identity tuple, built once
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.key == other.key
@@ -495,7 +537,7 @@ def real_quadratic_class_number(m: int) -> int:
 
 
 @lru_cache(maxsize=MEMO_BOUND)
-def _make_field(kind: str, m: Optional[int]) -> Field:
+def _make_field(kind: str, m: int | None) -> Field:
     # unit_square_classes is built as a group, (1, u) or (1, -1, eps, -eps), so
     # its entries 1 and 2 form an F_2-basis: the density scan reads them as the
     # unit generators of C(K, X)
@@ -726,7 +768,7 @@ def places_of_norm_up_to(K: Field, X: int) -> list[Place]:
     return [v for n in dict.fromkeys(place_norms_up_to(K, X)) for v in places_of_norm(K, n)]
 
 
-def global_sqrt(x: NFElem) -> Optional[NFElem]:
+def global_sqrt(x: NFElem) -> NFElem | None:
     """A square root of x in K, or None: the one with a > 0, or a = 0 and b > 0.
 
     x D^2 = P + Q sqrt(m) with P = A D, Q = B D, and a root of it is an

@@ -31,13 +31,10 @@ builds a fresh table instead of reading one built before the flip.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from typing import Optional
 
 from .arith import is_prime, kronecker
 from .curves import (
@@ -65,7 +62,8 @@ from .localfields import (
     completion,
     square_class_index,
 )
-from .numberfield import NFElem, Place, _places_above_cached, archimedean_places
+from .numberfield import (NFElem, Place, _FrozenRecord, _places_above_cached, _Record,
+                          archimedean_places)
 
 # Mutation hooks: one multiplicative sign per implemented nontrivial table row.
 TABLE_SIGN_HOOKS = {2: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 1, 9: 1}
@@ -143,12 +141,14 @@ def reduced_sign_table(E: EllipticCurve, v: Place) -> tuple:
     return tuple(m * s for m, s in zip(minus_one, sign_table(E, v)))
 
 
-@dataclass
-class PlacePartition:
-    real_places: tuple
-    sigma1: tuple          # (place, LocalRepType) multiplicative
-    sigma2: tuple          # (place, LocalRepType) potentially multiplicative
-    other_bad: tuple       # principal places (kappa_v = 1)
+class PlacePartition(_Record):
+    __slots__ = _fields = ("real_places", "sigma1", "sigma2", "other_bad")
+
+    # sigma1 and sigma2 hold (place, LocalRepType) of the multiplicative and the
+    # potentially multiplicative places; other_bad the principal ones (kappa_v = 1)
+    def __init__(self, real_places: tuple, sigma1: tuple, sigma2: tuple, other_bad: tuple):
+        self.real_places, self.sigma1, self.sigma2 = real_places, sigma1, sigma2
+        self.other_bad = other_bad
 
     def reduced_places(self) -> tuple:
         """The places of the reduced product: real, then sigma1, then sigma2."""
@@ -305,14 +305,15 @@ def kappa_v_average(E: EllipticCurve, v: Place) -> Fraction:
     return Fraction(sum(vals), len(vals))
 
 
-@dataclass
-class KappaReport:
-    curve: str
-    field: str
-    factors: tuple              # ((place str, scenario kind, Fraction), ...)
-    kappa: Fraction
-    parity: Optional[str] = None
-    predicted_even_density: Optional[Fraction] = None
+class KappaReport(_Record):
+    __slots__ = _fields = ("curve", "field", "factors", "kappa", "parity",
+                           "predicted_even_density")
+
+    # factors: ((place str, scenario kind, Fraction), ...)
+    def __init__(self, curve: str, field: str, factors: tuple, kappa: Fraction,
+                 parity: str | None = None, predicted_even_density: Fraction | None = None):
+        self.curve, self.field, self.factors, self.kappa = curve, field, factors, kappa
+        self.parity, self.predicted_even_density = parity, predicted_even_density
 
     def factor_lines(self):
         return [f"kappa_{p} = {k}  ({kind})" for p, kind, k in self.factors]
@@ -343,7 +344,7 @@ def kappa(E: EllipticCurve, assume_principal_series: bool = False) -> KappaRepor
 
 
 def predicted_even_density(E: EllipticCurve,
-                           parity_override: Optional[str] = None,
+                           parity_override: str | None = None,
                            assume_principal_series: bool = False) -> Fraction:
     """(1 + (-1)^rk * kappa)/2 as an exact rational."""
     try:
@@ -369,10 +370,12 @@ def predicted_even_density(E: EllipticCurve,
 # The counting lemma on abstract local-scenario products
 
 
-@dataclass(frozen=True)
-class Scenario:
-    kind: str
-    c_size: int = 4
+class Scenario(_FrozenRecord):
+    _fields = ("kind", "c_size")
+
+    def __init__(self, kind: str, c_size: int = 4):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "c_size", c_size)
 
     def factor_distribution(self) -> list[tuple[int, int]]:
         """(parity-factor value, multiplicity) over the local character group."""
@@ -395,9 +398,11 @@ class Scenario:
         return kappa_v_closed(self.kind, self.c_size)
 
 
-@dataclass(frozen=True)
-class GammaConfig:
-    scenarios: tuple
+class GammaConfig(_FrozenRecord):
+    _fields = ("scenarios",)
+
+    def __init__(self, scenarios: tuple):
+        object.__setattr__(self, "scenarios", scenarios)
 
     @property
     def gamma_size(self) -> int:
@@ -407,13 +412,13 @@ class GammaConfig:
         return n
 
 
-@dataclass
-class CountingReport:
-    gamma_size: int
-    plus_count: int
-    fraction: Fraction
-    predicted: Fraction
-    equal: bool
+class CountingReport(_Record):
+    __slots__ = _fields = ("gamma_size", "plus_count", "fraction", "predicted", "equal")
+
+    def __init__(self, gamma_size: int, plus_count: int, fraction: Fraction,
+                 predicted: Fraction, equal: bool):
+        self.gamma_size, self.plus_count, self.fraction = gamma_size, plus_count, fraction
+        self.predicted, self.equal = predicted, equal
 
 
 def counting_check(config: GammaConfig) -> CountingReport:
@@ -458,6 +463,8 @@ def gauss_sum_check(p: int) -> bool:
     """tau(chi)^2 = p * chi(-1) for the quadratic character mod an odd prime p."""
     if p == 2 or p >= 10 ** 4 or not is_prime(p):
         raise ValueError("p must be an odd prime < 10^4")
+    import cmath
+
     tau = 0 + 0j
     for a in range(1, p):
         tau += kronecker(a, p) * cmath.exp(2j * math.pi * a / p)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistparity
 from twistparity.cli import main
 from twistparity.errors import ZeroTwistParameter
 from twistparity.experiments import SCAN_GENERATOR_GUARD, report_from_json
@@ -63,6 +68,17 @@ def test_python_m_runs_the_cli(capsys):
     assert rc == 0 and "predicted even density: 1/4" in out
     proc, _ = run_cli_limited(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err)
+
+
+def test_cli_import_leaves_out_unused_modules():
+    # a cold start pays for every module it imports. -S, because a site .pth
+    # file may import typing before the package does
+    src = str(Path(twistparity.__file__).resolve().parent.parent)
+    code = ("import sys, twistparity.cli; print([m for m in ('dataclasses', 'inspect', 'typing', "
+            "'cmath', 'json') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_predict_parity_override(capsys):
