@@ -205,7 +205,7 @@ def parse_curve(K: Field, text: str) -> EllipticCurve:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise Malformed(f"curve literal must be [..]: {text!r}")
-    parts = [p for p in text[1:-1].split(",") if p.strip()]
+    parts = text[1:-1].split(",")
     if len(parts) not in (2, 5):
         raise Malformed(f"curve literal needs 2 or 5 entries: {text!r}")
     return curve(K, [parse_element(K, p) for p in parts])

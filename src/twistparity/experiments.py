@@ -6,8 +6,8 @@ the unit classes and one prime generator per place of residue norm <= b, so
 |C(K, b)| = 2^g(b) with g(b) a count of places, read from one sieve
 (``numberfield.place_norms_up_to``). Each c_v = K_v^x/K_v^x2 is F_2^d, and a
 class index is its F_2 coordinate, so an element's classes at the places of the
-reduced product (``PlacePartition.reduced_places``), each shifted to its own bit
-field, are one int, and the image H of
+reduced product (``PlacePartition.reduced_places``) are one int, its class
+vector (``localfields.class_vector_map``), and the image H of
 C(K, b) -> G = prod c_v is a subspace, kept with a basis of H^perp that the
 generators, in norm order, cut only until it is 0 (Grunwald-Wang; over Q by
 norm 11 for 11a1). The even count is |C(K, b)| / |H| * (|H| + w S) / 2, where
@@ -50,7 +50,7 @@ from .heckechars import (
     squarefree_characters,
     squarefree_deltas,
 )
-from .localfields import completion, square_class_index
+from .localfields import class_vector_map, completion, square_class_index
 from .numberfield import (
     Field,
     NFElem,
@@ -251,15 +251,11 @@ def scan_density(E: EllipticCurve, X: int,
     predicted = (1 + w * krep.kappa) / 2
 
     places = place_partition(E, assume_principal_series).reduced_places()
-    local = [completion(K, v) for v in places]
-    tables, dim = [], 0  # one bit field per place: a class index is its F_2 coordinate
-    for v in places:
+    vector, offsets = class_vector_map([completion(K, v) for v in places])
+    dim, tables = offsets[-1], []
+    for v, off in zip(places, offsets):
         f = list(reduced_sign_table(E, v))
-        tables.append((dim, f, _walsh_hadamard(f)))
-        dim += len(f).bit_length() - 1
-
-    def localize(x: NFElem) -> int:
-        return sum(square_class_index(x, lv) << off for lv, (off, _, _) in zip(local, tables))
+        tables.append((off, f, _walsh_hadamard(f)))
 
     # For b >= 4 the generators of C(K, b) are the unit classes (norm <= 4) and
     # the prime generators of the places of residue norm <= b (norm that residue
@@ -269,7 +265,7 @@ def scan_density(E: EllipticCurve, X: int,
         raise ExplosionGuard(2 * X, SCAN_GENERATOR_GUARD)
     norms = place_norms_up_to(K, X)
     image, perp = [], [1 << i for i in range(dim)]
-    _cut(image, perp, map(localize, units))
+    _cut(image, perp, map(vector, units))
     fed = 0  # the places of norms[:fed] are in the image
     buckets = []
     for b in sorted({max(1, (k * X) // 10) for k in range(1, 11)}):
@@ -279,13 +275,13 @@ def scan_density(E: EllipticCurve, X: int,
             chars = enumerate_characters(K, b)
             total = len(chars)
             counted, counted_perp = [], [1 << i for i in range(dim)]
-            _cut(counted, counted_perp, (localize(chi.delta) for chi in chars))
+            _cut(counted, counted_perp, (vector(chi.delta) for chi in chars))
         else:
             # feed the places in norm order until the image is full (H^perp = 0);
             # past that no place is built or localized
             while perp and fed < len(norms) and norms[fed] <= b:
                 n = norms[fed]
-                _cut(image, perp, (localize(v.generator) for v in places_of_norm(K, n)))
+                _cut(image, perp, (vector(v.generator) for v in places_of_norm(K, n)))
                 fed = bisect_right(norms, n)
             total = 1 << (len(units) + bisect_right(norms, b))
             counted, counted_perp = image, perp

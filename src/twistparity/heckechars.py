@@ -22,9 +22,9 @@ from .errors import ExplosionGuard, InternalInvariantError, ZeroElement
 from .localfields import (
     MEMO_BOUND,
     LocalCharacter,
+    class_vector_map,
     completion,
     is_unramified_class,
-    square_class_index,
     valuation,
 )
 from .numberfield import (
@@ -211,20 +211,14 @@ class SurjectivityReport(_Record):
         return self.hit_count == self.gamma_size
 
 
-def localization_profile(chi: QuadChar, places) -> tuple:
-    """Tuple of local square-class indices of delta at the given places."""
-    return tuple(square_class_index(chi.delta, completion(chi.field, v)) for v in places)
-
-
 def surjectivity_check(K: Field, places, X: int) -> SurjectivityReport:
-    """Localize every chi in C(K, X) at the given places; tally the image tuples."""
+    """Localize every chi in C(K, X) at the given places; tally their class vectors."""
     places = list(places)
-    gamma_size = 1
-    for v in places:
-        gamma_size *= completion(K, v).num_quadratic_characters
+    vector, offsets = class_vector_map([completion(K, v) for v in places])
+    gamma_size = 1 << offsets[-1]
     fibers: dict = {}
     for chi in enumerate_characters(K, X):
-        key = localization_profile(chi, places)
+        key = vector(chi.delta)
         fibers[key] = fibers.get(key, 0) + 1
     hit = len(fibers)
     min_fiber = min(fibers.values()) if hit == gamma_size else 0

@@ -12,11 +12,13 @@ and only for a unit part: there n is v_p of the norm, so the valuation, and a
 residue at n > 0, need no division.
 
 K_v^x/K_v^x2 is numbered once: a class index is its F_2 coordinate, so the
-class of x*y is the XOR of the indices. Above 2 a unit is a square iff it is a
-square mod 4*pi (O'Meara, Introduction to Quadratic Forms, 63:1), so its class
-is read off its coordinates mod 8. The Hilbert symbol is a bilinear form on the
-classes (Serre, A Course in Arithmetic, III.1-2): one matrix per completion,
-filled from the Gram matrix of the basis reps[2^a], and read by every call.
+class of x*y is the XOR of the indices; ``class_vector_map`` packs them at
+several completions into bit fields of one int, a class vector, XOR-linear too.
+Above 2 a unit is a square iff it is a square mod 4*pi (O'Meara, Introduction
+to Quadratic Forms, 63:1), so its class is read off its coordinates mod 8. The
+Hilbert symbol is a bilinear form on the classes (Serre, A Course in
+Arithmetic, III.1-2): one matrix per completion, filled from the Gram matrix of
+the basis reps[2^a], and read by every call.
 That Gram matrix comes from one rule per kind of place, with no search:
 (-1, -1) = -1 at a real place; at an odd place, with the basis [u, pi],
 (u, u) = 1, (u, pi) = -1 and (pi, pi) = (-1)^((q-1)/2); at a Q_2 place Serre's
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate
 
 from .arith import factorint, kronecker
 from .errors import InternalInvariantError, ZeroElement
@@ -158,7 +160,7 @@ class LocalField:
         # since finding u is a search; only above 2 is there a unit-class table
         # (unit residue mod 8 -> unit class)
         self._square_classes = self._unit_classes = None
-        # integer triple (A, B, D) of an element -> class index, <= MEMO_BOUND entries
+        # integer triple (A, B, D) of an element -> class index, cleared when full
         self._class_index_cache: dict = {}
         # split places: k -> w^-1 mod p^k, for the uniformizer pi = p w
         self._w_inverse: dict = {}
@@ -535,12 +537,21 @@ def square_class_index(x: NFElem, v: LocalField) -> int:
         idx = v._unit_classes[c] | (n & 1) * half
     cache = v._class_index_cache
     if len(cache) >= MEMO_BOUND:
-        # drop the older half at once: evicting one key per insertion would walk
-        # the dead slots that deletions leave at the front of the dict
-        for old in list(islice(cache, MEMO_BOUND // 2)):
-            del cache[old]
+        cache.clear()
     cache[key] = idx
     return idx
+
+
+def class_vector_map(local: list[LocalField]) -> tuple:
+    """(vector, offsets): vector(x) holds the class index of x at local[i] in the
+    log2 |K_v^x/K_v^x2| bits from offsets[i] up; the vector of x*y is the XOR."""
+    widths = (lv.num_quadratic_characters.bit_length() - 1 for lv in local)
+    offsets = list(accumulate(widths, initial=0))
+
+    def vector(x: NFElem) -> int:
+        return sum(square_class_index(x, lv) << off for lv, off in zip(local, offsets))
+
+    return vector, offsets
 
 
 def local_quadratic_characters(v: LocalField) -> list[LocalCharacter]:

@@ -64,7 +64,7 @@ def _vp_int(n: int, p: int) -> int:
     return k
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=MEMO_BOUND)
 def _root_of_m(m: int, p: int, k: int) -> int:
     """The canonical p-adic square root r of m, mod p^k, at a prime p that splits.
 

@@ -15,13 +15,14 @@ the character of class c, in the class-index order of
 ``completion(K, v).characters()``. Every consumer reads it by class index:
 ``parity_change`` at the bad places by ``square_class_index`` of delta;
 ``GeneratorTable``, for a family that names each twist's generators, at the
-XOR of their class vectors; ``kappa_v_average`` and the exact scan of
-``experiments`` through ``reduced_sign_table`` (chi_v(-1) * n_v at the special
-places, chi_v(-1) at the real ones), as a function on F_2^d. At a good place
-where chi ramifies no table is built: n_v is row 2, chi_v(-1). That sign, and
-every chi_v(-1) here, is read from ``LocalField.minus_one_row()``, the row of
-the class of -1 in the completion's Hilbert matrix; it depends only on the
-field. The tables sit in one LRU memo of MEMO_BOUND entries.
+XOR of their class vectors (``localfields.class_vector_map``);
+``kappa_v_average`` and the exact scan of ``experiments`` through
+``reduced_sign_table`` (chi_v(-1) * n_v at the special places, chi_v(-1) at
+the real ones), as a function on F_2^d. At a good place where chi ramifies no
+table is built: n_v is row 2, chi_v(-1). That sign, and every chi_v(-1) here,
+is read from ``LocalField.minus_one_row()``, the row of the class of -1 in the
+completion's Hilbert matrix; it depends only on the field. The tables sit in
+one LRU memo of MEMO_BOUND entries.
 
 The table rows are multiplied by entries of TABLE_SIGN_HOOKS so a test harness
 can flip a single row and watch the twisted-parity oracle break (all hooks are
@@ -34,7 +35,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 
 from .arith import is_prime, kronecker
 from .curves import (
@@ -59,10 +59,11 @@ from .heckechars import QuadChar
 from .localfields import (
     MEMO_BOUND,
     LocalCharacter,
+    class_vector_map,
     completion,
     square_class_index,
 )
-from .numberfield import (NFElem, Place, _FrozenRecord, _places_above_cached, _Record,
+from .numberfield import (Place, _FrozenRecord, _places_above_cached, _Record,
                           archimedean_places)
 
 # Mutation hooks: one multiplicative sign per implemented nontrivial table row.
@@ -194,8 +195,8 @@ def parity_change(E: EllipticCurve, chi: QuadChar) -> int:
 
 class GeneratorTable:
     """``parity_change`` of delta = u * prod of the prime generators of its
-    support (u a unit class) with no class read of delta: its classes at the bad
-    places and above 2, in bit fields as in ``scan_density``, are the XOR of its
+    support (u a unit class) with no class read of delta: its class vector at the
+    bad places and above 2 (``localfields.class_vector_map``) is the XOR of its
     generators' vectors, and a good odd place v of the support adds row 2, hook
     2 * (-1, pi_v)_v = (-1)^((q_v-1)/2). The hooks are read when it is built."""
 
@@ -206,12 +207,8 @@ class GeneratorTable:
         self.bad = bad_places(E)
         self.places = self.bad + [v for v in _places_above_cached(K.key, 2) if v not in self.bad]
         self.local = [completion(K, v) for v in self.places]
-        self.offsets = list(accumulate((lv.num_quadratic_characters.bit_length() - 1
-                                        for lv in self.local), initial=0))
+        self.vector, self.offsets = class_vector_map(self.local)
         self.units = [self.vector(u) for u in K.unit_square_classes]
-
-    def vector(self, x: NFElem) -> int:
-        return sum(square_class_index(x, lv) << off for lv, off in zip(self.local, self.offsets))
 
     @cached_property  # at the first sign: an unsupported place raises there, as in parity_change
     def rows(self) -> list:

@@ -181,6 +181,10 @@ def test_input_error_exit_codes(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "predict", "--field", "Q", "--curve", "[oops")
     assert rc == 2
+    # an empty entry is not dropped: 11a1 with a blank in it is not 11a1
+    for literal in ("[0,-1,1,,-10,-20]", "[1,2,]", "[,-10,-20]", "[,5]", "[]"):
+        rc, out, err = run(capsys, "predict", "--field", "Q", "--curve", literal)
+        assert rc == 2 and out == "" and err.startswith("input error: "), literal
 
 
 @pytest.mark.parametrize("argv", [

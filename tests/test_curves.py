@@ -27,7 +27,7 @@ from twistparity.curves import (
     reduction_type,
     root_number,
 )
-from twistparity.errors import SingularCurve, UnsupportedRepresentation, ZeroTwistParameter
+from twistparity.errors import Malformed, SingularCurve, UnsupportedRepresentation, ZeroTwistParameter
 from twistparity.localfields import (
     completion,
     hilbert_symbol,
@@ -80,6 +80,9 @@ def test_parse_curve_forms(Q):
     assert E.a2 == Q.elem(-1)
     E = parse_curve(Q, "[1,0]")
     assert E.a4 == Q.elem(1) and E.a1.is_zero()
+    assert parse_curve(Q, "[ 0, -1, 1, -10, -20 ]") == parse_curve(Q, "[0,-1,1,-10,-20]")
+    with pytest.raises(Malformed, match="needs 2 or 5 entries: '\\[\\]'"):
+        parse_curve(Q, "[]")
 
 
 # ----------------------------------------------------------------------------
@@ -751,6 +754,23 @@ def test_curve_memos_stay_bounded(Q, e11a1):
             again = (reduction_type(T, v).red_type, local_rep_type(T, v).kind,
                      local_root_number(T, v))
             assert again == first[i, v.p]
+
+
+def test_every_memo_is_bounded_by_memo_bound():
+    # one bound for every lru memo of the package, as numberfield.MEMO_BOUND says
+    import importlib
+    import pkgutil
+
+    import twistparity
+
+    seen = 0
+    for _, name, _ in pkgutil.iter_modules(twistparity.__path__):
+        mod = importlib.import_module(f"twistparity.{name}")
+        for attr, obj in vars(mod).items():
+            if hasattr(obj, "cache_info"):
+                assert obj.cache_info().maxsize == curves.MEMO_BOUND, (name, attr)
+                seen += 1
+    assert seen >= 8
 
 
 def test_every_curve_memo_is_listed():

@@ -9,13 +9,12 @@ import twistparity.heckechars as heckechars
 from twistparity.errors import ExplosionGuard, ZeroElement
 from twistparity.heckechars import (
     enumerate_characters,
-    localization_profile,
     make_char,
     squarefree_characters,
     squarefree_deltas,
     surjectivity_check,
 )
-from twistparity.localfields import completion, eval_local_char, hilbert_symbol
+from twistparity.localfields import class_vector_map, completion, eval_local_char, hilbert_symbol
 from twistparity.numberfield import (
     archimedean_places,
     global_sqrt,
@@ -392,14 +391,6 @@ def test_surjectivity_empty_places(Q):
     assert rep.gamma_size == 1 and rep.surjective
 
 
-def test_localization_profile_shape(Q):
-    chi = make_char(Q, Q.elem(-15))
-    places = [place(Q, p) for p in (2, 3, 5)]
-    prof = localization_profile(chi, places)
-    assert len(prof) == 3
-    assert all(isinstance(i, int) for i in prof)
-
-
 def test_generators_span_real_quadratic():
     # the unit transversal {1, -1, eps, -eps} spans only a 2-dimensional space
     from twistparity.numberfield import quadratic_field
@@ -415,5 +406,6 @@ def test_enumerated_characters_differ_at_some_place(Q):
 
     chars = enumerate_characters(Q, 5)
     probes = [archimedean_places(Q)[0]] + places_of_norm_up_to(Q, 30)
-    profiles = [localization_profile(c, probes) for c in chars]
+    vector, _ = class_vector_map([completion(Q, v) for v in probes])
+    profiles = [vector(c.delta) for c in chars]
     assert len(set(profiles)) == len(chars)

@@ -11,6 +11,7 @@ from twistparity.localfields import (
     LocalCharacter,
     _completion_cached,
     _unit_coords,
+    class_vector_map,
     completion,
     eval_local_char,
     hilbert_symbol,
@@ -656,8 +657,8 @@ def test_dyadic_square_class_reps_are_pinned():
 
 
 def test_class_index_cache_stays_bounded(Q):
-    # 3000 distinct elements overflow each cache: a full cache drops its older
-    # half, the newest are read back as hits, and no index changes
+    # 3000 distinct elements overflow each cache: a full cache is cleared, the
+    # newest are read back as hits, and no index changes
     xs = [Q.elem(Fraction(n if n % 3 else -n, 1 + n % 4)) for n in range(1, 3001)]
     assert len(set(xs)) == 3000
     for v in (lf(Q, 2), lf(Q, 7)):
@@ -729,6 +730,47 @@ def test_class_index_is_the_f2_coordinate(m):
                 assert square_class_index(x * y, lv) == i ^ j, (str(lv), i, j)
     arch = "complex" if m is not None and m < 0 else "real"
     assert kinds == {arch, 2, 3} | ({None} if m is None else {"split", "inert"})
+
+
+# the places above these primes, with every archimedean place, cover each kind
+# of completion: over Q the real place, Q_2, and odd q = 1 and 3 mod 4; over
+# Q(i) the complex place, the ramified place above 2, split 5 and inert 3; over
+# Q(sqrt 5) two real places and 2 inert (f = 2); over Q(sqrt -7) two Q_2 places
+_VECTOR_SWEEP = {None: ((2, 5, 3), {"real", "2-e1f1", "odd-1", "odd-3"}),
+                 -1: ((2, 5, 3), {"complex", "2-e2f1", "split-1", "inert-1"}),
+                 5: ((2,), {"real", "2-e1f2"}),
+                 -7: ((2,), {"complex", "2-e1f1"})}
+
+
+def _completion_kind(lv) -> str:
+    if lv.p is None:
+        return lv.place_kind
+    if lv.p == 2:
+        return f"2-e{lv.e}f{lv.f}"
+    return f"{lv.place.splitting or 'odd'}-{lv.q % 4}"
+
+
+@pytest.mark.parametrize("m", [None, -1, 5, -7])
+def test_class_vector_map_is_xor_linear_with_one_field_per_completion(m):
+    K = rational_field() if m is None else quadratic_field(m)
+    primes, kinds = _VECTOR_SWEEP[m]
+    local = [completion(K, v)
+             for v in archimedean_places(K) + [w for p in primes for w in places_above(K, p)]]
+    assert {_completion_kind(lv) for lv in local} == kinds
+    vector, offsets = class_vector_map(local)
+    # log2 |K_v^x/K_v^x2|: 1 real, 0 complex, 2 at an odd place, 2 + [K_v : Q_2] above 2
+    widths = [(lv.place_kind == "real") if lv.p is None
+              else 2 + (lv.degree_over_qp if lv.p == 2 else 0) for lv in local]
+    assert offsets == list(itertools.accumulate(widths, initial=0))
+    rng = random.Random(repr(("class vectors", m)))
+    for _ in range(150):
+        x = _random_elem(rng, K) / rng.randint(1, 24)
+        y = _random_elem(rng, K) / rng.randint(1, 24)
+        vx = vector(x)
+        assert vector(x * y) == vx ^ vector(y), (str(x), str(y))
+        for lv, off, w in zip(local, offsets, widths):
+            assert vx >> off & (1 << w) - 1 == square_class_index(x, lv), (str(x), str(lv))
+        assert vx >> offsets[-1] == 0
 
 
 def test_odd_place_tables_are_the_tame_symbols_of_the_reps():
