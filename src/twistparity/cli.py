@@ -3,7 +3,9 @@
 Subcommands: classify, predict, scan, verify, lemmas.
 Exit codes: 0 pass, 1 math-check failure, 2 input error (a bad flag, literal,
 field or singular curve, an integer past the factoring budget, a listing past
-the enumeration guard, or a scan report that cannot be written to --out),
+the enumeration guard, or a scan report that cannot be written to --out) or
+output error (a standard output that cannot be written: a closed pipe or a
+full device),
 3 unsupported curve, 4 internal error (a failed invariant, a zero where the
 package needs a nonzero element, a multiplier m_v asked of the wrong kind of
 representation, or any exception that is not a named package error: a bug,
@@ -277,7 +279,12 @@ def main(argv=None) -> int:
     commands = {"classify": cmd_classify, "predict": cmd_predict, "scan": cmd_scan,
                 "verify": cmd_verify, "lemmas": cmd_lemmas}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed or full stdout shows here, not at exit
+        return code
+    except OSError as e:
+        print(f"output error: {e.strerror or e}", file=sys.stderr)
+        return EXIT_INPUT
     except (InternalInvariantError, ZeroElement, WrongRepClass) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL

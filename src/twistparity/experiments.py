@@ -23,10 +23,8 @@ side by XOR too (``parity.GeneratorTable``).
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_right
 from collections.abc import Iterable
-from contextlib import contextmanager
 from fractions import Fraction
 
 from .curves import (
@@ -54,6 +52,7 @@ from .localfields import class_vector_map, completion, square_class_index
 from .numberfield import (
     Field,
     NFElem,
+    _any_int_digits,
     _Record,
     archimedean_places,
     place_norms_up_to,
@@ -108,20 +107,6 @@ def _frac_json(fr: Fraction):
 
 def _frac_from_json(obj) -> Fraction:
     return Fraction(obj["num"], obj["den"])
-
-
-@contextmanager
-def _any_int_digits():
-    """Lift the interpreter's int-string digit limit (0 when absent) for one
-    conversion: |C(K, X)| = 2^(generators) passes it near X = 1.5*10^5 over Q."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 @_any_int_digits()

@@ -8,7 +8,8 @@ generator, which class number 1 makes exist. One finite algorithm finds it in
 every field: reduce the norm form of the prime and carry its basis along
 (Cohen, GTM 138, 5.4 for definite and 5.6 for indefinite forms); the same
 reduction step counts the cycles of reduced forms that give the class number
-of a real field, whose fundamental unit comes from a continued fraction (5.7).
+of a real field, and the fundamental unit comes from the same walk, run once
+round the cycle of the principal form (5.7).
 At a place with K_v = Q_p (K = Q, or p splits) an element is read from its
 integer triple as x = p^n u, through A + B*r or A - B*r for the canonical
 p-adic root r of m: index 1 sends sqrt(m) to r, index 2 to -r.
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -40,6 +43,21 @@ IMAGINARY_CLASS_NUMBER_ONE = (-1, -2, -3, -7, -11, -19, -43, -67, -163)
 # per-completion class-index cache of ``localfields``, and in each memo of
 # ``curves`` and ``parity``
 MEMO_BOUND = 1024
+
+
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int-string digit limit (0 when absent) for one
+    conversion: |C(K, X)| = 2^(generators) passes it near X = 1.5*10^5 over Q,
+    and a real field's fundamental unit near m = 10^10."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def is_squarefree(n: int) -> bool:
@@ -287,6 +305,13 @@ class NFElem:
         return f"NFElem({self})"
 
     def __str__(self):
+        try:
+            return self._format()
+        except ValueError:  # a coordinate past the int-string digit limit
+            with _any_int_digits():
+                return self._format()
+
+    def _format(self):
         a, b = self.a, self.b
         if b == 0:
             return str(a)
@@ -461,24 +486,18 @@ class Field(_FrozenRecord):
 def pell_fundamental_unit(m: int) -> tuple[int, int, bool]:
     """Smallest unit > 1 of O_K for real quadratic K as (x, y, half).
 
-    The unit is (x + y sqrt m)/2 when half, else x + y sqrt m. It is h - k conj(omega)
-    for the first convergent h/k of the continued fraction of omega at which that
-    element has norm +-1 (Cohen, GTM 138, 5.7); the expansion is periodic, so the
-    loop ends within one period.
+    The unit is (x + y sqrt m)/2 when half, else x + y sqrt m. ``_walk_to_unit_form``
+    runs once round the cycle of the principal form (1, b, (b^2 - D)/4), with b
+    the largest integer below sqrt(D) that has b = D mod 2, carrying its basis
+    1, (b + sqrt(D))/2; the first basis element where the form comes back to
+    a = +-1 is +-eps or +-conj(eps) (Cohen, GTM 138, 5.7).
     """
-    t, n = (1, (1 - m) // 4) if m % 4 == 1 else (0, -m)
-    P, Q = (1, 2) if m % 4 == 1 else (0, 1)  # omega = (P + sqrt m) / Q
-    s = math.isqrt(m)
-    h, h_prev, k, k_prev = 1, 0, 0, 1
-    while True:
-        a = (P + s) // Q
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if h * h - t * h * k + n * k * k in (1, -1):
-            x, y = (2 * h - k, k) if m % 4 == 1 else (2 * h, 2 * k)  # 2 * unit = x + y sqrt m
-            return (x // 2, y // 2, False) if x % 2 == 0 and y % 2 == 0 else (x, y, True)
-        P = a * Q - P
-        Q = (m - P * P) // Q
+    D = m if m % 4 == 1 else 4 * m
+    b = math.isqrt(D)
+    b -= (b - D) % 2
+    A, B = _walk_to_unit_form((1, b, (b * b - D) // 4), (2, 0), (b, 1 if D == m else 2), D)
+    x, y = abs(A), abs(B)  # 2 * unit = x + y sqrt m
+    return (x // 2, y // 2, False) if x % 2 == 0 and y % 2 == 0 else (x, y, True)
 
 
 def _reduced_indefinite_forms(D: int) -> set:
@@ -502,6 +521,25 @@ def _rho(form, D: int, sq: int):
     h = max(abs(c), sq)
     b2 = h - (h + b) % (2 * abs(c))
     return (c, b2, (b2 * b2 - D) // (4 * c)), (b + b2) // (2 * c)
+
+
+def _walk_to_unit_form(form, x, y, D: int) -> tuple[int, int]:
+    """Apply ``_rho`` to a form of discriminant D, at least once, carrying its
+    basis x, y, until the first coefficient is +-1; return the first basis
+    element then. Elements are integer pairs (A, B) for (A + B*sqrt(m))/2.
+
+    A form f = (a, b, c) with f(X, Y) = N(X*x + Y*y) / N(I) is the norm form of
+    the ideal I with basis x, y; ``_rho`` substitutes (X, Y) -> (-Y, X + s*Y),
+    so the basis becomes y, s*y - x. At a = +-1 the element x has norm
+    +-N(I). Class number 1 puts a form with a = +-1 in every cycle of reduced
+    forms (Cohen, GTM 138, 5.4 and 5.6), so the walk ends within one period.
+    """
+    sq = math.isqrt(D) if D > 0 else 0
+    while True:
+        form, s = _rho(form, D, sq)
+        x, y = y, (s * y[0] - x[0], s * y[1] - x[1])
+        if abs(form[0]) == 1:
+            return x
 
 
 def narrow_class_number(D: int) -> int:
@@ -593,7 +631,11 @@ def parse_field(spec: str) -> Field:
         raise Malformed(f"cannot parse field spec {spec!r}")
     if mt.group(1) is None:
         return rational_field()
-    return quadratic_field(int(mt.group(1)))
+    try:
+        m = int(mt.group(1))
+    except ValueError as e:  # past the int-string digit limit
+        raise Malformed(f"cannot parse field spec: {e}") from None
+    return quadratic_field(m)
 
 
 _RAT = r"-?\d+(?:/0*[1-9]\d*)?"  # a denominator is nonzero
@@ -608,12 +650,13 @@ def parse_element(K: Field, text: str) -> NFElem:
     mt = _ELEM_RE.match(text)
     if not mt or (mt.group("a") is None and mt.group("w") is None):
         raise Malformed(f"cannot parse element {text!r}")
-    a = Fraction(mt.group("a")) if mt.group("a") else Fraction(0)
-    b = Fraction(0)
-    if mt.group("w"):
-        b = Fraction(mt.group("b")) if mt.group("b") else Fraction(1)
-        if mt.group("sign") == "-":
-            b = -b
+    try:
+        a = Fraction(mt.group("a")) if mt.group("a") else Fraction(0)
+        b = Fraction(mt.group("b")) if mt.group("b") else Fraction(1 if mt.group("w") else 0)
+    except ValueError as e:  # past the int-string digit limit
+        raise Malformed(f"cannot parse element: {e}") from None
+    if mt.group("sign") == "-":
+        b = -b
     if b != 0 and K.m is None:
         raise Malformed("element mentions w but the field is Q")
     return NFElem(K, a, b)
@@ -638,9 +681,7 @@ def _find_prime_generator(K: Field, p: int) -> NFElem:
 
     With omega^2 = t*omega - n and r^2 - t*r + n = 0 mod p, the prime (p, omega - r)
     has the basis p, omega - r and the norm form (p, t - 2r, (r^2 - t*r + n)/p) of
-    discriminant disc(K). ``_rho`` reduces the form and carries the basis until the
-    first coefficient is +-1 (Cohen, GTM 138, 5.4 and 5.6: class number 1 puts such
-    a form in every cycle of reduced forms); then the first basis element x has
+    discriminant disc(K); ``_walk_to_unit_form`` reduces it to an element x of
     norm +-p. The elements of norm +-p are the unit multiples of x and conj(x);
     the search meets those with A, B >= 0. Over a real field these are the positive
     z*eps^k >= sqrt(p), whose B grows with k after the first: none past twice the
@@ -659,13 +700,8 @@ def _find_prime_generator(K: Field, p: int) -> NFElem:
     c, rem = divmod(r * r - t * r + n, p)
     if rem:
         raise InternalInvariantError(f"{p} is inert in {K}")
-    form = (p, t - 2 * r, c)
-    sq = math.isqrt(D) if D > 0 else 0
     # elements as integer pairs (A, B) for (A + B*sqrt(m))/2
-    (A, B), y = (2 * p, 0), (t - 2 * r, 2 - t)
-    while abs(form[0]) != 1:
-        form, s = _rho(form, D, sq)
-        (A, B), y = y, (s * y[0] - A, s * y[1] - B)
+    A, B = _walk_to_unit_form((p, t - 2 * r, c), (2 * p, 0), (t - 2 * r, 2 - t), D)
     if m < 0:  # the unit (c, e) generates the units: i, (1 + sqrt(-3))/2, or -1
         c, e, order = {-1: (0, 2, 4), -3: (1, 1, 6)}.get(m, (-2, 0, 2))
     else:  # eps = (c + e*sqrt(m))/2, and 1/eps = (ci + ei*sqrt(m))/2 is +-conj(eps)
@@ -739,15 +775,17 @@ def place_norms_up_to(K: Field, X: int) -> list[int]:
     ascending, from one sieve and no place construction. Over Q(sqrt m) a prime
     p gives two places of norm p, one of norm p, or one of norm p^2 as
     kronecker(disc, p) is 1, 0 or -1; that symbol is a character mod |disc|,
-    so it is read from a table of residues."""
+    so it is computed once for each residue class that a prime <= X hits."""
     primes = primes_up_to(X)
     if K.m is None:
         return primes
     d = abs(K.disc)
-    symbol = [0] + [kronecker(K.disc, r) for r in range(1, d)]  # p = 0 mod d divides disc
+    symbol = {}
     norms = []
     for p in primes:
-        s = symbol[p % d]
+        s = symbol.get(p % d)
+        if s is None:
+            s = symbol[p % d] = kronecker(K.disc, p)
         if s >= 0:
             norms += (p, p) if s else (p,)
         elif p * p <= X:

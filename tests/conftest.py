@@ -57,17 +57,18 @@ def place(K, p, idx=1):
     raise LookupError((p, idx))
 
 
-def run_cli_limited(*argv):
+def run_cli_limited(*argv, stdout=subprocess.PIPE):
     """``python -m twistparity *argv`` in a child process whose address space is
     capped at 3 GB, so that a run which allocates in proportion to a huge bound
-    fails fast with MemoryError instead of exhausting the host. Returns the
+    fails fast with MemoryError instead of exhausting the host. Its stdout goes
+    to ``stdout`` (captured by default), its stderr is captured. Returns the
     CompletedProcess and the CPU seconds the child used."""
     src = str(Path(twistparity.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     limit = 3 << 30
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run([sys.executable, "-m", "twistparity", *argv], env=env,
-                          capture_output=True, text=True, timeout=60,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime

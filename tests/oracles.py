@@ -31,7 +31,10 @@ algorithm as it was before it divided out pi^k up front.
 read an element at a finite place as the local layer did before it read
 x = pi^n u from the integer triple: the valuation first, then u = x / pi^n as
 a field element, then the coordinates of u and a Kronecker symbol of its
-residue (above 2, the unit-class table at u mod 8).
+residue (above 2, the unit-class table at u mod 8). ``continued_fraction_unit``
+is ``pell_fundamental_unit`` as it was before the reduction walk of the
+principal form: the continued fraction of omega, with a norm test of each
+convergent.
 """
 
 import math
@@ -844,3 +847,26 @@ def reference_class_index(x, v):
         t, nm = v.field.omega_trace_norm()
         r = r[0] * r[0] + t * r[0] * r[1] + nm * r[1] * r[1]
     return (0 if kronecker(r, v.p) == 1 else 1) | (n & 1) << 1
+
+
+def continued_fraction_unit(m: int) -> tuple[int, int, bool]:
+    """Smallest unit > 1 of O_K for real quadratic K as (x, y, half).
+
+    The unit is (x + y sqrt m)/2 when half, else x + y sqrt m. It is h - k conj(omega)
+    for the first convergent h/k of the continued fraction of omega at which that
+    element has norm +-1 (Cohen, GTM 138, 5.7); the expansion is periodic, so the
+    loop ends within one period.
+    """
+    t, n = (1, (1 - m) // 4) if m % 4 == 1 else (0, -m)
+    P, Q = (1, 2) if m % 4 == 1 else (0, 1)  # omega = (P + sqrt m) / Q
+    s = math.isqrt(m)
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while True:
+        a = (P + s) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        if h * h - t * h * k + n * k * k in (1, -1):
+            x, y = (2 * h - k, k) if m % 4 == 1 else (2 * h, 2 * k)  # 2 * unit = x + y sqrt m
+            return (x // 2, y // 2, False) if x % 2 == 0 and y % 2 == 0 else (x, y, True)
+        P = a * Q - P
+        Q = (m - P * P) // Q

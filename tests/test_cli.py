@@ -157,6 +157,28 @@ def test_verify_clean(capsys):
     assert "PASS: 0 mismatches" in out
 
 
+def test_verify_mismatches_fail(capsys, monkeypatch):
+    # a flipped table row: verify lists the first 20 mismatches and fails
+    from twistparity.parity import TABLE_SIGN_HOOKS
+
+    monkeypatch.setitem(TABLE_SIGN_HOOKS, 6, -1)
+    rc, out, _ = run(capsys, "verify", "--curve", "[0,-1,1,-10,-20]", "--x", "20")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "tested 26 twists, 0 skipped as unsupported"
+    assert len(lines) == 22 and lines[-1] == "FAIL: 24 mismatches"
+    assert all(line.startswith("MISMATCH delta=") for line in lines[1:-1])
+    assert lines[1] == "MISMATCH delta=1: table path -1, reduction path +1"
+
+
+def test_verify_unsupported_curve_names_the_place(capsys):
+    # the root number of the base curve is not certifiable at 3: exit 3
+    # before any twist is tested
+    rc, out, err = run(capsys, "verify", "--curve", "[0,0,1,0,-7]", "--x", "10")
+    assert rc == 3 and out == ""
+    assert err.startswith("unsupported curve: ") and "(3)" in err
+
+
 def test_lemmas(capsys):
     rc, out, _ = run(capsys, "lemmas", "--seed", "1", "--trials", "25", "--x", "17")
     assert rc == 0
@@ -185,6 +207,46 @@ def test_input_error_exit_codes(capsys):
     for literal in ("[0,-1,1,,-10,-20]", "[1,2,]", "[,-10,-20]", "[,5]", "[]"):
         rc, out, err = run(capsys, "predict", "--field", "Q", "--curve", literal)
         assert rc == 2 and out == "" and err.startswith("input error: "), literal
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--curve", "[0,-1,1,-10," + "7" * 5000 + "]"),
+    ("classify", "--field", "Q(sqrt " + "7" * 5000 + ")", "--curve", "[0,-1,1,-10,-20]"),
+])
+def test_over_long_literal_is_input_error(capsys, argv):
+    # past the interpreter's int-string digit limit: a malformed literal, not a bug
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("input error: cannot parse ") and err.count("\n") == 1
+
+
+def test_unwritable_stdout_is_an_output_error():
+    # a closed pipe and a full device: exit 2 with the system's message, once
+    argv = ("classify", "--curve", "[0,-1,1,-10,-20]")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc, _ = run_cli_limited(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "output error: Broken pipe\n")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    with open("/dev/full", "w") as full:
+        proc, _ = run_cli_limited(*argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (2, "output error: No space left on device\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify",), ("scan", "--x", "50"), ("verify", "--x", "10"),
+])
+def test_large_real_field_runs_in_seconds(argv):
+    # Q(sqrt 100000007): a unit of 11 058 bits and a discriminant of 10^8;
+    # the residue table and the continued fraction stalled scan and verify
+    proc, cpu_s = run_cli_limited(*argv, "--field", "Q(sqrt 100000007)",
+                                  "--curve", "[0,-1,1,-10,-20]")
+    assert proc.returncode == 0, proc.stderr
+    assert cpu_s < 5
 
 
 @pytest.mark.parametrize("argv", [

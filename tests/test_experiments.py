@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from twistparity.arith import primes_up_to
 from twistparity.curves import SPLIT_MULT, curve, quadratic_twist, reduction_type, root_number
-from twistparity.errors import ExplosionGuard
+from twistparity.errors import ExplosionGuard, UnsupportedRepresentation
 from twistparity.experiments import (
     BucketRow,
     DensityReport,
@@ -429,6 +429,20 @@ def test_oracle_crosscheck_norm_family(Qi):
     E = curve(Qi, [0, -1, 1, 0, 0])
     rep = oracle_crosscheck(E, X=5)
     assert rep.clean
+
+
+def test_oracle_counts_uncertifiable_twists_as_skipped(Q, e11a1, monkeypatch):
+    # a twist that either path cannot certify is skipped, not tested
+    certify = TwistRootNumberOracle.root_number_of_twist
+
+    def refuse_negative(self, chi):
+        if chi.delta.A < 0:
+            raise UnsupportedRepresentation("refused")
+        return certify(self, chi)
+
+    monkeypatch.setattr(TwistRootNumberOracle, "root_number_of_twist", refuse_negative)
+    rep = oracle_crosscheck(e11a1, delta_bound=20)
+    assert (rep.tested, rep.unsupported) == (13, 13) and rep.clean
 
 
 def test_mutation_detected(Q, e11a1, monkeypatch):

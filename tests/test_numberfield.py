@@ -35,7 +35,7 @@ from twistparity.numberfield import (
     real_quadratic_class_number,
 )
 
-from .oracles import FractionNFElem, brute_legendre, scan_prime_generator
+from .oracles import FractionNFElem, brute_legendre, continued_fraction_unit, scan_prime_generator
 
 
 # ----------------------------------------------------------------------------
@@ -75,6 +75,17 @@ def test_parse_malformed():
             parse_field(bad)
 
 
+def test_over_long_literals_are_malformed():
+    # past the interpreter's int-string digit limit of 4 300 digits
+    digits = "7" * 5000
+    with pytest.raises(Malformed):
+        parse_field(f"Q(sqrt {digits})")
+    K = quadratic_field(2)
+    for text in (digits, f"1/{digits}", f"1+{digits}*w", f"-{digits}/3*w"):
+        with pytest.raises(Malformed):
+            parse_element(K, text)
+
+
 def test_real_quadratic_class_numbers():
     # desk-scale exact values
     assert real_quadratic_class_number(2) == 1
@@ -95,8 +106,8 @@ def test_fundamental_units():
     assert half and x == 3 and y == 1  # (3 + sqrt 13)/2, norm -1
 
 
-# Units read off the continued fraction of omega; for m = 139, 151, 199 and 211,
-# y exceeds 10^6.
+# Units pinned when they were read off the continued fraction of omega; for
+# m = 139, 151, 199 and 211, y exceeds 10^6.
 PINNED_UNITS = {
     2: (1, 1, False), 3: (2, 1, False), 5: (1, 1, True), 13: (3, 1, True),
     17: (4, 1, False), 21: (5, 1, True), 46: (24335, 3588, False),
@@ -115,6 +126,43 @@ def test_fundamental_units_by_continued_fraction():
     K = quadratic_field(151)  # class number 1
     assert K.fundamental_unit == K.elem(1728148040, 140634693)
     assert [v.residue_norm for v in places_of_norm_up_to(K, 60)][:3] == [2, 3, 3]
+
+
+def test_units_match_the_continued_fraction_reference():
+    # the walk round the principal cycle gives the convergent unit of omega
+    for m in [m for m in range(2, 3000) if is_squarefree(m)] + [10 ** 8 + 7]:
+        assert pell_fundamental_unit(m) == continued_fraction_unit(m), m
+
+
+def test_unit_of_a_ten_digit_m():
+    # a y of 21 183 bits, from about one period of reduction steps; the
+    # continued fraction squared its convergents at each step and took over 100 s
+    m = 10 ** 9 + 7
+    t0 = time.perf_counter()
+    x, y, half = pell_fundamental_unit(m)
+    assert time.perf_counter() - t0 < 1.0
+    assert not half and y.bit_length() == 21183 and x * x - m * y * y in (1, -1)
+
+
+def test_place_norms_read_a_symbol_per_hit_residue(monkeypatch):
+    # kronecker(disc, p) once for each residue class mod |disc| that a prime
+    # <= X meets: at most pi(X) symbols, however large the discriminant
+    import twistparity.numberfield as nf
+
+    K = quadratic_field(100000007)
+    primes, calls = primes_up_to(1000), []
+
+    def counted(d, p):  # fails fast, not after 10^8 symbols, on a table mod |disc|
+        calls.append(p)
+        assert len(calls) <= len(primes), "more symbols than primes"
+        return kronecker(d, p)
+
+    monkeypatch.setattr(nf, "kronecker", counted)
+    place_norms_up_to(K, 1000)
+    assert calls == primes
+    calls.clear()
+    place_norms_up_to(quadratic_field(-1), 1000)
+    assert calls == [2, 3, 5]  # the classes 2, 3 and 1 mod 4
 
 
 # ----------------------------------------------------------------------------
@@ -142,6 +190,12 @@ def test_element_str_round_trip(m):
     deltas = [chi.delta for chi in enumerate_characters(K, 30)] + list(squarefree_deltas(K, 50))
     for d in deltas:
         assert parse_element(K, str(d)) == d, str(d)
+
+
+def test_element_str_past_the_int_digit_limit():
+    K = quadratic_field(2)
+    assert str(K.elem(10 ** 5000 + 1, 1)) == "1" + "0" * 4999 + "1+w"
+    assert str(K.elem(Fraction(1, 10 ** 5000), -3)) == "1/1" + "0" * 5000 + "-3*w"
 
 
 @given(a=st.integers(-30, 30), b=st.integers(-30, 30),
