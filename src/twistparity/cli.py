@@ -15,6 +15,7 @@ not bad input).
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from fractions import Fraction
@@ -269,6 +270,19 @@ def cmd_lemmas(args) -> int:
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 
+def _discard_stdout() -> None:
+    """Point the interpreter's own stdout at the null device once a write to it
+    has failed. The bytes that write left in the buffer are then flushed there
+    at exit, instead of failing a second time with "Exception ignored" and exit
+    120 (the Python docs' note on SIGPIPE). A stdout an in-process caller put
+    in its place is left alone."""
+    if sys.stdout is None or sys.stdout is not sys.__stdout__:
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -284,6 +298,7 @@ def main(argv=None) -> int:
         return code
     except OSError as e:
         print(f"output error: {e.strerror or e}", file=sys.stderr)
+        _discard_stdout()
         return EXIT_INPUT
     except (InternalInvariantError, ZeroElement, WrongRepClass) as e:
         print(f"internal error: {e}", file=sys.stderr)

@@ -220,8 +220,15 @@ def test_over_long_literal_is_input_error(capsys, argv):
     assert err.startswith("input error: cannot parse ") and err.count("\n") == 1
 
 
-def test_unwritable_stdout_is_an_output_error():
-    # a closed pipe and a full device: exit 2 with the system's message, once
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_unwritable_stdout_is_an_output_error(monkeypatch, unbuffered):
+    # a closed pipe and a full device: exit 2 with the system's message, once.
+    # Buffered, the write fails at main's flush and the bytes stay buffered for
+    # the interpreter's flush at exit; unbuffered, the command's first print fails
+    if unbuffered is None:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
     argv = ("classify", "--curve", "[0,-1,1,-10,-20]")
     read_end, write_end = os.pipe()
     os.close(read_end)
