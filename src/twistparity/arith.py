@@ -3,11 +3,15 @@ integers with their primes, factorization and square roots mod p.
 
 Pure Python on built-in ints, with no module state. ``is_prime`` is
 deterministic: Miller-Rabin on the smallest base set that is exact for the
-range of n (Jaeschke; the first 13 prime bases are exact below 3.3e24,
-Sorenson and Webster, arXiv:1509.00864), and Baillie-PSW above that.
-``factorint`` is trial division, then Pollard-Brent rho under a fixed work
-budget; past the budget it raises ``FactorizationBudgetExceeded`` rather than
-run unbounded.
+range of n, and Baillie-PSW above 3.3e24. The first k prime bases are exact
+below Jaeschke's psi_k (Math. Comp. 61 (1993); psi_9 to psi_13 from Sorenson
+and Webster, arXiv:1509.00864): 2 047, 1 373 653, 25 326 001, 3 215 031 751,
+2 152 302 898 747, 3 474 749 660 383, 341 550 071 728 321 (= psi_8),
+3 825 123 056 546 413 051 (= psi_10 = psi_11), 318 665 857 834 031 151 167 461
+and 3 317 044 064 679 887 385 961 981 for k = 1 to 7, 9, 12 and 13.
+``factorint`` is trial division by the primes up to ``TRIAL_BOUND``, then
+Pollard-Brent rho under a fixed work budget; past the budget it raises
+``FactorizationBudgetExceeded`` rather than run unbounded.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from itertools import compress
 from .errors import FactorizationBudgetExceeded, ZeroElement
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (n below which the bases are exact, Miller-Rabin bases), smallest range first
-_MR_BASES = (
-    (1_373_653, (2, 3)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES),
-)
-TRIAL_BOUND = 1000  # trial division by d <= TRIAL_BOUND before rho
+# (n below which the bases are exact, Miller-Rabin bases): Jaeschke's psi_k with
+# the first k primes, smallest range first; psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+_MR_BASES = tuple((bound, _SMALL_PRIMES[:k]) for bound, k in (
+    (2_047, 1), (1_373_653, 2), (25_326_001, 3), (3_215_031_751, 4),
+    (2_152_302_898_747, 5), (3_474_749_660_383, 6), (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9), (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13)))
+TRIAL_BOUND = 1000  # trial division by the primes <= TRIAL_BOUND before rho
 FACTOR_BUDGET = 10 ** 6  # rho iterations per factorint call
 _RHO_BATCH = 128  # rho steps per gcd
 
@@ -135,6 +140,9 @@ def primes_up_to(n: int) -> list[int]:
     return [2] + list(compress(range(1, n + 1, 2), sieve))
 
 
+_TRIAL_PRIMES = tuple(primes_up_to(TRIAL_BOUND))
+
+
 def squarefree_up_to(n: int):
     """The squarefree k in 1..n, ascending, each as (k, its primes ascending).
 
@@ -215,19 +223,18 @@ def factorint(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     factors: dict[int, int] = {}
-    d = 2
-    while d <= TRIAL_BOUND and d * d <= n:
-        if n % d == 0:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:  # no factor below p, so n is 1 or prime
+            if n > 1:
+                factors[n] = 1
+            return factors
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            factors[d] = e
-        d += 1 if d == 2 else 2
+            factors[p] = e
     if n == 1:
-        return factors
-    if d * d > n:  # no factor below d, so n is prime
-        factors[n] = 1
         return factors
     budget, stack, large = FACTOR_BUDGET, [n], []
     while stack:

@@ -30,13 +30,14 @@ Topics, IV.9). So the higher class of each pair is read from the lower one.
 
 At residue characteristic >= 5 the type is a function of v(c4), v(c6),
 v(Delta) and the residue of c6 / pi^v(c6) (``_classify``): the record keeps
-E's, and a lower class c >= 1 shifts them by its representative, with no model
-built. At 2 and 3 Tate's algorithm runs on E and on the literal model that
-``quadratic_twist`` builds for each lower class c >= 1; that model gets no
-record. Models from ``quadratic_twist`` and ``transform`` carry their c4, c6
-and Delta, scaled from their source's. Tate's algorithm searches nothing: the
-singular point, the tangent cone's splitting and the triple and double roots
-over F_q have closed forms through the p-th root x -> x^(q/p).
+E's, and the one lower class c >= 1 there, the class of pi, shifts their
+valuations, with no model built and no representative read. At 2 and 3 Tate's
+algorithm runs on E and on the literal model that ``quadratic_twist`` builds
+for each lower class c >= 1; that model gets no record. Models from
+``quadratic_twist`` and ``transform`` carry their c4, c6 and Delta, scaled from
+their source's. Tate's algorithm searches nothing: the singular point, the
+tangent cone's splitting and the triple and double roots over F_q have closed
+forms through the p-th root x -> x^(q/p).
 """
 
 from __future__ import annotations
@@ -313,11 +314,12 @@ def _class_reduction(E: EllipticCurve, v: Place, c: int, record) -> ReductionDat
     docstring): the same type, minimal v(Delta) and v(c4), with split and
     nonsplit multiplicative reduction swapped.
 
-    At residue characteristic >= 5 a lower class c >= 1 is read from E's
-    invariants: the twist by eta = reps[c] = pi^n u (reps = [1, u, pi, u pi],
-    so n = c >> 1 and u = reps[c & 1]) multiplies c4, c6 and Delta by
-    6^4 eta^2, 6^6 eta^3 and 6^12 eta^6, which shifts their valuations by
-    (2n, 3n, 6n) and multiplies the residue of c6 / pi^v(c6) by 6^6 u^3. At 2
+    At residue characteristic >= 5 (reps = [1, u, pi, u pi], ur = 1) the one
+    lower class c >= 1 is c = 2, since each odd class is the higher class of
+    {c ^ 1, c}. It is read from E's invariants: the twist by pi multiplies c4,
+    c6 and Delta by 6^4 pi^2, 6^6 pi^3 and 6^12 pi^6, which shifts their
+    valuations by (2, 3, 6) and multiplies the residue of c6 / pi^v(c6) by
+    6^6, a nonzero square, so -c6 stays a square or not, as for E. At 2
     and 3 Tate's algorithm runs on E, and on the literal twisted model for a
     lower class c >= 1. A class c >= 1 carries a ``minimal_model`` only when
     Tate's algorithm built it.
@@ -346,15 +348,10 @@ def _class_reduction(E: EllipticCurve, v: Place, c: int, record) -> ReductionDat
         sign = None if rd.split_sign is None else -rd.split_sign
         return ReductionData(v, _SWAPPED.get(rd.red_type, rd.red_type), rd.v_disc, rd.v_c4,
                              sign, None)
-    reps = lv.square_class_reps()
     if lv.p in (2, 3):
-        return _tate_reduction(quadratic_twist(E, reps[c]), v, lv)
-    vd, vc4, vc6, r6 = record[0]
-    n = c >> 1
-    rf = lv.residue_field()
-    s = lv.residue(36 * reps[c & 1])  # 6^6 u^3 = (36 u)^3
-    return _classify(v, lv, vd + 6 * n, vc4 + 2 * n, vc6 + 3 * n,
-                     rf.mul(rf.mul(s, rf.mul(s, s)), r6))
+        return _tate_reduction(quadratic_twist(E, lv.square_class_reps()[c]), v, lv)
+    vd, vc4, vc6, r6 = record[0]  # c = 2, the class of pi
+    return _classify(v, lv, vd + 6, vc4 + 2, vc6 + 3, r6)
 
 
 _twist_reduction = _per_class(_class_reduction)

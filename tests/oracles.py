@@ -34,15 +34,18 @@ a field element, then the coordinates of u and a Kronecker symbol of its
 residue (above 2, the unit-class table at u mod 8). ``continued_fraction_unit``
 is ``pell_fundamental_unit`` as it was before the reduction walk of the
 principal form: the continued fraction of omega, with a norm test of each
-convergent.
+convergent. ``two_set_reduced_forms`` and ``two_set_narrow_class_number``
+are the cycle count of ``narrow_class_number`` as it was before it walked one
+set of reduced forms: the set built with a ``% 4`` test on every b, and a
+second set of the forms seen.
 """
 
 import math
 from fractions import Fraction
 
-from twistparity.arith import kronecker
+from twistparity.arith import divisors, kronecker
 from twistparity.errors import InternalInvariantError, Malformed, ZeroElement
-from twistparity.numberfield import _root_of_m, _vp_int
+from twistparity.numberfield import _rho, _root_of_m, _vp_int
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -870,3 +873,35 @@ def continued_fraction_unit(m: int) -> tuple[int, int, bool]:
             return (x // 2, y // 2, False) if x % 2 == 0 and y % 2 == 0 else (x, y, True)
         P = a * Q - P
         Q = (m - P * P) // Q
+
+
+def two_set_reduced_forms(D: int) -> set:
+    """All reduced forms (a, b, c) with b^2 - 4ac = D > 0 non-square:
+    |sqrt(D) - 2|a|| < b < sqrt(D), in integers sq - b < 2|a| <= sq + b, b <= sq."""
+    sq = math.isqrt(D)
+    forms = set()
+    for b in range(1, sq + 1):
+        if (D - b * b) % 4 == 0:
+            for absa in divisors((D - b * b) // 4):  # |a*c|, a*c < 0
+                if sq - b < 2 * absa <= sq + b:
+                    forms.update((a, b, (b * b - D) // (4 * a)) for a in (absa, -absa))
+    return forms
+
+
+def two_set_narrow_class_number(D: int) -> int:
+    """Cycle count of reduced indefinite forms = narrow class number h+(D)."""
+    forms = two_set_reduced_forms(D)
+    sq = math.isqrt(D)
+    cycles = 0
+    seen = set()
+    for f in forms:
+        if f in seen:
+            continue
+        cycles += 1
+        g = f
+        while g not in seen:
+            seen.add(g)
+            g, _ = _rho(g, D, sq)
+            if g not in forms:
+                raise InternalInvariantError(f"rho left the reduced set: {g}")
+    return cycles

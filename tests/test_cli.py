@@ -29,11 +29,22 @@ def test_classify_11a1(capsys):
 
 
 def test_classify_good_everywhere(capsys):
-    rc, out, _ = run(capsys, "classify", "--field", "Q", "--curve", "[-1,1]")
-    # y^2 = x^3 - x + 1: disc = -368 = -16*23 ... has bad places; use a good-everywhere
-    # curve instead: minimal disc of [0,0,1,-1,0] is 37 -> bad at 37. There is no
-    # curve over Q with everywhere-good reduction, so just check the run succeeded.
-    assert rc in (0, 3)
+    # Tate's curve: good reduction at every place of Q(sqrt 29) (no curve over Q
+    # has that), so classify prints no table, and the real places give kappa = 0
+    rc, out, _ = run(capsys, "classify", "--field", "Q(sqrt 29)", "--curve",
+                     "[1,0,27/2+5/2*w,0,0]")
+    assert rc == 0
+    assert out.splitlines()[0] == "no bad places; kappa = 0 (real place)"
+
+
+def test_classify_special_ramified_quadratic_row(capsys):
+    # 11a1 twisted by 11: at (11) a ramified quadratic twist of a special
+    # representation, with mu(pi) read from the Hilbert symbol
+    rc, out, _ = run(capsys, "classify", "--field", "Q", "--curve",
+                     "[0,0,0,-1620432,-1438054992]")
+    assert rc == 0
+    row = next(line.split() for line in out.splitlines() if line.split()[0] == "(11)")
+    assert row[2:4] == ["special_ramified_quadratic", "-1"]
 
 
 def test_classify_unsupported_names_place(capsys):
@@ -91,6 +102,13 @@ def test_predict_parity_override(capsys):
 def test_predict_unavailable_parity(capsys):
     rc, out, err = run(capsys, "predict", "--field", "Q", "--curve", "[0,1]")
     assert rc == 3
+
+
+def test_predict_unavailable_parity_under_principal_series(capsys):
+    rc, out, _ = run(capsys, "predict", "--field", "Q", "--curve", "[0,1]",
+                     "--assume-principal-series")
+    assert rc == 3
+    assert out.splitlines()[-1] == "rank parity unavailable for this curve; pass --parity even|odd"
 
 
 def test_scan_writes_json(tmp_path, capsys):

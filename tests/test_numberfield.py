@@ -24,6 +24,7 @@ from twistparity.numberfield import (
     archimedean_places,
     global_sqrt,
     is_squarefree,
+    narrow_class_number,
     parse_element,
     parse_field,
     pell_fundamental_unit,
@@ -35,7 +36,13 @@ from twistparity.numberfield import (
     real_quadratic_class_number,
 )
 
-from .oracles import FractionNFElem, brute_legendre, continued_fraction_unit, scan_prime_generator
+from .oracles import (
+    FractionNFElem,
+    brute_legendre,
+    continued_fraction_unit,
+    scan_prime_generator,
+    two_set_narrow_class_number,
+)
 
 
 # ----------------------------------------------------------------------------
@@ -132,6 +139,28 @@ def test_units_match_the_continued_fraction_reference():
     # the walk round the principal cycle gives the convergent unit of omega
     for m in [m for m in range(2, 3000) if is_squarefree(m)] + [10 ** 8 + 7]:
         assert pell_fundamental_unit(m) == continued_fraction_unit(m), m
+
+
+def test_narrow_class_numbers_match_the_two_set_reference():
+    # one set of reduced forms, emptied cycle by cycle, counts the same cycles
+    for m in [m for m in range(2, 3000) if is_squarefree(m) and math.isqrt(m) ** 2 != m] + [10 ** 8 + 7]:
+        D = m if m % 4 == 1 else 4 * m
+        assert narrow_class_number(D) == two_set_narrow_class_number(D), m
+
+
+def test_a_real_field_is_admitted_with_one_unit_walk(monkeypatch):
+    # the class number's sign test and the field's fundamental unit read one
+    # walk round the principal cycle
+    import twistparity.numberfield as nf
+
+    nf._make_field.cache_clear()
+    nf.pell_fundamental_unit.cache_clear()
+    walks = []
+    walk = nf._walk_to_unit_form
+    monkeypatch.setattr(nf, "_walk_to_unit_form", lambda *args: walks.append(args) or walk(*args))
+    K = quadratic_field(41)
+    assert len(walks) == 1
+    assert K.fundamental_unit == K.elem(32, 5)
 
 
 def test_unit_of_a_ten_digit_m():
